@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 # Sieve limits must fit in a signed 64-bit word; larger requests are an
@@ -47,52 +48,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Incremental prefix caches shared by the certifiers.  Grow-only; entries are
-# never mutated once written.
-_PRIMORIALS: list[int] = [1]
-_LCMS: list[int] = [1]
+# Incremental prefix caches shared by the certifiers: one (primorials, lcms)
+# pair of tuples, replaced as a whole under the lock so that a reader never
+# sees a half-written extension.
+_TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
+_TABLES_LOCK = threading.Lock()
 
 
-def _extend_tables(n: int) -> None:
-    if n < len(_PRIMORIALS):
-        return
-    table = primes_up_to(n)
-    pset = set(table.primes)
-    for k in range(len(_PRIMORIALS), n + 1):
-        p = _PRIMORIALS[-1]
-        d = _LCMS[-1]
-        if k in pset:
-            p *= k
-        _PRIMORIALS.append(p)
-        _LCMS.append(math.lcm(d, k))
+def _tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shared (primorials, lcms) prefixes, each covering 0..n at least."""
+    global _TABLES
+    if n < 0:
+        raise ValueError("n must be a natural number")
+    tables = _TABLES
+    if n < len(tables[0]):
+        return tables
+    with _TABLES_LOCK:
+        prims, lcms = _TABLES
+        if n >= len(prims):
+            pset = set(primes_up_to(n).primes)
+            p, d = prims[-1], lcms[-1]
+            new_prims, new_lcms = [], []
+            for k in range(len(prims), n + 1):
+                if k in pset:
+                    p *= k
+                d = math.lcm(d, k)
+                new_prims.append(p)
+                new_lcms.append(d)
+            _TABLES = (prims + tuple(new_prims), lcms + tuple(new_lcms))
+        return _TABLES
 
 
 def primorial(n: int) -> int:
     """Product of all primes <= n, with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    _extend_tables(n)
-    return _PRIMORIALS[n]
+    return _tables(n)[0][n]
 
 
 def lcm_to(n: int) -> int:
     """lcm{1, ..., n}, with lcm of the empty range equal to 1."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    _extend_tables(n)
-    return _LCMS[n]
+    return _tables(n)[1][n]
 
 
 def primorial_table(n: int) -> tuple[int, ...]:
     """The prefix (primorial(0), ..., primorial(n))."""
-    _extend_tables(n)
-    return tuple(_PRIMORIALS[: n + 1])
+    return _tables(n)[0][: n + 1]
 
 
 def lcm_table(n: int) -> tuple[int, ...]:
     """The prefix (lcm_to(0), ..., lcm_to(n))."""
-    _extend_tables(n)
-    return tuple(_LCMS[: n + 1])
+    return _tables(n)[1][: n + 1]
 
 
 def binomial(n: int, k: int) -> int:

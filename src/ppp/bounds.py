@@ -111,12 +111,16 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], bool | None]) -> bool:
         bits = min(2 * bits, ctx.max_bits)
 
 
+def _floors(x) -> tuple[int, int]:
+    """Floors of the two endpoints of an enclosure."""
+    lo, hi = _endpoints(x)
+    return libmp.to_int(lo, "f"), libmp.to_int(hi, "f")
+
+
 def _decide_floor(ctx: "PrecisionCtx", make: Callable) -> int:
     """Exact floor of the real number enclosed by ``make(ivc)``."""
     def attempt(bits: int):
-        lo, hi = _endpoints(make(_ivc(bits)))
-        flo = math.floor(_tuple_to_fraction(lo))
-        fhi = math.floor(_tuple_to_fraction(hi))
+        flo, fhi = _floors(make(_ivc(bits)))
         return flo if flo == fhi else None
 
     bits = ctx.bits
@@ -650,6 +654,7 @@ class _HeightEngine:
         self.J = compute_J(params.epsilon, ctx)
         self._packs: dict[int, dict] = {}
         self._pred_cache: dict[int, bool] = {}
+        self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
 
     def _pack(self, bits: int) -> dict:
         pk = self._packs.get(bits)
@@ -679,13 +684,32 @@ class _HeightEngine:
         self._packs[bits] = pk
         return pk
 
+    def threshold(self, k: int) -> int:
+        """T_k = ceil(exp(k/rho)), the least integer h with r(h) > k.
+
+        For k >= 1, exp(k/rho) is irrational (Lindemann), so an integer h
+        satisfies rho*log(h) > k exactly when h >= T_k.
+        """
+        t = self._thresholds.get(k)
+        if t is None:
+            q = Fraction(k) / self.params.rho
+            t = _decide_ceil(self.ctx, lambda ivc: ivc.exp(_iv_frac(ivc, q)))
+            self._thresholds[k] = t
+        return t
+
     def r_of(self, h: int) -> int:
+        """r(h) = floor(rho*log(h)) + 1."""
         if h == 1:
             return 1
         def expr(ivc):
-            bits = ivc.prec
-            pk = self._pack(bits)
-            return pk["rho"] * ivc.log(_iv_int(ivc, h))
+            return self._pack(ivc.prec)["rho"] * ivc.log(_iv_int(ivc, h))
+        flo, fhi = _floors(expr(_ivc(self.ctx.bits)))
+        if flo == fhi:
+            return flo + 1
+        if fhi == flo + 1:
+            # The enclosure straddles k = fhi: one exact integer comparison
+            # against the cached threshold settles every h near this jump.
+            return (fhi if h >= self.threshold(fhi) else flo) + 1
         return _decide_floor(self.ctx, expr) + 1
 
     def log_lhs(self, bits: int, h: int, r: int):

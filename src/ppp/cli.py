@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / certified, 1 refuted, 2 usage or input error,
-3 internal disagreement between the two primary certifiers (a bug trap).
+3 internal disagreement between the two primary certifiers (a bug trap),
+4 undecided within resource limits: ``bounds`` hit its height cap, its
+precision ceiling or its J scan cap, and the message names the limit.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_DISAGREE = 3
+EXIT_UNDECIDED = 4
 
 
 class InputError(Exception):
@@ -317,6 +320,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (bounds_mod.SearchExceeded, bounds_mod.PrecisionExhausted,
+            bounds_mod.CapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (InputError, ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

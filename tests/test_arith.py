@@ -1,7 +1,10 @@
 import math
+import sys
+import threading
 
 import pytest
 
+from ppp import arith
 from ppp.arith import (
     SIEVE_LIMIT_CAP,
     binomial,
@@ -57,6 +60,50 @@ def test_primorial_is_product_of_primes():
         for p in primes_up_to(n).primes:
             prod *= p
         assert primorial(n) == prod
+
+
+def test_negative_table_sizes_rejected():
+    for fn in (primorial_table, lcm_table, primorial, lcm_to):
+        with pytest.raises(ValueError):
+            fn(-3)
+
+
+def test_concurrent_table_extension(monkeypatch):
+    # Threads extending emptied caches at once must each see, and leave
+    # behind, exactly the tables one thread would have built.
+    n, workers = 3000, 8
+    pset = set(primes_up_to(n).primes)
+    expected_prims, p = [1], 1
+    for k in range(1, n + 1):
+        if k in pset:
+            p *= k
+        expected_prims.append(p)
+    expected_prims = tuple(expected_prims)
+    expected_lcm = math.lcm(*range(1, n + 1))
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            monkeypatch.setattr(arith, "_TABLES", ((1,), (1,)))
+            barrier = threading.Barrier(workers)
+            results = [None] * workers
+
+            def work(i):
+                barrier.wait(timeout=30)
+                results[i] = (primorial_table(n), lcm_to(n))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert results == [(expected_prims, expected_lcm)] * workers
+            prims, lcms = arith._TABLES
+            assert prims == expected_prims
+            assert len(lcms) == n + 1 and lcms[n] == expected_lcm
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_lcm_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -8,6 +9,13 @@ import pytest
 
 from ppp.arith import primorial_table
 from ppp.bounds import (
+    _HeightEngine,
+    _decide_floor,
+    _iv_frac,
+    _iv_int,
+    _ivc,
+    _lt,
+    _search_height,
     CapExceeded,
     Delta,
     DomainError,
@@ -200,6 +208,32 @@ def test_height_for_mild_delta():
         mpmath.log(rep.H) / mpmath.log(mpmath.mpf(11) / 10)
     )
     assert rep.diag_H_upper is not None and Fraction(rep.H) <= rep.diag_H_upper.lo
+
+
+def test_r_threshold_matches_floor_route():
+    # The 5/4 search crosses the r jump at k = 679; the 11/10 search none.
+    params = choose_parameters(1, Fraction(5, 4), CTX)
+    engine = _HeightEngine(params, CTX)
+    _search_height(engine)
+    assert set(engine._thresholds) == {679}
+    k, t = 679, engine._thresholds[679]
+    ivc = _ivc(2 * t.bit_length())
+    jump = ivc.exp(_iv_frac(ivc, Fraction(k) / params.rho))
+    assert _lt(_iv_int(ivc, t - 1), jump) is True
+    assert _lt(jump, _iv_int(ivc, t)) is True
+    for h, r in ((t - 1, k), (t, k + 1), (t + 1, k + 1)):
+        floor_route = _decide_floor(
+            CTX, lambda c: _iv_frac(c, params.rho) * c.log(_iv_int(c, h))
+        ) + 1
+        assert engine.r_of(h) == floor_route == r
+
+
+def test_height_pinned_for_e_two_sevenths():
+    rep = bounds_report(1, Delta.exp(Fraction(2, 7)), CTX)
+    assert rep.H.bit_length() == 3845
+    assert hashlib.sha256(str(rep.H).encode()).hexdigest() == (
+        "26e3c7bbacfb7bc7f4cc9373478401ce0988bb7fc845ee918b9a0c7dbcbdf25e"
+    )
 
 
 def test_compute_h_shortcut_matches_report():

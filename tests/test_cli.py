@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from ppp import bounds, cli
+
 CMD = [sys.executable, "-m", "ppp.cli"]
 
 
@@ -28,6 +32,13 @@ def test_sieve_lcm():
 def test_sieve_bad_flags():
     assert run(["sieve", "--kind", "bogus", "--n", "3"]).returncode == 2
     assert run(["sieve", "--n", "3"]).returncode == 2
+
+
+def test_sieve_negative_size():
+    for kind in ("primorial", "lcm"):
+        r = run(["sieve", "--kind", kind, "--n", "-3"])
+        assert r.returncode == 2
+        assert r.stdout == "" and "natural number" in r.stderr
 
 
 def test_transform_pipe_identity():
@@ -154,6 +165,21 @@ def test_bounds_cli_and_env_precision():
 
 def test_bounds_cli_domain_error():
     assert run(["bounds", "--c", "1", "--delta", "5/1"]).returncode == 2
+
+
+@pytest.mark.parametrize("exc, code", [
+    (bounds.SearchExceeded("no height up to 2^16384 satisfies the inequality"), 4),
+    (bounds.PrecisionExhausted("floor undecided at 32768 bits"), 4),
+    (bounds.CapExceeded("violations persist at j=999999 near the cap 1000000"), 4),
+    (ZeroDivisionError("division by zero"), 2),
+    (ArithmeticError("other arithmetic failure"), 2),
+])
+def test_bounds_exit_code_for_undecided(monkeypatch, capsys, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(bounds, "bounds_report", fail)
+    assert cli.main(["bounds", "--c", "1", "--delta", "3/2"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_deterministic_outputs():
