@@ -697,25 +697,32 @@ class _HeightEngine:
             self._thresholds[k] = t
         return t
 
-    def r_of(self, h: int) -> int:
-        """r(h) = floor(rho*log(h)) + 1."""
+    def _log_h(self, bits: int, h: int):
+        ivc = _ivc(bits)
+        return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.mpf(0)
+
+    def r_of(self, h: int, logh=None) -> int:
+        """r(h) = floor(rho*log(h)) + 1; ``logh`` is log h at ctx.bits if known."""
         if h == 1:
             return 1
-        def expr(ivc):
-            return self._pack(ivc.prec)["rho"] * ivc.log(_iv_int(ivc, h))
-        flo, fhi = _floors(expr(_ivc(self.ctx.bits)))
+        bits = self.ctx.bits
+        if logh is None:
+            logh = self._log_h(bits, h)
+        flo, fhi = _floors(self._pack(bits)["rho"] * logh)
         if flo == fhi:
             return flo + 1
         if fhi == flo + 1:
             # The enclosure straddles k = fhi: one exact integer comparison
             # against the cached threshold settles every h near this jump.
             return (fhi if h >= self.threshold(fhi) else flo) + 1
-        return _decide_floor(self.ctx, expr) + 1
+        return _decide_floor(
+            self.ctx, lambda ivc: self._pack(ivc.prec)["rho"] * self._log_h(ivc.prec, h)
+        ) + 1
 
-    def log_lhs(self, bits: int, h: int, r: int):
+    def log_lhs(self, bits: int, r: int, logh):
+        """log LHS(h) at ``bits``, given ``logh`` = log h at the same precision."""
         pk = self._pack(bits)
         ivc = pk["ivc"]
-        logh = ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.mpf(0)
         logr = ivc.log(_iv_int(ivc, r)) if r > 1 else ivc.mpf(0)
         logx = pk["log_2cd"] + logr + logh + (r - 1) * pk["ell"]
         logy = logx + pk["d_log_j0"]
@@ -731,17 +738,20 @@ class _HeightEngine:
             + (self.J + F) * log1px
             + F * (pk["log2"] + pk["d_log_j0"])
             + logy**2 / pk["lam"]
-        ), logh
+        )
 
     def predicate(self, h: int) -> bool:
         hit = self._pred_cache.get(h)
         if hit is not None:
             return hit
-        r = self.r_of(h)
+        # log h at the working precision serves r_of and the first attempt;
+        # only escalated attempts recompute it.
+        logh0 = self._log_h(self.ctx.bits, h)
+        r = self.r_of(h, logh0)
         rd = r * self.params.d
         def attempt(bits: int):
-            lhs, logh = self.log_lhs(bits, h, r)
-            return _le(lhs, rd * logh)
+            logh = logh0 if bits == self.ctx.bits else self._log_h(bits, h)
+            return _le(self.log_lhs(bits, r, logh), rd * logh)
         verdict = _escalate(self.ctx, attempt)
         self._pred_cache[h] = verdict
         return verdict
@@ -749,7 +759,7 @@ class _HeightEngine:
     def log_first_value(self) -> "Enclosure":
         """Enclosure of log(LHS at h=1), the seed of the lower bound."""
         ivc = _ivc(self.ctx.bits)
-        val, _ = self.log_lhs(self.ctx.bits, 1, 1)
+        val = self.log_lhs(self.ctx.bits, 1, ivc.mpf(0))
         return Enclosure.from_iv(_iv_nonneg(ivc, val))
 
 
@@ -769,7 +779,8 @@ def _search_height(engine: _HeightEngine) -> HeightSearch:
     while not engine.predicate(h):
         if k >= ctx.h_cap_log2:
             raise SearchExceeded(
-                f"no height up to 2^{ctx.h_cap_log2} satisfies the inequality; "
+                f"no power of two h = 2^k with k <= {ctx.h_cap_log2} satisfies "
+                f"the inequality (doubling stopped at h = 2^{ctx.h_cap_log2}); "
                 "the minimal height can be astronomically large for some growth "
                 "bases (raise PrecisionCtx.h_cap_log2 and max_bits to continue)"
             )

@@ -3,6 +3,9 @@
 Given a target growth function phi with phi(0) = 1, builds (A_n) with
 phi(n) <= A_n <= phi(n) + 2*primorial(n) whose transform terms B_n are all
 nonzero multiples of primorial(n).
+
+The recursion keeps one anti-diagonal of the difference table of A, so the
+whole run costs O(N^2) big-integer additions and no multiplications.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .arith import binomial_row, primorial_table
+from .arith import primorial_table
 from .transforms import IntSequence
 
 GrowthFn = Callable[[int], Fraction]
@@ -91,6 +94,12 @@ def construct_genuine(
     At each step the multiplier w is the ceiling correction
     ceil((phi(n)-v)/P) - u when that is nonzero, else 1, which pins A_n into
     [phi(n), phi(n)+2P].  phi values must be exact rationals.
+
+    Before step n, diag[j] = Delta^j A_{n-1-j} for j < n.  Telescoping
+    A_n = A_{n-1} + Delta A_{n-1} = ... gives c = sum(diag), and appending
+    B_n = Delta^n A_0 then adding each entry's successor, from the end,
+    turns diag into the next anti-diagonal, with diag[0] = A_n.  The update
+    is in place: a rebuilt copy raises the peak memory of a long run.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
@@ -101,15 +110,18 @@ def construct_genuine(
     bs: list[int] = []
     steps: list[ConstructStep] = []
     a_terms: list[int] = []
+    diag: list[int] = []
     for n in range(n_max + 1):
-        row = binomial_row(n)
-        c = sum(row[k] * bs[k] for k in range(n))
+        c = sum(diag)
         p = prim[n]
         u, v = divmod(c, p)
         t = ceil_div_rational(_exact_rational(phi(n)) - v, p)
         w = t - u if t != u else 1
         b = w * p
-        a = c + b
+        diag.append(b)
+        for j in range(n - 1, -1, -1):
+            diag[j] += diag[j + 1]
+        a = diag[0]
         bs.append(b)
         a_terms.append(a)
         steps.append(ConstructStep(n, c, u, v, w, b, a))

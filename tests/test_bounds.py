@@ -246,6 +246,31 @@ def test_search_cap_raises():
         compute_H(1, Fraction(11, 10), ctx=tiny_cap)
 
 
+def test_search_cap_message_names_only_powers_of_two():
+    tiny_cap = PrecisionCtx(h_cap_log2=16)
+    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), tiny_cap), tiny_cap)
+    tested = []
+    predicate = engine.predicate
+    engine.predicate = lambda h: tested.append(h) or predicate(h)
+    with pytest.raises(SearchExceeded) as err:
+        _search_height(engine)
+    assert tested == [1] + [2**k for k in range(1, 17)]
+    assert str(err.value).startswith(
+        "no power of two h = 2^k with k <= 16 satisfies the inequality"
+    )
+    assert "2^16" in str(err.value)
+
+
+def test_predicate_takes_log_h_once_at_working_precision():
+    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
+    h = compute_H(1, Fraction(11, 10), ctx=CTX)
+    calls = []
+    log_h = engine._log_h
+    engine._log_h = lambda bits, x: calls.append(bits) or log_h(bits, x)
+    assert engine.predicate(h) is True
+    assert calls == [CTX.bits]
+
+
 def test_precision_ceiling_raises():
     # resolving H against H-1 here needs ~2^-69 resolution: undecidable at a
     # hard 64-bit ceiling

@@ -1,3 +1,5 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,46 @@ def test_trace_consistency():
         assert 0 <= st.v < prim[st.n]
         assert st.b == st.w * prim[st.n] and st.w != 0
         assert st.a == st.b + st.c
+
+
+def _sha(seq) -> str:
+    return hashlib.sha256("\n".join(map(str, seq.terms)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "phi, a_sha, b_sha",
+    [
+        (
+            phi_primorial(),
+            "68b5fe7fcc0ff25d2638fc853f2ace951169585ad0834fb73ae25b3afbdf33f8",
+            "da858183b4587d5813dd907417825984b6a58e5e57fd47cf486204a471340158",
+        ),
+        (
+            phi_geometric(Fraction(2718282, 10**6)),
+            "6efd75da8ce6f039ce84b07a095630e985c8423626fa2feecccc502849b135f5",
+            "8c5f48670c8e180d70947ab128c9f9d6d5d3c30ece29ba266ed47c356a897e95",
+        ),
+    ],
+    ids=["primorial", "geometric-e-ish"],
+)
+def test_golden_terms_at_1000(phi, a_sha, b_sha):
+    # Pinned output: any rewrite of the recursion must reproduce it exactly.
+    a, b, _ = construct_genuine(phi, 1000)
+    assert (_sha(a), _sha(b)) == (a_sha, b_sha)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [phi_primorial(), phi_geometric(Fraction(2718282, 10**6))],
+    ids=["primorial", "geometric-e-ish"],
+)
+def test_trace_c_is_the_binomial_sum(phi):
+    # math.comb, independent of both arith.binomial_row and the diagonal.
+    _, b, trace = construct_genuine(phi, 120)
+    for st in trace.steps:
+        n = st.n
+        assert st.c == sum(math.comb(n, k) * b[k] for k in range(n))
+        assert st.a == st.c + st.b
 
 
 def test_determinism():
