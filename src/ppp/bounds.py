@@ -97,13 +97,13 @@ def _lt(x, y) -> bool | None:
     return None
 
 
-def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], bool | None]) -> bool:
-    """Run ``fn`` at increasing precision until it returns a verdict."""
+def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], object]):
+    """Run ``fn`` at increasing precision until it returns a value, not None."""
     bits = ctx.bits
     while True:
-        verdict = fn(bits)
-        if verdict is not None:
-            return verdict
+        value = fn(bits)
+        if value is not None:
+            return value
         if bits >= ctx.max_bits:
             raise PrecisionExhausted(
                 f"comparison undecided at {bits} bits; raise the precision ceiling"
@@ -122,15 +122,7 @@ def _decide_floor(ctx: "PrecisionCtx", make: Callable) -> int:
     def attempt(bits: int):
         flo, fhi = _floors(make(_ivc(bits)))
         return flo if flo == fhi else None
-
-    bits = ctx.bits
-    while True:
-        v = attempt(bits)
-        if v is not None:
-            return v
-        if bits >= ctx.max_bits:
-            raise PrecisionExhausted(f"floor undecided at {bits} bits")
-        bits = min(2 * bits, ctx.max_bits)
+    return _escalate(ctx, attempt)
 
 
 def _decide_ceil(ctx: "PrecisionCtx", make: Callable) -> int:
@@ -263,6 +255,8 @@ class PrecisionCtx:
             raise ValueError("working precision below 64 bits is not supported")
         if self.max_bits < self.bits:
             raise ValueError("max_bits must be at least bits")
+        if self.h_cap_log2 < 1:
+            raise ValueError("h_cap_log2 must be at least 1")
 
 
 def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
@@ -273,6 +267,16 @@ def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
         )
         if not below_e:
             raise DomainError(f"delta must lie strictly below e, got {delta.label()}")
+
+
+def _log_e_minus(ivc, epsilon: Fraction):
+    """log(e - epsilon)."""
+    return ivc.log(ivc.e - _iv_frac(ivc, epsilon))
+
+
+def _lam(ivc, delta: Delta, epsilon: Fraction):
+    """lam = log(1/omega) = log(e - epsilon) - log(delta)."""
+    return _log_e_minus(ivc, epsilon) - delta.iv_ell(ivc)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +328,7 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) 
 
     _check_epsilon_domain(ctx, epsilon)
     # float bounds for log(e - epsilon), padded outward
-    ivc = _ivc(ctx.bits)
-    log_e_minus = ivc.log(ivc.e - _iv_frac(ivc, epsilon))
-    lo_t, hi_t = _endpoints(log_e_minus)
+    lo_t, hi_t = _endpoints(_log_e_minus(_ivc(ctx.bits), epsilon))
     le_lo = math.nextafter(float(_tuple_to_fraction(lo_t)), -math.inf)
     le_hi = math.nextafter(float(_tuple_to_fraction(hi_t)), math.inf)
 
@@ -342,7 +344,7 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) 
                 if p > j - 1:
                     break
                 theta += c.log(c.mpf(p))
-            return _lt(theta, j * c.log(c.e - _iv_frac(c, epsilon)))
+            return _lt(theta, j * _log_e_minus(c, epsilon))
         return _escalate(ctx, attempt)
 
     theta = 0.0
@@ -443,10 +445,8 @@ def _rho1_holds(delta: Delta, d: int, rho: Fraction, epsilon: Fraction,
     """(1 + rho*ell)^2 / log(1/omega) < d*rho at adverse rounding."""
     def attempt(bits: int):
         ivc = _ivc(bits)
-        l = delta.iv_ell(ivc)
         r = _iv_frac(ivc, rho)
-        lam = ivc.log(ivc.e - _iv_frac(ivc, epsilon)) - l
-        lhs = (1 + r * l) ** 2 / lam
+        lhs = (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
         return _lt(lhs, d * r)
     return _escalate(ctx, attempt)
 
@@ -480,42 +480,33 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
             1, _decide_ceil(ctx, lambda ivc: 4 * delta.iv_ell(ivc) / (1 - delta.iv_ell(ivc)))
         )
 
+    ivc = _ivc(ctx.bits)
+    l = delta.iv_ell(ivc)
     d = formula_d
-    rho: Fraction | None = None
     for _ in range(64):
-        def midpoint_iv(ivc, d=d):
-            l = delta.iv_ell(ivc)
-            disc = d * (1 - l) * (d * (1 - l) - 4 * l)
-            # The true discriminant is >= 0; clip rounding noise at zero.
-            root = ivc.sqrt(_iv_nonneg(ivc, disc))
-            lo = (d * (1 - l) - 2 * l - root) / (2 * l * l)
-            return (lo + 1 / l) / 2
-
-        candidate = _dyadic_from_iv_mid(midpoint_iv(_ivc(ctx.bits)), ctx.bits)
+        disc = d * (1 - l) * (d * (1 - l) - 4 * l)
+        # The true discriminant is >= 0; clip rounding noise at zero.
+        root = ivc.sqrt(_iv_nonneg(ivc, disc))
+        lo_iv = (d * (1 - l) - 2 * l - root) / (2 * l * l)
+        rho = _dyadic_from_iv_mid((lo_iv + 1 / l) / 2, ctx.bits)
         if (
-            candidate > 0
-            and _rho_at_most_inv_ell(delta, candidate, ctx)
-            and _rho2_holds_strictly(delta, d, candidate, ctx)
+            rho > 0
+            and _rho_at_most_inv_ell(delta, rho, ctx)
+            and _rho2_holds_strictly(delta, d, rho, ctx)
         ):
-            rho = candidate
             break
         d += 1
-    if rho is None:
+    else:
         raise PrecisionExhausted("no admissible rho found after 64 bumps")
 
     # epsilon: halve from (e - delta)/2 until the strict inequality verifies
-    def eps_start(bits: int) -> Fraction:
+    def eps_start(bits: int) -> Fraction | None:
         ivc = _ivc(bits)
         lo, _ = _endpoints((ivc.e - delta.iv(ivc)) / 2)
-        return _tuple_to_fraction(lo)
+        eps = _tuple_to_fraction(lo)
+        return eps if eps > 0 else None
 
-    epsilon = eps_start(ctx.bits)
-    bits = ctx.bits
-    while epsilon <= 0:
-        if bits >= ctx.max_bits:
-            raise PrecisionExhausted("delta is too close to e at this precision")
-        bits = min(2 * bits, ctx.max_bits)
-        epsilon = eps_start(bits)
+    epsilon = _escalate(ctx, eps_start)
     for _ in range(200):
         if _rho1_holds(delta, d, rho, epsilon, ctx):
             break
@@ -523,18 +514,8 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
     else:
         raise PrecisionExhausted("epsilon halving did not reach a strict margin")
 
-    ivc = _ivc(ctx.bits)
-    l = delta.iv_ell(ivc)
-    disc = d * (1 - l) * (d * (1 - l) - 4 * l)
-    root = ivc.sqrt(_iv_nonneg(ivc, disc))
-    lo_iv = (d * (1 - l) - 2 * l - root) / (2 * l * l)
     omega_iv = delta.iv(ivc) / (ivc.e - _iv_frac(ivc, epsilon))
-    lam_iv = ivc.log(ivc.e - _iv_frac(ivc, epsilon)) - l
-
-    floor_j0 = _decide_floor(
-        ctx,
-        lambda ivc: 2 * d / (ivc.log(ivc.e - _iv_frac(ivc, epsilon)) - delta.iv_ell(ivc)),
-    )
+    floor_j0 = _decide_floor(ctx, lambda ivc: 2 * d / _lam(ivc, delta, epsilon))
 
     return Parameters(
         c=c,
@@ -547,7 +528,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         rho=rho,
         epsilon=epsilon,
         omega=Enclosure.from_iv(omega_iv),
-        log_inv_omega=Enclosure.from_iv(lam_iv),
+        log_inv_omega=Enclosure.from_iv(_lam(ivc, delta, epsilon)),
         floor_j0=floor_j0,
     )
 
@@ -570,13 +551,52 @@ def _iv_nonneg(ivc, x):
 # Majorized product bound
 
 
+# Once the lower end of log x exceeds this, log(1+x) is log x + log(1 + 1/x).
+_LOG1P_SWITCH = libmp.from_int(40)
+
+
+class _Majorant:
+    """The closed-form majorant of Phi(D, x) in log form, at one precision.
+
+    log_phi(log x) = log_k + (J+F) log(1+x) + F (log 2 + D log j0)
+    + (log y)^2 / lam, with lam = log(1/omega), j0 = 2D/lam, F = floor(j0),
+    y = x j0^D and log_k = log c0 + J log 2 + D log J! + J^2 log(delta),
+    c0 = exp(4 zeta(2) / lam).
+    """
+
+    def __init__(self, ivc, delta: Delta, epsilon: Fraction, D: int, J: int, F: int):
+        self.ivc, self.J, self.F = ivc, J, F
+        self.ell = delta.iv_ell(ivc)
+        self.lam = _lam(ivc, delta, epsilon)
+        self.log2 = ivc.log(ivc.mpf(2))
+        self.d_log_j0 = D * ivc.log(2 * D / self.lam)
+        log_jfact = ivc.log(_iv_int(ivc, math.factorial(J))) if J > 0 else ivc.mpf(0)
+        log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
+        self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
+
+    def log_phi(self, logx):
+        ivc = self.ivc
+        logy = logx + self.d_log_j0
+        # log(1+x) two ways, both enclosing; pick by the endpoint scale
+        if libmp.mpf_gt(_endpoints(logx)[0], _LOG1P_SWITCH):
+            log1px = logx + ivc.log(1 + ivc.exp(-logx))
+        else:
+            log1px = ivc.log(1 + ivc.exp(logx))
+        return (
+            self.log_k
+            + (self.J + self.F) * log1px
+            + self.F * (self.log2 + self.d_log_j0)
+            + logy**2 / self.lam
+        )
+
+
 def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) -> Enclosure:
     """Upper enclosure of the closed-form majorant of the infinite product
     prod_{j>=1} (1 + x j^D delta^j / primorial(j-1)).
 
     Shape: 2^J (1+x)^J J!^D delta^(J^2) (2(1+x) j0^D)^floor(j0) c0
     exp(log(x j0^D)^2 / log(1/omega)) with j0 = 2D/log(1/omega) and
-    c0 = exp(4 zeta(2) / log(1/omega)).
+    c0 = exp(4 zeta(2) / log(1/omega)); evaluated as exp of its log form.
     """
     ctx = ctx or PrecisionCtx()
     delta = Delta.coerce(delta)
@@ -600,18 +620,14 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         raise DomainError("epsilon must satisfy delta < e - epsilon")
 
     J = compute_J(epsilon, ctx)
-
-    def lam_of(ivc):
-        return ivc.log(ivc.e - _iv_frac(ivc, epsilon)) - delta.iv_ell(ivc)
-
-    floor_j0 = _decide_floor(ctx, lambda ivc: 2 * D / lam_of(ivc))
+    floor_j0 = _decide_floor(ctx, lambda ivc: 2 * D / _lam(ivc, delta, epsilon))
 
     # The dilogarithm step in the tail estimate requires y = x*j0^D >= 1.
     y_ok = _escalate(
         ctx,
         lambda bits: _le(
             _ivc(bits).mpf(1),
-            _iv_frac(_ivc(bits), x) * (2 * D / lam_of(_ivc(bits))) ** D,
+            _iv_frac(_ivc(bits), x) * (2 * D / _lam(_ivc(bits), delta, epsilon)) ** D,
         ),
     )
     if not y_ok:
@@ -620,21 +636,8 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         )
 
     ivc = _ivc(ctx.bits)
-    lam = lam_of(ivc)
-    xi = _iv_frac(ivc, x)
-    j0 = 2 * D / lam
-    y = xi * j0**D
-    c0 = ivc.exp(4 * (ivc.pi**2 / 6) / lam)
-    value = (
-        c0
-        * _iv_int(ivc, 2**J)
-        * (1 + xi) ** J
-        * _iv_int(ivc, math.factorial(J) ** D)
-        * delta.iv(ivc) ** (J * J)
-        * (2 * (1 + xi) * j0**D) ** floor_j0
-        * ivc.exp(ivc.log(y) ** 2 / lam)
-    )
-    return Enclosure.from_iv(value)
+    majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0)
+    return Enclosure.from_iv(ivc.exp(majorant.log_phi(ivc.log(_iv_frac(ivc, x)))))
 
 
 # ---------------------------------------------------------------------------
@@ -652,36 +655,20 @@ class _HeightEngine:
         self.params = params
         self.ctx = ctx
         self.J = compute_J(params.epsilon, ctx)
-        self._packs: dict[int, dict] = {}
+        self._packs: dict[int, _Majorant] = {}
         self._pred_cache: dict[int, bool] = {}
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
 
-    def _pack(self, bits: int) -> dict:
+    def _pack(self, bits: int) -> _Majorant:
+        """The majorant of Phi(d, x) at ``bits``, plus log(2cd) and rho."""
         pk = self._packs.get(bits)
-        if pk is not None:
-            return pk
-        p = self.params
-        ivc = _ivc(bits)
-        ell = p.delta.iv_ell(ivc)
-        lam = ivc.log(ivc.e - _iv_frac(ivc, p.epsilon)) - ell
-        log2 = ivc.log(ivc.mpf(2))
-        j0 = 2 * p.d / lam
-        log_j0 = ivc.log(j0)
-        J = self.J
-        log_jfact = ivc.log(_iv_int(ivc, math.factorial(J))) if J > 0 else ivc.mpf(0)
-        log_c0 = 4 * (ivc.pi**2 / 6) / lam
-        log_k = log_c0 + J * log2 + p.d * log_jfact + (J * J) * ell
-        pk = {
-            "ivc": ivc,
-            "ell": ell,
-            "lam": lam,
-            "log2": log2,
-            "d_log_j0": p.d * log_j0,
-            "log_k": log_k,
-            "log_2cd": ivc.log(_iv_frac(ivc, 2 * p.c * p.d)),
-            "rho": _iv_frac(ivc, p.rho),
-        }
-        self._packs[bits] = pk
+        if pk is None:
+            p = self.params
+            ivc = _ivc(bits)
+            pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0)
+            pk.log_2cd = ivc.log(_iv_frac(ivc, 2 * p.c * p.d))
+            pk.rho = _iv_frac(ivc, p.rho)
+            self._packs[bits] = pk
         return pk
 
     def threshold(self, k: int) -> int:
@@ -708,7 +695,7 @@ class _HeightEngine:
         bits = self.ctx.bits
         if logh is None:
             logh = self._log_h(bits, h)
-        flo, fhi = _floors(self._pack(bits)["rho"] * logh)
+        flo, fhi = _floors(self._pack(bits).rho * logh)
         if flo == fhi:
             return flo + 1
         if fhi == flo + 1:
@@ -716,29 +703,15 @@ class _HeightEngine:
             # against the cached threshold settles every h near this jump.
             return (fhi if h >= self.threshold(fhi) else flo) + 1
         return _decide_floor(
-            self.ctx, lambda ivc: self._pack(ivc.prec)["rho"] * self._log_h(ivc.prec, h)
+            self.ctx, lambda ivc: self._pack(ivc.prec).rho * self._log_h(ivc.prec, h)
         ) + 1
 
     def log_lhs(self, bits: int, r: int, logh):
         """log LHS(h) at ``bits``, given ``logh`` = log h at the same precision."""
         pk = self._pack(bits)
-        ivc = pk["ivc"]
+        ivc = pk.ivc
         logr = ivc.log(_iv_int(ivc, r)) if r > 1 else ivc.mpf(0)
-        logx = pk["log_2cd"] + logr + logh + (r - 1) * pk["ell"]
-        logy = logx + pk["d_log_j0"]
-        # log(1+x) two ways, both enclosing; pick by the endpoint scale
-        lo_t, _ = _endpoints(logx)
-        if _tuple_to_fraction(lo_t) > 40:
-            log1px = logx + ivc.log(1 + ivc.exp(-logx))
-        else:
-            log1px = ivc.log(1 + ivc.exp(logx))
-        F = self.params.floor_j0
-        return (
-            pk["log_k"]
-            + (self.J + F) * log1px
-            + F * (pk["log2"] + pk["d_log_j0"])
-            + logy**2 / pk["lam"]
-        )
+        return pk.log_phi(pk.log_2cd + logr + logh + (r - 1) * pk.ell)
 
     def predicate(self, h: int) -> bool:
         hit = self._pred_cache.get(h)
@@ -826,16 +799,14 @@ def _iv_from_enclosure(ivc, enc: Enclosure):
 
 def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
     """exp((sqrt(d^2 + 4 d rho log A) - d) / (d rho)) with A = LHS at h=1."""
-    p = engine.params
-    ivc = _ivc(engine.ctx.bits)
+    pk = engine._pack(engine.ctx.bits)
+    ivc, rho, d = pk.ivc, pk.rho, engine.params.d
     la = _iv_from_enclosure(ivc, engine.log_first_value())
-    d = p.d
-    rho = _iv_frac(ivc, p.rho)
     val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (d * rho))
     return Enclosure.from_iv(val)
 
 
-def _height_upper_diagnostic(engine: _HeightEngine) -> tuple[Enclosure, Enclosure, Enclosure] | None:
+def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, Enclosure, Enclosure] | None:
     """Closed-form bound H <= 1 + exp((alpha + sqrt(alpha^2+4*beta*gamma)) / (2*gamma)).
 
     Derivation (valid for 1 <= h <= 2^h_cap_log2, the search domain).  Write
@@ -866,29 +837,22 @@ def _height_upper_diagnostic(engine: _HeightEngine) -> tuple[Enclosure, Enclosur
     r > rho L; so H <= Y, and minimality of Y at Y-1 gives
     gamma log(Y-1)^2 < alpha log(Y-1) + beta, i.e. log(Y-1) is below the
     largest root of gamma X^2 - alpha X - beta.  Conservative directions:
-    upper alpha and beta, lower gamma.
+    upper alpha and beta, lower gamma (the enclosure ``gamma`` passed in).
     """
-    p = engine.params
-    ctx = engine.ctx
-    ivc = _ivc(ctx.bits)
-    pk = engine._pack(ctx.bits)
-    ell, lam = pk["ell"], pk["lam"]
-    rho = _iv_frac(ivc, p.rho)
-    J, F, d = engine.J, p.floor_j0, p.d
-    one_plus = 1 + rho * ell
-    gamma = d * rho - one_plus**2 / lam
+    pk = engine._pack(engine.ctx.bits)
+    ivc, rho, lam, J, F = pk.ivc, pk.rho, pk.lam, pk.J, pk.F
     glo, _ = _endpoints(gamma)
     if not libmp.mpf_gt(glo, libmp.fzero):
         return None  # strict margin not visible at this precision
-    l_cap = ctx.h_cap_log2 * ivc.log(ivc.mpf(2))
-    t = ivc.log(rho * l_cap + 1)
-    c2 = pk["log_2cd"] + t + pk["d_log_j0"]
-    c3 = pk["log_2cd"] + pk["d_log_j0"]
+    one_plus = 1 + rho * pk.ell
+    t = ivc.log(rho * (engine.ctx.h_cap_log2 * pk.log2) + 1)
+    c2 = pk.log_2cd + t + pk.d_log_j0
+    c3 = pk.log_2cd + pk.d_log_j0
     alpha = (J + F) * one_plus + 2 * one_plus * c2 / lam
-    log1px_const = pk["log2"] + _iv_nonneg(ivc, pk["log_2cd"] + t)
+    log1px_const = pk.log2 + _iv_nonneg(ivc, pk.log_2cd + t)
     beta = (
-        pk["log_k"]
-        + F * (pk["log2"] + pk["d_log_j0"])
+        pk.log_k
+        + F * (pk.log2 + pk.d_log_j0)
         + (J + F) * log1px_const
         + (c3**2 + c2**2) / lam
     )
@@ -1020,13 +984,9 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
             f"d bumped from formula value {params.formula_d} to {params.d}: the "
             "admissible rho interval was degenerate, no strict margin existed"
         )
-    ivc = _ivc(ctx.bits)
     pk = engine._pack(ctx.bits)
-    rho_iv = _iv_frac(ivc, params.rho)
-    gamma = Enclosure.from_iv(
-        params.d * rho_iv - (1 + rho_iv * pk["ell"]) ** 2 / pk["lam"]
-    )
-    diag = _height_upper_diagnostic(engine)
+    gamma = params.d * pk.rho - (1 + pk.rho * pk.ell) ** 2 / pk.lam
+    diag = _height_upper_diagnostic(engine, gamma)
     if diag is not None:
         d_alpha, d_beta, d_upper = diag
         if Fraction(h) > d_upper.hi:
@@ -1050,7 +1010,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
         discriminant=params.discriminant,
         rho=params.rho,
         rho_interval=params.rho_interval,
-        gamma=gamma,
+        gamma=Enclosure.from_iv(gamma),
         H=h,
         predicate_false_at=search.predicate_false_at,
         h_scan_note=search.scan_note,

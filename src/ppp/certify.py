@@ -102,34 +102,29 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
     return make_report("primary-direct", top, bad)
 
 
-def certify_primary_hall(a: IntSequence) -> CertReport:
-    """Check that the primorial divides each binomial-transform term."""
+def _certify_hall(a: IntSequence, table_fn, subject: str) -> CertReport:
+    """Check that ``table_fn(N)[n]`` divides each binomial-transform term."""
     if a.offset != 0:
         raise ValueError("certification requires offset 0")
     top = len(a) - 1
     b = binomial_transform(a)
-    prim = primorial_table(top)
+    mods = table_fn(top)
     bad = [
-        Counterexample(n, prim[n], b[n])
+        Counterexample(n, mods[n], b[n])
         for n in range(top + 1)
-        if b[n] % prim[n] != 0
+        if b[n] % mods[n] != 0
     ]
-    return make_report("primary-hall", top, bad)
+    return make_report(subject, top, bad)
+
+
+def certify_primary_hall(a: IntSequence) -> CertReport:
+    """Check that the primorial divides each binomial-transform term."""
+    return _certify_hall(a, primorial_table, "primary-hall")
 
 
 def certify_pseudo_hall(a: IntSequence) -> CertReport:
     """Check that lcm{1..n} divides each binomial-transform term."""
-    if a.offset != 0:
-        raise ValueError("certification requires offset 0")
-    top = len(a) - 1
-    b = binomial_transform(a)
-    lcms = lcm_table(top)
-    bad = [
-        Counterexample(n, lcms[n], b[n])
-        for n in range(top + 1)
-        if b[n] % lcms[n] != 0
-    ]
-    return make_report("pseudo-hall", top, bad)
+    return _certify_hall(a, lcm_table, "pseudo-hall")
 
 
 @dataclass(frozen=True)

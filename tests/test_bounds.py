@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from ppp import cli
 from ppp.arith import primorial_table
 from ppp.bounds import (
     _HeightEngine,
@@ -31,6 +32,12 @@ from ppp.bounds import (
 )
 
 CTX = PrecisionCtx()
+
+
+def json_sha256(rep):
+    """SHA-256 of the report exactly as ``ppp bounds`` prints it."""
+    text = cli._canonical_json(rep.to_json_dict()) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --- degree bound ----------------------------------------------------------
@@ -164,6 +171,22 @@ def truncated_product(d_exp, x, delta, terms=200):
     return prod
 
 
+def phi_closed_form(d_exp, x, delta, eps, J):
+    """The linear closed form of the majorant, in plain mpmath."""
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    x, delta = mp(Fraction(x)), mp(Fraction(delta))
+    lam = mpmath.log(mpmath.e - mp(Fraction(eps))) - mpmath.log(delta)
+    j0 = 2 * d_exp / lam
+    c0 = mpmath.exp(4 * mpmath.zeta(2) / lam)
+    return (
+        c0 * 2**J * (1 + x) ** J * mpmath.factorial(J) ** d_exp * delta ** (J * J)
+        * (2 * (1 + x) * j0**d_exp) ** int(mpmath.floor(j0))
+        * mpmath.exp(mpmath.log(x * j0**d_exp) ** 2 / lam)
+    )
+
+
 def test_phi_bound_at_least_one_and_dominates():
     rng = random.Random(7)
     for _ in range(20):
@@ -175,6 +198,11 @@ def test_phi_bound_at_least_one_and_dominates():
         enc = phi_upper_bound(d_exp, x, delta, eps, CTX)
         assert enc.lo >= 1
         assert enc.hi >= truncated_product(d_exp, x, delta)
+        with mpmath.workdps(100):
+            man, exp = phi_closed_form(d_exp, x, delta, eps, compute_J(eps, CTX)).man_exp
+        # Compared as exact rationals: mpf() of a multi-million-bit integer is slow.
+        oracle = Fraction(man) * Fraction(2) ** exp
+        assert abs(enc.midpoint() - oracle) <= oracle / 10**40
 
 
 def test_phi_bound_monotone_in_x():
@@ -234,6 +262,16 @@ def test_height_pinned_for_e_two_sevenths():
     assert hashlib.sha256(str(rep.H).encode()).hexdigest() == (
         "26e3c7bbacfb7bc7f4cc9373478401ce0988bb7fc845ee918b9a0c7dbcbdf25e"
     )
+    assert json_sha256(rep) == (
+        "c0d3b9871a736112c4005f0bc6a3fa55de22fda0f2e0eddef7c2959c0a583124"
+    )
+
+
+def test_report_json_pinned_for_five_quarters():
+    rep = bounds_report(1, Fraction(5, 4), CTX)
+    assert json_sha256(rep) == (
+        "7f339a5a3475fde225759a2321a9b81f321f6c1041075bb42dcc1425395382be"
+    )
 
 
 def test_compute_h_shortcut_matches_report():
@@ -244,6 +282,15 @@ def test_search_cap_raises():
     tiny_cap = PrecisionCtx(h_cap_log2=16)
     with pytest.raises(SearchExceeded):
         compute_H(1, Fraction(11, 10), ctx=tiny_cap)
+
+
+def test_height_cap_below_one_rejected():
+    # At h_cap_log2 = 0 the doubling would still test h = 2 = 2^1, and a
+    # height found there lies outside the diagnostic's domain h <= 2^cap.
+    for cap in (0, -3):
+        with pytest.raises(ValueError):
+            PrecisionCtx(h_cap_log2=cap)
+    assert PrecisionCtx(h_cap_log2=1).h_cap_log2 == 1
 
 
 def test_search_cap_message_names_only_powers_of_two():
@@ -296,3 +343,6 @@ def test_report_json_shape():
     assert back["epsilon"]["exact"] == str(rep.epsilon)
     float(back["rho"]["value"])  # renders as a decimal
     assert back["degeneracy_note"] == ""
+    assert json_sha256(rep) == (
+        "f0ad26d3fa86ad76fffe99cc9adc53eea8cbacc1092461af4b2fc4acbe586c3a"
+    )
