@@ -129,6 +129,20 @@ def _decide_ceil(ctx: "PrecisionCtx", make: Callable) -> int:
     return -_decide_floor(ctx, lambda ivc: -make(ivc))
 
 
+def _mpf_of(q: Fraction) -> mpmath.mpf:
+    """``mpf(numerator) / denominator`` at the working precision, without its cost.
+
+    A large endpoint is a multi-million-bit integer ending in a long run of
+    zero bits, and mpmath's pure-Python backend strips such runs 8 bits at a
+    time.  Scaling by a power of two commutes with binary rounding, so taking
+    the powers of two out first gives the same mpf.
+    """
+    num, den = q.numerator, q.denominator
+    tz = (num & -num).bit_length() - 1 if num else 0
+    dz = (den & -den).bit_length() - 1
+    return mpmath.mpf((num >> tz, tz - dz)) / (den >> dz)
+
+
 @dataclass(frozen=True)
 class Enclosure:
     """Two-sided rational enclosure of a real value."""
@@ -159,16 +173,13 @@ class Enclosure:
 
     def decimal(self, digits: int = 30) -> str:
         with mpmath.workdps(digits + 10):
-            mid = (mpmath.mpf(self.lo.numerator) / self.lo.denominator +
-                   mpmath.mpf(self.hi.numerator) / self.hi.denominator) / 2
-            return mpmath.nstr(mid, digits)
+            return mpmath.nstr((_mpf_of(self.lo) + _mpf_of(self.hi)) / 2, digits)
 
     def width_decimal(self, digits: int = 3) -> str:
         if self.width == 0:
             return "0"
         with mpmath.workdps(digits + 10):
-            w = mpmath.mpf(self.width.numerator) / self.width.denominator
-            return mpmath.nstr(w, digits)
+            return mpmath.nstr(_mpf_of(self.width), digits)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {"value": self.decimal(digits), "width": self.width_decimal()}

@@ -14,6 +14,8 @@ from .arith import lcm_table, primes_up_to, primorial_table
 from .transforms import IntSequence, binomial_transform
 
 COUNTEREXAMPLE_CAP = 100
+# Bit budget of one prime group's product in certify_primary_direct.
+_GROUP_BITS = 256
 
 
 def _divides(m: int, w: int) -> bool:
@@ -88,17 +90,47 @@ def make_report(subject: str, n: int, bad: list[Counterexample]) -> CertReport:
     )
 
 
+def _prime_groups(primes: tuple[int, ...]):
+    """Consecutive runs of ``primes`` whose product fits in ``_GROUP_BITS`` bits."""
+    group, product = [], 1
+    for p in primes:
+        if group and (product * p).bit_length() > _GROUP_BITS:
+            yield product, group
+            group, product = [], 1
+        group.append(p)
+        product *= p
+    if group:
+        yield product, group
+
+
 def certify_primary_direct(a: IntSequence) -> CertReport:
-    """Check a_{n+p} == a_n (mod p) for every prime p and every n with n+p <= N."""
+    """Check a_{n+p} == a_n (mod p) for every prime p and every n with n+p <= N.
+
+    Each term is reduced once per prime group (a product of at most
+    ``_GROUP_BITS`` bits) and each prime's residues are taken from that small
+    remainder.  At most ``COUNTEREXAMPLE_CAP + 1`` counterexamples are kept per
+    prime: every member of the reported first ``COUNTEREXAMPLE_CAP`` in
+    ``(n, modulus)`` order ranks at most that high within its own prime, and
+    one more per prime keeps ``truncated`` exact.
+    """
     if a.offset != 0:
         raise ValueError("certification requires offset 0")
     top = len(a) - 1
+    terms = a.terms
     bad: list[Counterexample] = []
-    for p in primes_up_to(top).primes:
-        residues = [t % p for t in a.terms]
-        for n in range(top - p + 1):
-            if residues[n + p] != residues[n]:
-                bad.append(Counterexample(n, p, a[n + p] - a[n]))
+    for product, group in _prime_groups(primes_up_to(top).primes):
+        small = [t % product for t in terms]
+        for p in group:
+            residues = [t % p for t in small]
+            if residues[p:] == residues[: top - p + 1]:
+                continue
+            found = 0
+            for n in range(top - p + 1):
+                if residues[n + p] != residues[n]:
+                    bad.append(Counterexample(n, p, terms[n + p] - terms[n]))
+                    found += 1
+                    if found > COUNTEREXAMPLE_CAP:
+                        break
     return make_report("primary-direct", top, bad)
 
 

@@ -8,10 +8,12 @@ from fractions import Fraction
 from .certify import CertReport, Counterexample, make_report
 from .transforms import IntSequence
 
-# Largest 62-bit prime; used only to skip hopeless (order, degree) cells.
+# Largest prime below 2^30; used only to skip hopeless (order, degree) cells.
+# Below 2^30 every residue is a single CPython digit, so the filter's products
+# and reductions stay on the interpreter's fast small-integer paths.
 # Sound: a zero nullspace modulo any prime proves the rational nullspace is
 # zero, so the filter can never discard a genuine candidate.
-_FILTER_PRIME = 4611686018427387847
+_FILTER_PRIME = 1073741789
 
 
 class LeadingZeroError(ArithmeticError):
@@ -167,28 +169,40 @@ def _cells(s_max: int, d_max: int):
     return cells
 
 
-def _mod_nullspace_is_zero(rows: list[list[int]], ncols: int) -> bool:
+def _filter_rows(residues: list[int], s: int, d: int, nrows: int) -> list[list[int]]:
+    """Order ``s`` filter matrix mod p, degree-major: column ``i*(s+1) + j``
+    holds ``n^i * a_{n+j}``, so cell ``(s, d')`` is its first ``(s+1)(d'+1)``
+    columns for every ``d' <= d``."""
     p = _FILTER_PRIME
-    mat = [[x % p for x in row] for row in rows]
-    rank = 0
+    rows = []
+    for n in range(nrows):
+        powers = [pow(n, i, p) for i in range(d + 1)]
+        window = residues[n : n + s + 1]
+        rows.append([pw * r % p for pw in powers for r in window])
+    return rows
+
+
+def _independent_prefix(rows: list[list[int]], ncols: int) -> int:
+    """Index of the first column that depends on the columns before it mod p,
+    or ``ncols`` when all are independent.  Consumes ``rows``.
+
+    The first ``k`` columns have full rank mod p exactly when ``k`` is at most
+    the returned index.  Rows shrink from the left as columns are eliminated.
+    """
+    p = _FILTER_PRIME
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r, row in enumerate(rows) if row[0]), None)
         if pivot is None:
-            return False  # free column: nullspace nonzero mod p, cannot skip
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        prow = [x * inv % p for x in mat[rank]]
-        mat[rank] = prow
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            if f:
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-    return rank == ncols
+            return col
+        prow = rows.pop(pivot)
+        inv = pow(prow[0], -1, p)
+        prow = prow[1:]
+        rows = [
+            [(x - f * y) % p for x, y in zip(row[1:], prow)]
+            if (f := row[0] * inv % p) else row[1:]
+            for row in rows
+        ]
+    return ncols
 
 
 def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
@@ -248,14 +262,24 @@ def guess_recurrence(a: IntSequence, budget: GuessBudget) -> PolyRecurrence | No
     tail; a candidate is returned only if it also verifies on that tail (and,
     re-checked, on the full prefix).  Returns None when no cell succeeds: a
     budget-relative outcome, not a proof that no recurrence exists.
+
+    One elimination mod ``_FILTER_PRIME`` per order finds the cells whose
+    columns are independent; those have no nonzero solution and are skipped.
     """
     if a.offset != 0:
         raise ValueError("guessing requires offset 0")
     budget.check(len(a))
     length = len(a)
+    residues = [t % _FILTER_PRIME for t in a.terms]
+    lead: dict[int, int] = {}  # order -> first dependent filter column
     for s, d in _cells(budget.s_max, budget.d_max):
         ncols = (s + 1) * (d + 1)
         solve_top = length - s - budget.verify_margin  # rows: n in [0, solve_top)
+        if s not in lead:
+            filt = _filter_rows(residues, s, budget.d_max, solve_top)
+            lead[s] = _independent_prefix(filt, (s + 1) * (budget.d_max + 1))
+        if ncols <= lead[s]:
+            continue  # zero nullspace mod p, hence over the rationals
         rows = []
         for n in range(solve_top):
             powers = [n**i for i in range(d + 1)]
@@ -264,8 +288,6 @@ def guess_recurrence(a: IntSequence, budget: GuessBudget) -> PolyRecurrence | No
                 anj = a[n + j]
                 row.extend(anj * pw for pw in powers)
             rows.append(row)
-        if _mod_nullspace_is_zero(rows, ncols):
-            continue
         basis = _rational_nullspace(rows, ncols)
         if not basis:
             continue

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +21,7 @@ from ppp.bounds import (
     CapExceeded,
     Delta,
     DomainError,
+    Enclosure,
     PrecisionCtx,
     PrecisionExhausted,
     SearchExceeded,
@@ -203,6 +205,32 @@ def test_phi_bound_at_least_one_and_dominates():
         # Compared as exact rationals: mpf() of a multi-million-bit integer is slow.
         oracle = Fraction(man) * Fraction(2) ** exp
         assert abs(enc.midpoint() - oracle) <= oracle / 10**40
+
+
+# Strings printed by the plain ``mpf(numerator) / denominator`` route.
+@pytest.mark.parametrize("enc, value, value12, width", [
+    (Enclosure(Fraction(314159, 10**5), Fraction(314160, 10**5)),
+     "3.141595", "3.141595", "1.0e-5"),
+    (Enclosure(Fraction(-22, 7), Fraction(-3)),
+     "-3.07142857142857142857142857143", "-3.07142857143", "0.143"),
+    (Enclosure.point(Fraction(1, 3)),
+     "0.333333333333333333333333333333", "0.333333333333", "0"),
+    (Enclosure(Fraction(5, 2**70), Fraction(7, 2**70)),
+     "5.08219768352580203440993500408e-21", "5.08219768353e-21", "1.69e-21"),
+    (Enclosure(Fraction(3 * 2**4000), Fraction(3 * 2**4000 + 2**3990)),
+     "3.95525593463532487799726698515e+1204", "3.95525593464e+1204", "1.29e+1201"),
+])
+def test_enclosure_decimal_strings(enc, value, value12, width):
+    assert (enc.decimal(), enc.decimal(12), enc.width_decimal()) == (value, value12, width)
+
+
+def test_enclosure_decimal_of_a_multi_million_bit_endpoint():
+    enc = phi_upper_bound(1, Fraction(3, 5), Fraction(12, 5), Fraction(1, 10), CTX)
+    assert enc.hi.numerator.bit_length() > 5 * 10**6
+    start = time.perf_counter()
+    text = (enc.decimal(), enc.width_decimal())
+    assert time.perf_counter() - start < 1.0  # the plain route took 220 s
+    assert text == ("1.23886948712289288003486801007e+1517045", "3.14e+1516975")
 
 
 def test_phi_bound_monotone_in_x():

@@ -5,14 +5,16 @@ from decimal import Decimal
 import pytest
 
 from conftest import random_prefix
-from ppp.arith import primorial_table
+from ppp.arith import primes_up_to, primorial_table
 from ppp.certify import (
+    COUNTEREXAMPLE_CAP,
     Counterexample,
     certify_primary_direct,
     certify_primary_hall,
     certify_pseudo_hall,
     detect_polynomial,
     growth_exponent,
+    make_report,
 )
 from ppp.transforms import IntSequence, inverse_binomial_transform
 
@@ -110,6 +112,51 @@ def test_counterexample_cap():
     assert not rep.certified
     assert len(rep.counterexamples) == 100
     assert rep.truncated
+
+
+def direct_reference(a):
+    """Every failing (n, p), sorted and capped: the definition, unoptimised."""
+    top = len(a) - 1
+    bad = [
+        Counterexample(n, p, a[n + p] - a[n])
+        for p in primes_up_to(top).primes
+        for n in range(top - p + 1)
+        if (a[n + p] - a[n]) % p
+    ]
+    return make_report("primary-direct", top, bad)
+
+
+def test_direct_matches_brute_force_reference(rng):
+    # Lengths 300-700 give p = 2 alone about 150-350 failures and span
+    # several prime groups; the short ones stay under the cap.
+    cases = [random_prefix(rng, max_len=24, bits=16) for _ in range(20)]
+    for length in (300, 451, 700):
+        cases.append(IntSequence.of([rng.getrandbits(500) - (1 << 499) for _ in range(length)]))
+    cases.append(primorial_inverse(400))
+    cases.append(IntSequence.of([2**n for n in range(300)]))
+    for a in cases:
+        assert certify_primary_direct(a) == direct_reference(a)
+
+
+def only_two_fails(failures, length=160):
+    """a_n = L f(n) with L the product of the odd primes < length: every odd
+    prime holds, and p = 2 fails exactly at n = 0 .. failures-1."""
+    odd = 1
+    for p in primes_up_to(length - 1).primes[1:]:
+        odd *= p
+    f = [0, 0]
+    for n in range(length - 2):
+        f.append(f[n] ^ (n < failures))
+    return IntSequence.of([odd * v for v in f])
+
+
+@pytest.mark.parametrize("failures", [COUNTEREXAMPLE_CAP, COUNTEREXAMPLE_CAP + 1])
+def test_direct_truncated_at_the_cap_boundary(failures):
+    a = only_two_fails(failures)
+    rep = certify_primary_direct(a)
+    assert rep == direct_reference(a)
+    assert [(c.n, c.modulus) for c in rep.counterexamples] == [(n, 2) for n in range(100)]
+    assert rep.truncated == (failures > COUNTEREXAMPLE_CAP)
 
 
 def test_report_json_round_trip():

@@ -3,10 +3,13 @@ import math
 import pytest
 
 from ppp.recur import (
+    _FILTER_PRIME,
     GuessBudget,
     LeadingZeroError,
     NonIntegralError,
     PolyRecurrence,
+    _filter_rows,
+    _independent_prefix,
     apply_recurrence,
     guess_recurrence,
     verify_recurrence,
@@ -132,6 +135,74 @@ def test_guess_negative_control_primorials():
 def test_guess_negative_control_constructed():
     a, _, _ = construct_genuine(phi_primorial(), 59)
     assert guess_recurrence(a, GuessBudget(4, 4)) is None
+
+
+def apery_numbers(length):
+    return [
+        sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
+        for n in range(length)
+    ]
+
+
+# (n+1)^3 a_n - (2n+3)(17n^2+51n+39) a_{n+1} + (n+2)^3 a_{n+2} = 0
+APERY_REC = PolyRecurrence(((1, 3, 3, 1), (-117, -231, -153, -34), (8, 12, 6, 1)))
+
+
+def cell_has_full_rank_mod_p(terms, s, d, nrows):
+    """Per-cell reference: the cell's own order-major matrix, full rank mod p."""
+    p = _FILTER_PRIME
+    ncols = (s + 1) * (d + 1)
+    mat = [
+        [terms[n + j] * n**i % p for j in range(s + 1) for i in range(d + 1)]
+        for n in range(nrows)
+    ]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for r in range(nrows):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] * inv % p
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank == ncols
+
+
+def test_independent_prefix_matches_per_cell_rank(rng):
+    s_max = d_max = 4
+    length = 45
+    sequences = {
+        "random": [rng.getrandbits(200) - (1 << 199) for _ in range(length)],
+        "primorials": primorial_table(length - 1),
+        "factorials": [math.factorial(n) for n in range(length)],
+        "scaled apery": [12345 * t for t in apery_numbers(length)],
+    }
+    not_skipped = set()
+    for name, terms in sequences.items():
+        residues = [t % _FILTER_PRIME for t in terms]
+        for s in range(s_max + 1):
+            nrows = length - s - 10
+            rows = _filter_rows(residues, s, d_max, nrows)
+            lead = _independent_prefix(rows, (s + 1) * (d_max + 1))
+            for d in range(d_max + 1):
+                skip = (s + 1) * (d + 1) <= lead
+                assert skip == cell_has_full_rank_mod_p(terms, s, d, nrows), (name, s, d)
+                if not skip:
+                    not_skipped.add((name, s, d))
+    # the known recurrences keep their cells (and every larger one) open
+    assert ("factorials", 1, 1) in not_skipped and ("factorials", 1, 0) not in not_skipped
+    assert ("scaled apery", 2, 3) in not_skipped and ("scaled apery", 2, 2) not in not_skipped
+    assert not any(name in ("random", "primorials") for name, _, _ in not_skipped)
+
+
+def test_guess_finds_recurrences_below_the_degree_budget():
+    factorials = IntSequence.of([math.factorial(n) for n in range(40)])
+    assert guess_recurrence(factorials, GuessBudget(3, 3)) == PolyRecurrence(((-1, -1), (1,)))
+    apery = IntSequence.of([7 * t for t in apery_numbers(60)])
+    assert guess_recurrence(apery, GuessBudget(3, 4)) == APERY_REC
 
 
 def test_budget_infeasible():
