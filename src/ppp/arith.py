@@ -1,6 +1,7 @@
 """Exact integer primitives: prime sieve, primorials, lcm prefixes, binomials."""
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ def primes_up_to(n: int) -> PrimeTable:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return PrimeTable(n, tuple(i for i in range(2, n + 1) if sieve[i]))
+    return PrimeTable(n, tuple(itertools.compress(range(n + 1), sieve)))
 
 
 def is_prime(n: int) -> bool:

@@ -323,10 +323,14 @@ _J_CACHE: dict[tuple[Fraction, int], int] = {}
 def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> int:
     """Largest j <= cap with primorial(j-1) < (e - epsilon)^j; 0 if none.
 
-    The scan certifies each comparison (float fast path with a generous
-    borderline band re-checked by enclosures), but the claim that no
-    violation exists beyond the cap rests on the prime-counting heuristic:
-    the top 10% of the scanned range must be violation-free, else CapExceeded.
+    Only the ends of prime gaps are candidates: for j-1 in a gap [p, q),
+    theta(j-1) = log primorial(j-1) stays theta(p) while j*log(e - epsilon)
+    grows, so a violation anywhere in the gap makes its end j = q (or j = cap
+    in the last gap) a violation too.  Each candidate's comparison is
+    certified (float fast path with a generous borderline band re-checked by
+    enclosures), but the claim that no violation exists beyond the cap rests
+    on the prime-counting heuristic: the top 10% of the scanned range must be
+    violation-free, else CapExceeded.
     """
     ctx = ctx or PrecisionCtx()
     epsilon = Fraction(epsilon)
@@ -344,16 +348,15 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) 
     le_hi = math.nextafter(float(_tuple_to_fraction(hi_t)), math.inf)
 
     primes = primes_up_to(cap).primes
-    prime_set = set(primes)
+    # ends[k] closes the gap whose theta is the sum over the first k primes
+    ends = primes if primes[-1] == cap else primes + (cap,)
 
-    def certified_violation(j: int) -> bool:
+    def certified_violation(j: int, k: int) -> bool:
         # exact re-check: theta(j-1) < j * log(e - epsilon)
         def attempt(bits: int):
             c = _ivc(bits)
             theta = c.mpf(0)
-            for p in primes:
-                if p > j - 1:
-                    break
+            for p in primes[:k]:
                 theta += c.log(c.mpf(p))
             return _lt(theta, j * _log_e_minus(c, epsilon))
         return _escalate(ctx, attempt)
@@ -362,16 +365,16 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) 
     largest = 0
     # Accumulated float error over <= pi(cap) additions stays far below the
     # 1e-9 relative borderline band used here.
-    for j in range(1, cap + 1):
-        if j - 1 in prime_set:
-            theta += math.log(j - 1)
+    for k, j in enumerate(ends):
+        if k:
+            theta += math.log(primes[k - 1])
         slack = 1e-9 * (theta + j + 1)
         if theta - slack > j * le_hi:
             continue  # surely satisfied
         if theta + slack < j * le_lo:
             largest = j  # surely violated
             continue
-        if certified_violation(j):
+        if certified_violation(j, k):
             largest = j
     if largest > (9 * cap) // 10:
         raise CapExceeded(
@@ -667,7 +670,6 @@ class _HeightEngine:
         self.ctx = ctx
         self.J = compute_J(params.epsilon, ctx)
         self._packs: dict[int, _Majorant] = {}
-        self._pred_cache: dict[int, bool] = {}
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
 
     def _pack(self, bits: int) -> _Majorant:
@@ -700,22 +702,15 @@ class _HeightEngine:
         return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.mpf(0)
 
     def r_of(self, h: int, logh=None) -> int:
-        """r(h) = floor(rho*log(h)) + 1; ``logh`` is log h at ctx.bits if known."""
-        if h == 1:
-            return 1
-        bits = self.ctx.bits
+        """r(h) = floor(rho*log(h)) + 1; ``logh`` is log h at ctx.bits if known.
+
+        The working-precision enclosure of rho*log(h) brackets the floor; each
+        integer k it leaves open is settled exactly by h >= T_k.
+        """
         if logh is None:
-            logh = self._log_h(bits, h)
-        flo, fhi = _floors(self._pack(bits).rho * logh)
-        if flo == fhi:
-            return flo + 1
-        if fhi == flo + 1:
-            # The enclosure straddles k = fhi: one exact integer comparison
-            # against the cached threshold settles every h near this jump.
-            return (fhi if h >= self.threshold(fhi) else flo) + 1
-        return _decide_floor(
-            self.ctx, lambda ivc: self._pack(ivc.prec).rho * self._log_h(ivc.prec, h)
-        ) + 1
+            logh = self._log_h(self.ctx.bits, h)
+        flo, fhi = _floors(self._pack(self.ctx.bits).rho * logh)
+        return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
     def log_lhs(self, bits: int, r: int, logh):
         """log LHS(h) at ``bits``, given ``logh`` = log h at the same precision."""
@@ -725,9 +720,6 @@ class _HeightEngine:
         return pk.log_phi(pk.log_2cd + logr + logh + (r - 1) * pk.ell)
 
     def predicate(self, h: int) -> bool:
-        hit = self._pred_cache.get(h)
-        if hit is not None:
-            return hit
         # log h at the working precision serves r_of and the first attempt;
         # only escalated attempts recompute it.
         logh0 = self._log_h(self.ctx.bits, h)
@@ -736,9 +728,7 @@ class _HeightEngine:
         def attempt(bits: int):
             logh = logh0 if bits == self.ctx.bits else self._log_h(bits, h)
             return _le(self.log_lhs(bits, r, logh), rd * logh)
-        verdict = _escalate(self.ctx, attempt)
-        self._pred_cache[h] = verdict
-        return verdict
+        return _escalate(self.ctx, attempt)
 
     def log_first_value(self) -> "Enclosure":
         """Enclosure of log(LHS at h=1), the seed of the lower bound."""

@@ -186,7 +186,16 @@ def cmd_construct(args) -> int:
 def cmd_egf_invert(args) -> int:
     seq = _read_stdin_sequence(args)
     triple = egf_triple(seq)
-    print(_canonical_json(triple.to_json_dict()))
+    # The canonical JSON of EgfTriple.to_json_dict(), written one term at a
+    # time: the whole document would hold every digit string at once.
+    sep = "{"
+    for key, part in (("b", triple.b), ("c", triple.c), ("u", triple.u)):
+        sys.stdout.write(f'{sep}"{key}":[')
+        for j, t in enumerate(part.terms):
+            sys.stdout.write(f',"{t}"' if j else f'"{t}"')
+        sys.stdout.write("]")
+        sep = ","
+    sys.stdout.write("}\n")
     return EXIT_OK
 
 
@@ -318,6 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Terms outgrow CPython's 4300-digit int/str conversion limit; lift it for
+    # this call only, so that a program embedding ppp keeps its own setting.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (bounds_mod.SearchExceeded, bounds_mod.PrecisionExhausted,
@@ -329,6 +342,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

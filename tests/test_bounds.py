@@ -75,17 +75,23 @@ def test_j_small_for_large_epsilon():
     assert compute_J(Fraction(3, 2), CTX, cap=5000) <= 9
 
 
-def test_j_matches_brute_force():
-    eps = Fraction(1, 2)
-    cap = 3000
-    j = compute_J(eps, CTX, cap=cap)
+def brute_force_J(eps, cap):
+    """Largest j <= cap with log primorial(j-1) < j log(e - eps), every j tested."""
     prim = primorial_table(cap)
     with mpmath.workdps(60):
         base = mpmath.e - mpmath.mpf(eps.numerator) / eps.denominator
         violations = [
             k for k in range(1, cap + 1) if mpmath.log(prim[k - 1]) < k * mpmath.log(base)
         ]
-    assert j == max(violations)
+    return max(violations)
+
+
+# 2999 and 3001 are prime: the last candidate is then a prime, not the cap.
+@pytest.mark.parametrize("eps, cap", [
+    (Fraction(1, 2), 2999), (Fraction(1, 2), 3000), (Fraction(1, 5), 3001),
+], ids=["half-2999", "half-3000", "fifth-3001"])
+def test_j_matches_brute_force(eps, cap):
+    assert compute_J(eps, CTX, cap=cap) == brute_force_J(eps, cap)
 
 
 def test_j_stability_under_doubled_cap():
@@ -99,9 +105,11 @@ def test_j_monotone_in_epsilon():
     assert js == sorted(js, reverse=True)
 
 
-def test_j_cap_exceeded_for_tiny_epsilon():
-    with pytest.raises(CapExceeded):
-        compute_J(Fraction(1, 10**6), CTX, cap=2000)
+@pytest.mark.parametrize("cap", [2000, 1999])  # 1999 is prime
+def test_j_cap_exceeded_for_tiny_epsilon(cap):
+    eps = Fraction(1, 10**6)
+    with pytest.raises(CapExceeded, match=f"at j={brute_force_J(eps, cap)} "):
+        compute_J(eps, CTX, cap=cap)
 
 
 # --- parameter selection ----------------------------------------------------
@@ -277,7 +285,7 @@ def test_r_threshold_matches_floor_route():
     jump = ivc.exp(_iv_frac(ivc, Fraction(k) / params.rho))
     assert _lt(_iv_int(ivc, t - 1), jump) is True
     assert _lt(jump, _iv_int(ivc, t)) is True
-    for h, r in ((t - 1, k), (t, k + 1), (t + 1, k + 1)):
+    for h, r in ((1, 1), (2, 2), (t - 1, k), (t, k + 1), (t + 1, k + 1)):
         floor_route = _decide_floor(
             CTX, lambda c: _iv_frac(c, params.rho) * c.log(_iv_int(c, h))
         ) + 1

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ppp import bounds, cli
+from ppp.egfinv import egf_triple
 
 CMD = [sys.executable, "-m", "ppp.cli"]
 
@@ -42,11 +43,14 @@ def test_sieve_negative_size():
 
 
 def test_transform_pipe_identity():
-    seq = "\n".join(str((-3) ** n + n) for n in range(20)) + "\n"
-    fwd = run(["transform"], seq)
-    assert fwd.returncode == 0
-    back = run(["inverse-transform"], fwd.stdout)
-    assert back.stdout == seq
+    small = "\n".join(str((-3) ** n + n) for n in range(20)) + "\n"
+    # 10^4-digit terms, past CPython's default int/str conversion limit
+    huge = "".join(f"{s}{d * 10**4}\n" for s, d in (("", "9"), ("-", "8"), ("", "1"), ("", "7")))
+    for seq in (small, huge):
+        fwd = run(["transform"], seq)
+        assert fwd.returncode == 0
+        back = run(["inverse-transform"], fwd.stdout)
+        assert back.stdout == seq
 
 
 def test_transform_comments_and_json_input():
@@ -101,10 +105,55 @@ def test_construct_bad_phi():
     assert run(["construct", "--phi", "nope", "--n", "3"]).returncode == 2
 
 
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int/str conversion limit in this process, to build expectations."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
 def test_egf_invert():
     r = run(["egf-invert"], "1\n2\n3\n4\n5\n")
     d = json.loads(r.stdout)
     assert d["u"] == ["1", "0", "1", "-2", "9"]
+
+
+def test_egf_invert_streams_canonical_json_past_digit_limit(no_digit_limit):
+    text = "".join(f"{t}\n" for t in (1, 3**4000, -(7**3000), 5**4000))
+    r = run(["egf-invert"], text)
+    assert r.returncode == 0, r.stderr
+    assert max(len(t) for t in json.loads(r.stdout)["c"]) > 4300
+    triple = egf_triple(cli.parse_sequence(text))
+    assert r.stdout == cli._canonical_json(triple.to_json_dict()) + "\n"
+
+
+def test_apply_past_digit_limit(tmp_path, no_digit_limit):
+    # a_n = sum C(n+1,k) k!; a_2000 has about 5700 digits
+    rec_path = tmp_path / "e.json"
+    rec_path.write_text(json.dumps({"order": 2, "polys": [["2", "1"], ["-4", "-1"], ["1"]]}))
+    r = run(["apply", "--recurrence", str(rec_path), "--n", "2000"], "2\n5\n")
+    assert r.returncode == 0, r.stderr
+    a = [2, 5]
+    for n in range(1999):
+        a.append((n + 4) * a[n + 1] - (n + 2) * a[n])
+    assert r.stdout == "".join(f"{t}\n" for t in a)
+
+
+def test_main_restores_caller_digit_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        # primorial(12000) has 5143 digits, past the caller's limit of 5000
+        assert cli.main(["sieve", "--kind", "primorial", "--n", "12000"]) == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert cli.main(["sieve", "--kind", "primorial", "--n", "-3"]) == 2
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12001 and len(lines[-1]) > 5000
 
 
 def test_guess_verify_apply_cycle(tmp_path):
