@@ -73,11 +73,20 @@ def _tuple_to_fraction(t) -> Fraction:
 
 
 def _endpoints(x) -> tuple:
+    """Endpoints of an enclosure; an int is its own point enclosure."""
+    if isinstance(x, int):
+        t = libmp.from_int(x)
+        return t, t
     return x._mpi_
 
 
 def _le(x, y) -> bool | None:
-    """Tri-state: True if surely x <= y, False if surely x > y, else None."""
+    """Tri-state: True if surely x <= y, False if surely x > y, else None.
+
+    A Fraction is compared exactly, with an int on the other side.
+    """
+    if isinstance(x, Fraction) or isinstance(y, Fraction):
+        return x <= y
     xa, xb = _endpoints(x)
     ya, yb = _endpoints(y)
     if libmp.mpf_le(xb, ya):
@@ -88,13 +97,9 @@ def _le(x, y) -> bool | None:
 
 
 def _lt(x, y) -> bool | None:
-    xa, xb = _endpoints(x)
-    ya, yb = _endpoints(y)
-    if libmp.mpf_lt(xb, ya):
-        return True
-    if libmp.mpf_ge(xa, yb):
-        return False
-    return None
+    """Tri-state x < y, the negation of y <= x."""
+    y_le_x = _le(y, x)
+    return None if y_le_x is None else not y_le_x
 
 
 def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], object]):
@@ -125,8 +130,13 @@ def _decide_floor(ctx: "PrecisionCtx", make: Callable) -> int:
     return _escalate(ctx, attempt)
 
 
-def _decide_ceil(ctx: "PrecisionCtx", make: Callable) -> int:
-    return -_decide_floor(ctx, lambda ivc: -make(ivc))
+def _ceil(x) -> int | None:
+    """ceil(x): exact for a Fraction; for an enclosure, None unless both
+    endpoints have the same ceiling."""
+    if isinstance(x, Fraction):
+        return math.ceil(x)
+    flo, fhi = _floors(-x)
+    return -flo if flo == fhi else None
 
 
 def _mpf_of(q: Fraction) -> mpmath.mpf:
@@ -273,10 +283,7 @@ class PrecisionCtx:
 def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
     # exp form has 0 < ell < 1 by construction; rational form needs delta < e.
     if delta.kind == "rational":
-        below_e = _escalate(
-            ctx, lambda bits: _lt(delta.iv(_ivc(bits)), _ivc(bits).e)
-        )
-        if not below_e:
+        if not _escalate(ctx, lambda bits: _lt(delta.iv(_ivc(bits)), _ivc(bits).e)):
             raise DomainError(f"delta must lie strictly below e, got {delta.label()}")
 
 
@@ -290,27 +297,41 @@ def _lam(ivc, delta: Delta, epsilon: Fraction):
     return _log_e_minus(ivc, epsilon) - delta.iv_ell(ivc)
 
 
+def _j0(ivc, delta: Delta, epsilon: Fraction, D: int):
+    """j0 = 2D / log(1/omega)."""
+    return 2 * D / _lam(ivc, delta, epsilon)
+
+
+def _floor_j0(ctx: PrecisionCtx, delta: Delta, epsilon: Fraction, D: int) -> int:
+    return _decide_floor(ctx, lambda ivc: _j0(ivc, delta, epsilon, D))
+
+
+def _in_ell(ctx: PrecisionCtx, delta: Delta, formula: Callable, decide: Callable, *qs):
+    """``decide(formula(ell, *qs))`` for ell = log(delta) and rationals ``qs``.
+
+    The one rule for every formula in ell: exact Fraction arithmetic when ell
+    is rational, else enclosures at escalating precision until ``decide``
+    gives a verdict (the formulas are then never exactly on a boundary).
+    """
+    ell = delta.ell_fraction
+    if ell is not None:
+        return decide(formula(ell, *qs))
+    def attempt(bits: int):
+        ivc = _ivc(bits)
+        return decide(formula(delta.iv_ell(ivc), *(_iv_frac(ivc, q) for q in qs)))
+    return _escalate(ctx, attempt)
+
+
 # ---------------------------------------------------------------------------
 # Degree bound
 
 
 def degree_bound_formula(delta, ctx: PrecisionCtx | None = None) -> int:
-    """max(0, ceil((5*log(delta) - 1) / (1 - log(delta)))).
-
-    Exact when log(delta) is rational; otherwise decided by enclosure
-    refinement (the expression is never an exact integer then).
-    """
+    """max(0, ceil((5*log(delta) - 1) / (1 - log(delta))))."""
     ctx = ctx or PrecisionCtx()
     delta = Delta.coerce(delta)
     _check_delta_domain(delta, ctx)
-    ell = delta.ell_fraction
-    if ell is not None:
-        value = (5 * ell - 1) / (1 - ell)
-        return max(0, math.ceil(value))
-    def expr(ivc):
-        l = delta.iv_ell(ivc)
-        return (5 * l - 1) / (1 - l)
-    return max(0, _decide_ceil(ctx, expr))
+    return max(0, _in_ell(ctx, delta, lambda l: (5 * l - 1) / (1 - l), _ceil))
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +410,7 @@ def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     # epsilon < e - 1 so that e - epsilon > 1 and the comparison makes sense
-    ok = _escalate(
-        ctx,
-        lambda bits: _lt(_iv_frac(_ivc(bits), epsilon), _ivc(bits).e - 1),
-    )
-    if not ok:
+    if not _escalate(ctx, lambda bits: _lt(_iv_frac(_ivc(bits), epsilon), _ivc(bits).e - 1)):
         raise DomainError(f"epsilon must be below e - 1, got {epsilon}")
 
 
@@ -425,33 +442,16 @@ class Parameters:
 
 def _rho2_holds_strictly(delta: Delta, d: int, rho: Fraction, ctx: PrecisionCtx) -> bool:
     """ell^2 rho^2 + (2 ell - d(1-ell)) rho + 1 < 0, decided safely."""
-    ell = delta.ell_fraction
-    if ell is not None:
-        q = ell * ell * rho * rho + (2 * ell - d * (1 - ell)) * rho + 1
-        return q < 0
-    def attempt(bits: int):
-        ivc = _ivc(bits)
-        l = delta.iv_ell(ivc)
-        r = _iv_frac(ivc, rho)
-        q = l * l * r * r + (2 * l - d * (1 - l)) * r + 1
-        return _lt(q, ivc.mpf(0))
     try:
-        return _escalate(ctx, attempt)
+        return _in_ell(
+            ctx, delta,
+            lambda l, r: l * l * r * r + (2 * l - d * (1 - l)) * r + 1,
+            lambda q: _lt(q, 0),
+            rho,
+        )
     except PrecisionExhausted:
         # Treated as degenerate: the bump that follows only strengthens margins.
         return False
-
-
-def _rho_at_most_inv_ell(delta: Delta, rho: Fraction, ctx: PrecisionCtx) -> bool:
-    ell = delta.ell_fraction
-    if ell is not None:
-        return rho * ell <= 1
-    return _escalate(
-        ctx,
-        lambda bits: _le(
-            _iv_frac(_ivc(bits), rho) * delta.iv_ell(_ivc(bits)), _ivc(bits).mpf(1)
-        ),
-    )
 
 
 def _rho1_holds(delta: Delta, d: int, rho: Fraction, epsilon: Fraction,
@@ -463,12 +463,6 @@ def _rho1_holds(delta: Delta, d: int, rho: Fraction, epsilon: Fraction,
         lhs = (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
         return _lt(lhs, d * r)
     return _escalate(ctx, attempt)
-
-
-def _dyadic_from_iv_mid(x, bits: int) -> Fraction:
-    lo, hi = _endpoints(x)
-    mid = libmp.mpf_shift(libmp.mpf_add(lo, hi, bits, "n"), -1)
-    return _tuple_to_fraction(mid)
 
 
 def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
@@ -486,13 +480,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         raise DomainError("c must be positive")
     _check_delta_domain(delta, ctx)
 
-    ell_fr = delta.ell_fraction
-    if ell_fr is not None:
-        formula_d = max(1, math.ceil(4 * ell_fr / (1 - ell_fr)))
-    else:
-        formula_d = max(
-            1, _decide_ceil(ctx, lambda ivc: 4 * delta.iv_ell(ivc) / (1 - delta.iv_ell(ivc)))
-        )
+    formula_d = max(1, _in_ell(ctx, delta, lambda l: 4 * l / (1 - l), _ceil))
 
     ivc = _ivc(ctx.bits)
     l = delta.iv_ell(ivc)
@@ -502,10 +490,13 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         # The true discriminant is >= 0; clip rounding noise at zero.
         root = ivc.sqrt(_iv_nonneg(ivc, disc))
         lo_iv = (d * (1 - l) - 2 * l - root) / (2 * l * l)
-        rho = _dyadic_from_iv_mid((lo_iv + 1 / l) / 2, ctx.bits)
+        # rho: the interval midpoint, rounded to a dyadic at the working precision
+        mid_lo, mid_hi = _endpoints((lo_iv + 1 / l) / 2)
+        mid = libmp.mpf_add(mid_lo, mid_hi, ctx.bits, "n")
+        rho = _tuple_to_fraction(libmp.mpf_shift(mid, -1))
         if (
             rho > 0
-            and _rho_at_most_inv_ell(delta, rho, ctx)
+            and _in_ell(ctx, delta, lambda l, r: r * l, lambda v: _le(v, 1), rho)
             and _rho2_holds_strictly(delta, d, rho, ctx)
         ):
             break
@@ -529,7 +520,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         raise PrecisionExhausted("epsilon halving did not reach a strict margin")
 
     omega_iv = delta.iv(ivc) / (ivc.e - _iv_frac(ivc, epsilon))
-    floor_j0 = _decide_floor(ctx, lambda ivc: 2 * d / _lam(ivc, delta, epsilon))
+    ell_fr = delta.ell_fraction
 
     return Parameters(
         c=c,
@@ -543,7 +534,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         epsilon=epsilon,
         omega=Enclosure.from_iv(omega_iv),
         log_inv_omega=Enclosure.from_iv(_lam(ivc, delta, epsilon)),
-        floor_j0=floor_j0,
+        floor_j0=_floor_j0(ctx, delta, epsilon, d),
     )
 
 
@@ -624,27 +615,16 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         raise DomainError("x must be positive")
     epsilon = Fraction(epsilon)
     _check_epsilon_domain(ctx, epsilon)
-    below = _escalate(
-        ctx,
-        lambda bits: _lt(
-            _iv_frac(_ivc(bits), epsilon), _ivc(bits).e - delta.iv(_ivc(bits))
-        ),
-    )
-    if not below:
+    if not _escalate(ctx, lambda bits: _lt(
+            _iv_frac(_ivc(bits), epsilon), _ivc(bits).e - delta.iv(_ivc(bits)))):
         raise DomainError("epsilon must satisfy delta < e - epsilon")
 
     J = compute_J(epsilon, ctx)
-    floor_j0 = _decide_floor(ctx, lambda ivc: 2 * D / _lam(ivc, delta, epsilon))
+    floor_j0 = _floor_j0(ctx, delta, epsilon, D)
 
     # The dilogarithm step in the tail estimate requires y = x*j0^D >= 1.
-    y_ok = _escalate(
-        ctx,
-        lambda bits: _le(
-            _ivc(bits).mpf(1),
-            _iv_frac(_ivc(bits), x) * (2 * D / _lam(_ivc(bits), delta, epsilon)) ** D,
-        ),
-    )
-    if not y_ok:
+    if not _escalate(ctx, lambda bits: _le(
+            1, _iv_frac(_ivc(bits), x) * _j0(_ivc(bits), delta, epsilon, D) ** D)):
         raise DomainError(
             "bound requires x * j0^D >= 1 (the tail estimate is only valid there)"
         )
@@ -693,7 +673,7 @@ class _HeightEngine:
         t = self._thresholds.get(k)
         if t is None:
             q = Fraction(k) / self.params.rho
-            t = _decide_ceil(self.ctx, lambda ivc: ivc.exp(_iv_frac(ivc, q)))
+            t = _escalate(self.ctx, lambda bits: _ceil(_ivc(bits).exp(_iv_frac(_ivc(bits), q))))
             self._thresholds[k] = t
         return t
 
@@ -730,27 +710,18 @@ class _HeightEngine:
             return _le(self.log_lhs(bits, r, logh), rd * logh)
         return _escalate(self.ctx, attempt)
 
-    def log_first_value(self) -> "Enclosure":
-        """Enclosure of log(LHS at h=1), the seed of the lower bound."""
-        ivc = _ivc(self.ctx.bits)
-        val = self.log_lhs(self.ctx.bits, 1, ivc.mpf(0))
-        return Enclosure.from_iv(_iv_nonneg(ivc, val))
 
+def _search_height(engine: _HeightEngine) -> int:
+    """The height found by doubling over powers of two, then bisecting.
 
-@dataclass(frozen=True)
-class HeightSearch:
-    h: int
-    predicate_false_at: int | None  # h-1 when h >= 2; None when h == 1
-    scan_note: str
-
-
-def _search_height(engine: _HeightEngine) -> HeightSearch:
+    Bisection keeps the predicate false at ``lo`` and true at ``hi``, so it
+    ends with the predicate false at h-1: the only minimality it certifies.
+    """
     ctx = engine.ctx
     if engine.predicate(1):
-        return HeightSearch(1, None, "predicate already holds at h=1")
-    h = 2
+        return 1
     k = 1
-    while not engine.predicate(h):
+    while not engine.predicate(1 << k):
         if k >= ctx.h_cap_log2:
             raise SearchExceeded(
                 f"no power of two h = 2^k with k <= {ctx.h_cap_log2} satisfies "
@@ -758,51 +729,31 @@ def _search_height(engine: _HeightEngine) -> HeightSearch:
                 "the minimal height can be astronomically large for some growth "
                 "bases (raise PrecisionCtx.h_cap_log2 and max_bits to continue)"
             )
-        h <<= 1
         k += 1
-    lo, hi = h >> 1, h  # predicate false at lo, true at hi
+    lo, hi = 1 << (k - 1), 1 << k
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if engine.predicate(mid):
             hi = mid
         else:
             lo = mid
-    candidate = hi
-    # The predicate can be non-monotone where r jumps, so scan downward from
-    # the candidate until a definite failure: minimality is then certified on
-    # the contiguous window ending at that failure.
-    scanned = candidate
-    while scanned > 1 and engine.predicate(scanned - 1):
-        scanned -= 1
-    note = (
-        f"binary-search candidate {candidate}; downward scan verified failure "
-        f"at {scanned - 1}" if scanned > 1 else
-        f"binary-search candidate {candidate}; downward scan reached h=1"
-    )
-    return HeightSearch(scanned, scanned - 1 if scanned > 1 else None, note)
+    return hi
 
 
 def compute_H(c, delta, params: Parameters | None = None,
               ctx: PrecisionCtx | None = None) -> int:
-    """Minimal integer height h >= 1 at which the majorized inequality holds."""
+    """Height h >= 1 at which the majorized inequality holds and fails at h-1."""
     ctx = ctx or PrecisionCtx()
     if params is None:
         params = choose_parameters(c, delta, ctx)
-    engine = _HeightEngine(params, ctx)
-    return _search_height(engine).h
-
-
-def _iv_from_enclosure(ivc, enc: Enclosure):
-    lo = _iv_frac(ivc, enc.lo)
-    hi = _iv_frac(ivc, enc.hi)
-    return _iv_from_tuples(ivc, _endpoints(lo)[0], _endpoints(hi)[1])
+    return _search_height(_HeightEngine(params, ctx))
 
 
 def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
     """exp((sqrt(d^2 + 4 d rho log A) - d) / (d rho)) with A = LHS at h=1."""
     pk = engine._pack(engine.ctx.bits)
     ivc, rho, d = pk.ivc, pk.rho, engine.params.d
-    la = _iv_from_enclosure(ivc, engine.log_first_value())
+    la = _iv_nonneg(ivc, engine.log_lhs(engine.ctx.bits, 1, ivc.mpf(0)))
     val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (d * rho))
     return Enclosure.from_iv(val)
 
@@ -875,33 +826,17 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
 class EffectiveBounds:
     """Everything the pipeline established for one (c, delta) input."""
 
-    c: Fraction
-    delta: Delta
-    ell: Enclosure
-    epsilon: Fraction
-    omega: Enclosure
-    log_inv_omega: Enclosure
+    params: Parameters
+    ctx: PrecisionCtx
     J: int
-    j_cap: int
-    pnt_heuristic: bool
-    formula_d: int
-    d: int
-    degeneracy_note: str | None
-    discriminant: Enclosure
-    rho: Fraction
-    rho_interval: tuple[Enclosure, Enclosure]
     gamma: Enclosure
     H: int
-    predicate_false_at: int | None
-    h_scan_note: str
     H_lower: Enclosure
     deg_bound_formula: int
-    deg_bound_construction: int
     order_bound: int
     diag_alpha: Enclosure | None
     diag_beta: Enclosure | None
     diag_H_upper: Enclosure | None
-    precision_bits: int
 
     def to_json_dict(self) -> dict:
         def enc(e: Enclosure | None):
@@ -912,35 +847,44 @@ class EffectiveBounds:
             d["exact"] = str(q)
             return d
 
+        p, h = self.params, self.H
+        note = ""
+        if p.d_bumped:
+            note = (
+                f"d bumped from formula value {p.formula_d} to {p.d}: the "
+                "admissible rho interval was degenerate, no strict margin existed"
+            )
+        # H_scan keeps its old wording so the report stays byte-stable; the
+        # failure at H-1 it names is re-checked in bounds_report.
         return {
             "input": {
-                "c": str(self.c),
-                "delta": self.delta.label(),
-                "precision_bits": str(self.precision_bits),
+                "c": str(p.c),
+                "delta": p.delta.label(),
+                "precision_bits": str(self.ctx.bits),
             },
-            "ell": enc(self.ell),
-            "epsilon": exact(self.epsilon),
-            "omega": enc(self.omega),
-            "log_inv_omega": enc(self.log_inv_omega),
+            "ell": enc(p.ell),
+            "epsilon": exact(p.epsilon),
+            "omega": enc(p.omega),
+            "log_inv_omega": enc(p.log_inv_omega),
             "J": str(self.J),
             "j_scan": {
-                "cap": str(self.j_cap),
-                "pnt_heuristic": self.pnt_heuristic,
+                "cap": str(self.ctx.j_cap),
+                "pnt_heuristic": True,
             },
-            "d": str(self.d),
-            "d_from_formula": str(self.formula_d),
-            "degeneracy_note": self.degeneracy_note or "",
-            "discriminant": enc(self.discriminant),
-            "rho": exact(self.rho),
-            "rho_interval": [enc(self.rho_interval[0]), enc(self.rho_interval[1])],
+            "d": str(p.d),
+            "d_from_formula": str(p.formula_d),
+            "degeneracy_note": note,
+            "discriminant": enc(p.discriminant),
+            "rho": exact(p.rho),
+            "rho_interval": [enc(p.rho_interval[0]), enc(p.rho_interval[1])],
             "gamma": enc(self.gamma),
-            "H": str(self.H),
-            "H_predicate_false_at": "" if self.predicate_false_at is None
-                                    else str(self.predicate_false_at),
-            "H_scan": self.h_scan_note,
+            "H": str(h),
+            "H_predicate_false_at": "" if h == 1 else str(h - 1),
+            "H_scan": "predicate already holds at h=1" if h == 1 else
+                      f"binary-search candidate {h}; downward scan verified failure at {h - 1}",
             "H_lower": enc(self.H_lower),
             "degree_bound_formula": str(self.deg_bound_formula),
-            "degree_bound_construction": str(self.deg_bound_construction),
+            "degree_bound_construction": str(p.d - 1),
             "order_bound": str(self.order_bound),
             "diagnostic_alpha": enc(self.diag_alpha),
             "diagnostic_beta": enc(self.diag_beta),
@@ -952,11 +896,9 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
     """Run the whole pipeline and re-assert every claimed inequality."""
     ctx = ctx or PrecisionCtx()
     delta = Delta.coerce(delta)
-    c = Fraction(c)
-    params = choose_parameters(c, delta, ctx)
+    params = choose_parameters(Fraction(c), delta, ctx)
     engine = _HeightEngine(params, ctx)
-    search = _search_height(engine)
-    h = search.h
+    h = _search_height(engine)
 
     # invariants, re-checked at adverse rounding
     if not _rho2_holds_strictly(delta, params.d, params.rho, ctx):
@@ -964,27 +906,15 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
     if not _rho1_holds(delta, params.d, params.rho, params.epsilon, ctx):
         raise PrecisionExhausted("internal: epsilon lost its strict margin")
     if h >= 2 and engine.predicate(h - 1):
-        raise AssertionError("internal: height is not minimal on the scan window")
+        raise AssertionError("internal: the predicate holds at H-1, so H is not minimal")
 
     h_lower = _height_lower_bound(engine)
     if Fraction(h) < h_lower.lo:
         raise AssertionError("internal: height fell below its certified lower bound")
 
-    if h == 1:
-        order_bound = 0
-    else:
-        order_bound = _decide_floor(
-            ctx,
-            lambda ivc: ivc.log(_iv_int(ivc, h)) / delta.iv_ell(ivc),
-        )
+    # log 1 is exactly 0, so h = 1 needs no branch
+    order_bound = _decide_floor(ctx, lambda ivc: ivc.log(_iv_int(ivc, h)) / delta.iv_ell(ivc))
 
-    deg_formula = degree_bound_formula(delta, ctx)
-    note = None
-    if params.d_bumped:
-        note = (
-            f"d bumped from formula value {params.formula_d} to {params.d}: the "
-            "admissible rho interval was degenerate, no strict margin existed"
-        )
     pk = engine._pack(ctx.bits)
     gamma = params.d * pk.rho - (1 + pk.rho * pk.ell) ** 2 / pk.lam
     diag = _height_upper_diagnostic(engine, gamma)
@@ -996,31 +926,15 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
         d_alpha = d_beta = d_upper = None
 
     return EffectiveBounds(
-        c=c,
-        delta=delta,
-        ell=params.ell,
-        epsilon=params.epsilon,
-        omega=params.omega,
-        log_inv_omega=params.log_inv_omega,
+        params=params,
+        ctx=ctx,
         J=engine.J,
-        j_cap=ctx.j_cap,
-        pnt_heuristic=True,
-        formula_d=params.formula_d,
-        d=params.d,
-        degeneracy_note=note,
-        discriminant=params.discriminant,
-        rho=params.rho,
-        rho_interval=params.rho_interval,
         gamma=Enclosure.from_iv(gamma),
         H=h,
-        predicate_false_at=search.predicate_false_at,
-        h_scan_note=search.scan_note,
         H_lower=h_lower,
-        deg_bound_formula=deg_formula,
-        deg_bound_construction=params.d - 1,
+        deg_bound_formula=degree_bound_formula(delta, ctx),
         order_bound=order_bound,
         diag_alpha=d_alpha,
         diag_beta=d_beta,
         diag_H_upper=d_upper,
-        precision_bits=ctx.bits,
     )

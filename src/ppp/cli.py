@@ -32,7 +32,7 @@ from .recur import (
     guess_recurrence,
     verify_recurrence,
 )
-from .transforms import IntSequence, binomial_transform, inverse_binomial_transform
+from .transforms import IntSequence, binomial_transform, inverse_binomial_transform, json_int
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -47,7 +47,8 @@ class InputError(Exception):
 
 # ---------------------------------------------------------------------------
 # Sequence file format: one base-10 integer per line, '#' comments; or a JSON
-# object {"offset": n, "terms": ["...", ...]}.
+# object {"offset": n, "terms": ["...", ...]} whose values are JSON integers
+# or base-10 strings.
 
 
 def parse_sequence(text: str) -> IntSequence:
@@ -55,9 +56,10 @@ def parse_sequence(text: str) -> IntSequence:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-            terms = [int(t) for t in obj["terms"]]
-            offset = int(obj.get("offset", 0))
-            return IntSequence.of(terms, offset)
+            if not isinstance(obj["terms"], list):
+                raise ValueError("terms must be a JSON list")
+            terms = [json_int(t) for t in obj["terms"]]
+            return IntSequence.of(terms, json_int(obj.get("offset", 0)))
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad JSON sequence: {exc}") from exc
     terms = []
@@ -161,8 +163,8 @@ def _parse_phi(preset: str):
         path = preset.split(":", 1)[1]
         try:
             with open(path, encoding="utf-8") as f:
-                values = [Fraction(line.strip()) for line in f
-                          if line.strip() and not line.startswith("#")]
+                lines = [line.strip() for line in f]
+            values = [Fraction(line) for line in lines if line and not line.startswith("#")]
         except OSError as exc:
             raise InputError(f"cannot read growth table: {exc}") from exc
         return phi_table(values)
@@ -245,7 +247,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    bits = args.precision or int(os.environ.get("PPP_PRECISION_BITS", "256"))
+    bits = args.precision
+    if bits is None:
+        bits = int(os.environ.get("PPP_PRECISION_BITS", "256"))
     ctx = bounds_mod.PrecisionCtx(bits=bits)
     try:
         delta = bounds_mod.Delta.parse(args.delta)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CertReport, Counterexample, make_report
-from .transforms import IntSequence
+from .transforms import IntSequence, json_int
 
 # Largest prime below 2^30; used only to skip hopeless (order, degree) cells.
 # Below 2^30 every residue is a single CPython digit, so the filter's products
@@ -94,9 +94,11 @@ class PolyRecurrence:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PolyRecurrence":
-        polys = tuple(tuple(int(c) for c in p) for p in d["polys"])
-        r = PolyRecurrence(polys)
-        if r.order != int(d["order"]):
+        polys = d["polys"]
+        if not isinstance(polys, list) or not all(isinstance(p, list) for p in polys):
+            raise ValueError("polys must be a list of coefficient lists")
+        r = PolyRecurrence(tuple(tuple(json_int(c) for c in p) for p in polys))
+        if r.order != json_int(d["order"]):
             raise ValueError("order field disagrees with the polynomial list")
         return r
 

@@ -1,9 +1,26 @@
 """Binomial transform, its inverse, and truncated generating-series identities."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+_BASE10 = re.compile(r"[+-]?[0-9]+")
+
+
+def json_int(value) -> int:
+    """An exact integer read from JSON: an int (not a bool) or a base-10 string.
+
+    Anything else raises ValueError rather than being truncated (2.9) or
+    coerced (true).
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _BASE10.fullmatch(value):
+        return int(value)
+    raise ValueError(f"not an exact integer: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -168,19 +168,20 @@ def test_criterion_6_bounds():
     assert degree_bound_formula(Fraction(11, 10), ctx) == 0
 
     rep = bounds_report(1, Delta.exp(Fraction(1, 2)), ctx)
-    assert rep.formula_d == 4 and rep.d == 5
-    assert rep.degeneracy_note is not None
+    p, printed = rep.params, rep.to_json_dict()
+    assert p.formula_d == 4 and p.d == 5
+    assert printed["degeneracy_note"] != ""
     # rho sits strictly inside the verified interval and satisfies the
     # quadratic constraint exactly (ell = 1/2 is exact here)
     ell = Fraction(1, 2)
-    q = ell**2 * rep.rho**2 + (2 * ell - rep.d * (1 - ell)) * rep.rho + 1
-    assert q < 0 and rep.rho * ell <= 1
-    assert rep.rho_interval[0].hi < rep.rho < rep.rho_interval[1].lo
+    q = ell**2 * p.rho**2 + (2 * ell - p.d * (1 - ell)) * p.rho + 1
+    assert q < 0 and p.rho * ell <= 1
+    assert p.rho_interval[0].hi < p.rho < p.rho_interval[1].lo
     # epsilon came from halving and satisfies the strict margin at adverse
     # rounding (re-asserted inside bounds_report; repeat the halving shape)
-    assert rep.epsilon > 0
-    # H is minimal on the scanned window and above the certified lower bound
-    assert rep.predicate_false_at == rep.H - 1
+    assert p.epsilon > 0
+    # the predicate fails at H-1, and H is above the certified lower bound
+    assert printed["H_predicate_false_at"] == str(rep.H - 1)
     assert Fraction(rep.H) >= rep.H_lower.hi
 
     # majorant domination at 20 random parameter points

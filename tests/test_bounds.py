@@ -264,10 +264,11 @@ def test_phi_bound_domain_errors():
 def test_height_for_mild_delta():
     rep = bounds_report(1, Fraction(11, 10), CTX)
     assert rep.H == 247688789395926825625299  # pinned regression value
-    assert rep.predicate_false_at == rep.H - 1
+    printed = rep.to_json_dict()
+    assert printed["H_predicate_false_at"] == str(rep.H - 1)
     assert Fraction(rep.H) >= rep.H_lower.hi
     assert rep.deg_bound_formula == 0
-    assert rep.deg_bound_construction == 0
+    assert printed["degree_bound_construction"] == "0"
     assert rep.order_bound == math.floor(
         mpmath.log(rep.H) / mpmath.log(mpmath.mpf(11) / 10)
     )
@@ -344,6 +345,17 @@ def test_search_cap_message_names_only_powers_of_two():
     assert "2^16" in str(err.value)
 
 
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(5, 4)])
+def test_search_evaluates_each_height_once(delta):
+    engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
+    tested = []
+    predicate = engine.predicate
+    engine.predicate = lambda h: tested.append(h) or predicate(h)
+    h = _search_height(engine)
+    assert len(tested) == len(set(tested))
+    assert h - 1 in tested and not predicate(h - 1) and predicate(h)
+
+
 def test_predicate_takes_log_h_once_at_working_precision():
     engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
     h = compute_H(1, Fraction(11, 10), ctx=CTX)
@@ -376,7 +388,7 @@ def test_report_json_shape():
     assert back["H"] == str(rep.H)
     assert back["J"] == str(rep.J)
     assert back["j_scan"]["pnt_heuristic"] is True
-    assert back["epsilon"]["exact"] == str(rep.epsilon)
+    assert back["epsilon"]["exact"] == str(rep.params.epsilon)
     float(back["rho"]["value"])  # renders as a decimal
     assert back["degeneracy_note"] == ""
     assert json_sha256(rep) == (

@@ -105,6 +105,55 @@ def test_construct_bad_phi():
     assert run(["construct", "--phi", "nope", "--n", "3"]).returncode == 2
 
 
+def test_construct_phi_file_skips_indented_comments(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("# doubling growth\n1\n2\n4\n8\n16\n32\n")
+    indented = tmp_path / "indented.txt"
+    indented.write_text("1\n2\n  # indented comment\n4\n8\n\t# tab\n16\n32\n")
+    a = run(["construct", "--phi", f"file:{plain}", "--n", "5"])
+    b = run(["construct", "--phi", f"file:{indented}", "--n", "5"])
+    assert a.returncode == b.returncode == 0
+    assert b.stdout == a.stdout != ""
+
+
+@pytest.mark.parametrize("text", [
+    '{"terms": [1, 2.0000001]}',
+    '{"terms": [1, 2.0]}',
+    '{"terms": "907"}',
+    '{"terms": [true, 1]}',
+    '{"terms": ["1_000"]}',
+    '{"terms": [" 12"]}',
+    '{"offset": 1.9, "terms": ["1"]}',
+    '{"offset": true, "terms": ["1"]}',
+    '{"offset": "1.0", "terms": ["1"]}',
+])
+def test_json_sequence_needs_exact_integers(text):
+    r = run(["transform"], text)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: bad JSON sequence")
+
+
+def test_json_sequence_accepts_integers_and_base10_strings():
+    r = run(["reindex", "--to", "0"], '{"offset": "2", "terms": [1, "-20", "+3", 40]}')
+    assert r.returncode == 0
+    assert r.stdout.split() == ["1", "-20", "3", "40"]
+
+
+@pytest.mark.parametrize("rec", [
+    {"order": 1, "polys": [[-2.9], [1]]},
+    {"order": 1, "polys": [["-2"], [1.0]]},
+    {"order": True, "polys": [["-2"], ["1"]]},
+    {"order": 1, "polys": [["-2"], "1"]},
+    {"order": 1, "polys": "21"},
+])
+def test_recurrence_json_needs_exact_integers(tmp_path, rec):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(rec))
+    r = run(["verify", "--recurrence", str(path)], "1\n2\n4\n8\n")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: cannot load recurrence")
+
+
 @pytest.fixture
 def no_digit_limit():
     """Lift the int/str conversion limit in this process, to build expectations."""
@@ -210,6 +259,12 @@ def test_bounds_cli_and_env_precision():
     d2 = json.loads(r2.stdout)
     assert d2["input"]["precision_bits"] == "320"
     assert d2["H"] == d["H"]
+
+
+def test_bounds_precision_zero_rejected(capsys):
+    assert cli.main(["bounds", "--c", "1", "--delta", "11/10", "--precision", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "below 64 bits" in out.err
 
 
 def test_bounds_cli_domain_error():
