@@ -2,10 +2,12 @@
 
 Pipeline: given a growth bound |a_n| <= c * delta^n with 1 < delta < e, select
 working parameters (ell, d, rho, epsilon, omega), bound the infinite product
-Phi(D, x) = prod_j (1 + x j^D delta^j / primorial(j-1)), and search for the
-minimal height H at which the majorized product inequality holds.  Every real
-quantity is carried as a two-sided enclosure; inequalities are only reported
-when they hold at the adverse rounding direction.
+Phi(D, x) = prod_j (1 + x j^D delta^j / primorial(j-1)), and search for a
+height H at which the majorized product inequality holds while it fails at
+H-1.  The inequality is not monotone in h, so H need not be the smallest such
+height.  Every real quantity is carried as a two-sided enclosure;
+inequalities are only reported when they hold at the adverse rounding
+direction.
 """
 from __future__ import annotations
 
@@ -661,6 +663,7 @@ class _HeightEngine:
             pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0)
             pk.log_2cd = ivc.log(_iv_frac(ivc, 2 * p.c * p.d))
             pk.rho = _iv_frac(ivc, p.rho)
+            pk.log_x_terms = {}  # r -> (log(2cd) + log r, (r-1) ell)
             self._packs[bits] = pk
         return pk
 
@@ -692,12 +695,59 @@ class _HeightEngine:
         flo, fhi = _floors(self._pack(self.ctx.bits).rho * logh)
         return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
+    @staticmethod
+    def _log_x(pk: _Majorant, r: int, logh):
+        """u = log x = log(2cd) + log r + log h + (r-1) ell; increasing in r and h."""
+        terms = pk.log_x_terms.get(r)
+        if terms is None:
+            ivc = pk.ivc
+            logr = ivc.log(_iv_int(ivc, r)) if r > 1 else ivc.mpf(0)
+            terms = pk.log_x_terms[r] = (pk.log_2cd + logr, (r - 1) * pk.ell)
+        return terms[0] + logh + terms[1]
+
     def log_lhs(self, bits: int, r: int, logh):
         """log LHS(h) at ``bits``, given ``logh`` = log h at the same precision."""
         pk = self._pack(bits)
+        return pk.log_phi(self._log_x(pk, r, logh))
+
+    def slope_sign(self, r: int, h: int) -> int:
+        """Sign of f_r'(log h) for r = r(h), 0 when undecided at ctx.bits.
+
+        f_r(L) = r d L - log_phi(u), so f_r' = r d - (J+F) sigma(u)
+        - 2 (u + d log j0) / lam with sigma(u) = 1 / (1 + e^-u).
+        """
+        pk = self._pack(self.ctx.bits)
         ivc = pk.ivc
-        logr = ivc.log(_iv_int(ivc, r)) if r > 1 else ivc.mpf(0)
-        return pk.log_phi(pk.log_2cd + logr + logh + (r - 1) * pk.ell)
+        u = self._log_x(pk, r, self._log_h(self.ctx.bits, h))
+        sigma = 1 / (1 + ivc.exp(-u))
+        slope = r * self.params.d - (pk.J + pk.F) * sigma - 2 * (u + pk.d_log_j0) / pk.lam
+        positive = _lt(0, slope)
+        return 0 if positive is None else 1 if positive else -1
+
+    def cell_false(self, la: Fraction, lb: Fraction) -> bool:
+        """True when the predicate provably fails at every h with la <= log h <= lb.
+
+        On the cell r(h) lies in [r_lo, r_hi] and u = log x increases in r
+        and log h, so the interval majorant over [u(r_lo, la), u(r_hi, lb)]
+        encloses log LHS at every height of the cell, and the right side
+        r d log h is at most r_hi d lb.  Inclusion alone makes this sound.
+        """
+        pk = self._pack(self.ctx.bits)
+        ivc = pk.ivc
+        la, lb = _iv_frac(ivc, la), _iv_frac(ivc, lb)
+        r_lo = _floors(pk.rho * la)[0] + 1
+        r_hi = _floors(pk.rho * lb)[1] + 1
+        u = _iv_from_tuples(
+            ivc,
+            _endpoints(self._log_x(pk, r_lo, la))[0],
+            _endpoints(self._log_x(pk, r_hi, lb))[1],
+        )
+        return _lt(r_hi * self.params.d * lb, pk.log_phi(u)) is True
+
+    def floor_exp(self, L: Fraction) -> int:
+        """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
+        ivc = _ivc(self.ctx.bits)
+        return libmp.to_int(_endpoints(ivc.exp(_iv_frac(ivc, L)))[0], "f")
 
     def predicate(self, h: int) -> bool:
         # log h at the working precision serves r_of and the first attempt;
@@ -711,17 +761,153 @@ class _HeightEngine:
         return _escalate(self.ctx, attempt)
 
 
-def _search_height(engine: _HeightEngine) -> int:
+# Smallest cell the false prefix tries, as a power of two: 2^-12 in log h.
+_CELL_FLOOR = -12
+
+
+class _RunFacts:
+    """What one search proved about the heights h with one value of r(h).
+
+    There the predicate holds on one run of consecutive heights (see
+    ``_Verdicts``), so the heights proved true span a hull that holds
+    throughout, and a height proved false rules out one whole side of it.
+    Every height in [start, last] is known to have this r.
+    """
+
+    __slots__ = ("r", "start", "last", "true_lo", "true_hi", "false_to", "false_from",
+                 "unplaced")
+
+    def __init__(self, r: int, start: int, last: int):
+        self.r, self.start, self.last = r, start, last
+        self.true_lo = self.true_hi = None
+        self.false_to = 0          # false at every height <= false_to
+        self.false_from = None     # false at every height >= false_from
+        self.unplaced: set[int] = set()  # false, side not known yet
+
+    def verdict(self, h: int) -> bool | None:
+        if self.true_lo is not None and self.true_lo <= h <= self.true_hi:
+            return True
+        if h <= self.false_to or h in self.unplaced:
+            return False
+        if self.false_from is not None and h >= self.false_from:
+            return False
+        return None
+
+    def add_true(self, h: int) -> None:
+        self.true_lo = h if self.true_lo is None else min(self.true_lo, h)
+        self.true_hi = h if self.true_hi is None else max(self.true_hi, h)
+        for f in self.unplaced:
+            self.add_false(f, -1 if f < self.true_lo else 1)
+        self.unplaced.clear()
+
+    def add_false(self, h: int, side: int) -> None:
+        """Record a false height; ``side`` -1/1 says every height below/above it
+        (in this run of r) is false too, 0 that neither side is known."""
+        if side < 0:
+            self.false_to = max(self.false_to, h)
+        elif side > 0:
+            self.false_from = h if self.false_from is None else min(self.false_from, h)
+        else:
+            self.unplaced.add(h)
+
+
+class _Verdicts:
+    """Exact predicate values for one height search, from proved facts when
+    they apply and from ``_HeightEngine.predicate`` otherwise.
+
+    * False prefix.  Every height in [1, false_to] fails, proved by cells
+      (``_HeightEngine.cell_false``).  It starts at h = 1: there the right
+      side r d log 1 is 0 while every term of log LHS(1) is positive, since
+      log c0 = 4 zeta(2)/lam > 0 and j0 = 2d/lam > 2.  A query past the
+      prefix first grows it by cells, doubling the width in log h after a
+      success and halving it after a failure, until a cell of the floor
+      width fails.
+    * Runs of one r.  For fixed r, f_r(L) = r d L - log_phi(u) with
+      u = log(2cd) + log r + L + (r-1) ell is concave in L = log h, because
+      log(1 + e^u) and (u + d log j0)^2 are convex.  So on [T_{r-1}, T_r - 1]
+      the predicate holds on one run of consecutive heights (``_RunFacts``).
+      A false height with no true one known is placed by the sign of
+      f_r': where it rises, every smaller height of the run fails too.
+      The first query of a run also evaluates the run's left end T_{r-1}.
+    """
+
+    def __init__(self, engine: _HeightEngine):
+        self.engine = engine
+        self.false_to = 1  # every height <= false_to fails
+        self._log_false_to = Fraction(0)  # ... and so does every h with log h <= this
+        self._width = 0  # log2 of the next cell's width in log h
+        self._stuck = False
+        self._runs: dict[int, _RunFacts] = {}
+
+    def __call__(self, h: int) -> bool:
+        self._grow_prefix(h)
+        if h <= self.false_to:
+            return False
+        run = self._run_of(h)
+        holds = run.verdict(h)
+        if holds is None:
+            holds = self.engine.predicate(h)
+            self._learn(run, h, holds)
+        return holds
+
+    def _run_of(self, h: int) -> _RunFacts:
+        """The facts on r(h); r(h) is computed only outside the known spans."""
+        for run in self._runs.values():
+            if run.start <= h <= run.last:
+                return run
+        engine = self.engine
+        r = engine.r_of(h)
+        run = self._runs.get(r)
+        if run is not None:
+            run.last = max(run.last, h)
+            return run
+        start = engine.threshold(r - 1) if r > 1 else 1
+        run = self._runs[r] = _RunFacts(r, start, h)
+        # r(T_{r-1} - 1) = r - 1, so adjacent runs meet
+        below, above = self._runs.get(r - 1), self._runs.get(r + 1)
+        if below is not None:
+            below.last = start - 1
+        if above is not None:
+            run.last = above.start - 1
+        if start < h:
+            self._learn(run, start, start > self.false_to and engine.predicate(start))
+        return run
+
+    def _learn(self, run: _RunFacts, h: int, holds: bool) -> None:
+        if holds:
+            run.add_true(h)
+        elif run.true_lo is not None:
+            run.add_false(h, -1 if h < run.true_lo else 1)
+        else:
+            run.add_false(h, -self.engine.slope_sign(run.r, h))
+
+    def _grow_prefix(self, target: int) -> None:
+        while self.false_to < target and not self._stuck:
+            la = self._log_false_to
+            lb = la + Fraction(2) ** self._width
+            if self.engine.cell_false(la, lb):
+                self._log_false_to, self.false_to = lb, self.engine.floor_exp(lb)
+                self._width += 1
+            elif self._width > _CELL_FLOOR:
+                self._width -= 1
+            else:
+                self._stuck = True
+
+
+def _search_height(engine: _HeightEngine,
+                   holds: Callable[[int], bool] | None = None) -> int:
     """The height found by doubling over powers of two, then bisecting.
 
-    Bisection keeps the predicate false at ``lo`` and true at ``hi``, so it
-    ends with the predicate false at h-1: the only minimality it certifies.
+    ``holds(h)`` is the exact predicate value, by default from a fresh
+    ``_Verdicts``.  Bisection keeps the predicate false at ``lo`` and true
+    at ``hi``, so it ends with the predicate false at h-1: the only
+    minimality it certifies.  h = 1 fails (see ``_Verdicts``), so the
+    doubling starts at 2.
     """
     ctx = engine.ctx
-    if engine.predicate(1):
-        return 1
+    holds = holds or _Verdicts(engine)
     k = 1
-    while not engine.predicate(1 << k):
+    while not holds(1 << k):
         if k >= ctx.h_cap_log2:
             raise SearchExceeded(
                 f"no power of two h = 2^k with k <= {ctx.h_cap_log2} satisfies "
@@ -733,7 +919,7 @@ def _search_height(engine: _HeightEngine) -> int:
     lo, hi = 1 << (k - 1), 1 << k
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if engine.predicate(mid):
+        if holds(mid):
             hi = mid
         else:
             lo = mid
@@ -742,7 +928,8 @@ def _search_height(engine: _HeightEngine) -> int:
 
 def compute_H(c, delta, params: Parameters | None = None,
               ctx: PrecisionCtx | None = None) -> int:
-    """Height h >= 1 at which the majorized inequality holds and fails at h-1."""
+    """Height h >= 2 found by ``_search_height``: the majorized inequality
+    holds at h and fails at h-1."""
     ctx = ctx or PrecisionCtx()
     if params is None:
         params = choose_parameters(c, delta, ctx)
@@ -879,9 +1066,8 @@ class EffectiveBounds:
             "rho_interval": [enc(p.rho_interval[0]), enc(p.rho_interval[1])],
             "gamma": enc(self.gamma),
             "H": str(h),
-            "H_predicate_false_at": "" if h == 1 else str(h - 1),
-            "H_scan": "predicate already holds at h=1" if h == 1 else
-                      f"binary-search candidate {h}; downward scan verified failure at {h - 1}",
+            "H_predicate_false_at": str(h - 1),
+            "H_scan": f"binary-search candidate {h}; downward scan verified failure at {h - 1}",
             "H_lower": enc(self.H_lower),
             "degree_bound_formula": str(self.deg_bound_formula),
             "degree_bound_construction": str(p.d - 1),
@@ -905,14 +1091,13 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
         raise PrecisionExhausted("internal: rho lost its strict margin")
     if not _rho1_holds(delta, params.d, params.rho, params.epsilon, ctx):
         raise PrecisionExhausted("internal: epsilon lost its strict margin")
-    if h >= 2 and engine.predicate(h - 1):
+    if engine.predicate(h - 1):
         raise AssertionError("internal: the predicate holds at H-1, so H is not minimal")
 
     h_lower = _height_lower_bound(engine)
     if Fraction(h) < h_lower.lo:
         raise AssertionError("internal: height fell below its certified lower bound")
 
-    # log 1 is exactly 0, so h = 1 needs no branch
     order_bound = _decide_floor(ctx, lambda ivc: ivc.log(_iv_int(ivc, h)) / delta.iv_ell(ivc))
 
     pk = engine._pack(ctx.bits)

@@ -12,6 +12,8 @@ from ppp import cli
 from ppp.arith import primorial_table
 from ppp.bounds import (
     _HeightEngine,
+    _RunFacts,
+    _Verdicts,
     _decide_floor,
     _iv_frac,
     _iv_int,
@@ -280,7 +282,7 @@ def test_r_threshold_matches_floor_route():
     params = choose_parameters(1, Fraction(5, 4), CTX)
     engine = _HeightEngine(params, CTX)
     _search_height(engine)
-    assert set(engine._thresholds) == {679}
+    assert 679 in engine._thresholds
     k, t = 679, engine._thresholds[679]
     ivc = _ivc(2 * t.bit_length())
     jump = ivc.exp(_iv_frac(ivc, Fraction(k) / params.rho))
@@ -330,15 +332,41 @@ def test_height_cap_below_one_rejected():
     assert PrecisionCtx(h_cap_log2=1).h_cap_log2 == 1
 
 
+class RecordedSearch:
+    """One ``_search_height`` run that records every exact predicate call,
+    every cell (in log h) proved false and every ``(h, verdict)`` used."""
+
+    def __init__(self, delta, ctx=CTX):
+        self.engine = _HeightEngine(choose_parameters(1, delta, ctx), ctx)
+        self.predicate, cell_false = self.engine.predicate, self.engine.cell_false
+        self.evaluated, self.cells, self.used = [], [], []
+        self.engine.predicate = lambda h: self.evaluated.append(h) or self.predicate(h)
+
+        def record_cell(la, lb):
+            false = cell_false(la, lb)
+            if false:
+                self.cells.append((la, lb))
+            return false
+
+        self.engine.cell_false = record_cell
+        self.verdicts = _Verdicts(self.engine)
+
+    def holds(self, h):
+        verdict = self.verdicts(h)
+        self.used.append((h, verdict))
+        return verdict
+
+    def run(self):
+        return _search_height(self.engine, self.holds)
+
+
 def test_search_cap_message_names_only_powers_of_two():
     tiny_cap = PrecisionCtx(h_cap_log2=16)
-    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), tiny_cap), tiny_cap)
-    tested = []
-    predicate = engine.predicate
-    engine.predicate = lambda h: tested.append(h) or predicate(h)
+    search = RecordedSearch(Fraction(11, 10), tiny_cap)
     with pytest.raises(SearchExceeded) as err:
-        _search_height(engine)
-    assert tested == [1] + [2**k for k in range(1, 17)]
+        search.run()
+    assert search.used == [(2**k, False) for k in range(1, 17)]
+    assert not any(search.predicate(2**k) for k in range(1, 17))
     assert str(err.value).startswith(
         "no power of two h = 2^k with k <= 16 satisfies the inequality"
     )
@@ -347,13 +375,150 @@ def test_search_cap_message_names_only_powers_of_two():
 
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(5, 4)])
 def test_search_evaluates_each_height_once(delta):
+    search = RecordedSearch(delta)
+    h = search.run()
+    assert len(search.evaluated) == len(set(search.evaluated))
+    assert (h - 1, False) in search.used
+    assert not search.predicate(h - 1) and search.predicate(h)
+
+
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(5, 4)])
+def test_every_verdict_the_search_used_is_exact(delta):
+    search = RecordedSearch(delta)
+    search.run()
+    assert len(search.used) > 100
+    for h, verdict in search.used:
+        assert search.predicate(h) is verdict, h
+
+
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10)])
+def test_heights_in_excluded_cells_fail(delta):
+    search = RecordedSearch(delta)
+    search.run()
+    cells = search.cells
+    assert len(cells) > 20
+    rng = random.Random(11)
+    drawn = 0
+    with mpmath.workprec(search.verdicts.false_to.bit_length() + 64):
+        while drawn < 200:
+            la, lb = rng.choice(cells)
+            L = la + (lb - la) * Fraction(rng.random())
+            h = max(1, int(mpmath.floor(mpmath.exp(mpmath.mpf(L.numerator) / L.denominator))))
+            # cell ends are dyadic, so these mpf are exact
+            if not mpmath.mpf(la.numerator) / la.denominator <= mpmath.log(h) \
+                    <= mpmath.mpf(lb.numerator) / lb.denominator:
+                continue  # no integer near this point of the cell
+            assert h <= search.verdicts.false_to
+            assert search.predicate(h) is False, h
+            drawn += 1
+
+
+def test_run_facts_place_false_heights_around_the_true_run():
+    run = _RunFacts(r=5, start=100, last=200)
+    run.add_false(120, 0)
+    assert (run.verdict(120), run.verdict(110), run.verdict(130)) == (False, None, None)
+    run.add_true(150)  # the true run lies above 120, so everything below fails
+    assert (run.verdict(110), run.verdict(130), run.verdict(150)) == (False, None, True)
+    run.add_true(170)
+    assert run.verdict(160) is True and run.verdict(175) is None
+    run.add_false(180, 1)
+    assert (run.verdict(175), run.verdict(190), run.verdict(200)) == (None, False, False)
+    run.add_false(140, -1)
+    assert run.verdict(130) is False and run.verdict(145) is None
+
+
+def test_false_height_placed_by_the_slope_sign():
+    # Where f_r falls (sign -1), every larger height of the run fails too;
+    # where it rises (sign +1), every smaller one.
+    verdicts = _Verdicts(_HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX))
+    for sign in (-1, 1):
+        verdicts.engine.slope_sign = lambda r, h: sign
+        run = _RunFacts(r=5, start=100, last=200)
+        verdicts._learn(run, 150, False)
+        assert (run.verdict(120), run.verdict(180)) == ((None, False) if sign < 0 else (False, None))
+
+
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Delta.exp(Fraction(2, 7))])
+def test_slope_sign_matches_a_difference_quotient(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
-    tested = []
-    predicate = engine.predicate
-    engine.predicate = lambda h: tested.append(h) or predicate(h)
+    h_found = _search_height(engine)
+    ivc, d, step = _ivc(CTX.bits), engine.params.d, Fraction(1, 2**20)
+    seen = set()
+    for k in range(2, 3 * h_found.bit_length(), max(1, h_found.bit_length() // 40)):
+        h = 2**k
+        r = engine.r_of(h)
+        sign = engine.slope_sign(r, h)
+        logh = engine._log_h(CTX.bits, h)
+
+        def f(shift):  # f_r(log h + shift) for this fixed r
+            L = logh + _iv_frac(ivc, shift)
+            return r * d * L - engine.log_lhs(CTX.bits, r, L)
+
+        rise = _lt(f(-step), f(step))
+        if sign and rise is not None:
+            assert rise is (sign > 0), (k, sign)
+            seen.add(sign)
+    assert -1 in seen
+
+
+@pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
+def test_no_cell_around_a_true_height_is_excluded(delta):
+    engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
     h = _search_height(engine)
-    assert len(tested) == len(set(tested))
-    assert h - 1 in tested and not predicate(h - 1) and predicate(h)
+    true_heights = [h, h + 1, engine.threshold(engine.r_of(h) - 2)]
+    with mpmath.workprec(h.bit_length() + 64):
+        for t in true_heights:
+            if not engine.predicate(t):
+                continue
+            log_t = mpmath.log(t)
+            for k in range(-12, 4):
+                width = Fraction(2) ** k
+                for part in range(4):  # t sits at 0, 1/4, 1/2, 3/4 of the cell
+                    start = log_t - mpmath.mpf(width.numerator) / width.denominator * part / 4
+                    la = Fraction(int(mpmath.floor(start * 2**16)), 2**16)
+                    assert engine.cell_false(la, la + width) is False, (t, k, part)
+
+
+def test_height_search_on_e_two_sevenths_evaluates_few_heights():
+    search = RecordedSearch(Delta.exp(Fraction(2, 7)))
+    h = search.run()
+    assert h.bit_length() == 3845
+    assert len(search.evaluated) <= 60  # the bisection alone asks 7689 heights
+    assert len(search.used) == 7689
+
+
+@pytest.mark.parametrize("delta", [Fraction(13, 10), Delta.exp(Fraction(2, 7))])
+def test_height_is_not_the_smallest_true_height(delta):
+    # The inequality is not monotone: it already holds at T_{r(H)-2} < H.
+    engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
+    h = _search_height(engine)
+    earlier = engine.threshold(engine.r_of(h) - 2)
+    assert earlier < h and engine.predicate(earlier)
+
+
+NINE_DELTAS = ["e^1/2", "11/10", "3/2", "e^2/7", "5/4", "13/10", "e^1/4", "e^1/3", "e^7/20"]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 1000)])
+def test_height_one_fails(c):
+    # log LHS(1) > 0 = r d log 1: every term of log LHS(1) is positive.
+    for text in NINE_DELTAS:
+        engine = _HeightEngine(choose_parameters(c, Delta.parse(text), CTX), CTX)
+        lo, _ = engine.log_lhs(CTX.bits, 1, 0)._mpi_
+        assert mpmath.mpf(lo) > 0, text
+
+
+# ``ppp bounds --c 1`` stdout SHA-256 for the deltas whose search is not
+# monotone near H (and e^1/2, the largest H of the nine).
+@pytest.mark.parametrize("text, digest", [
+    ("13/10", "94b7a20e478ef0092acaa554e2c2991df06bfe1e2543eb9941f906b4c2509d4f"),
+    ("e^1/4", "fe615aae417922fd7f15c74e97aac1559d49299f2db01a8e6d463096eb3d92a8"),
+    ("e^1/3", "4e471037850ecc9b7f8130e46eff63e5ba6dd64fe4c066ec0413f540779dc14d"),
+    ("e^7/20", "871b1d628c1478d6be270332de878c37dddefa444bfe3aff2a46a0150eb8a354"),
+    ("e^1/2", "d0ab856d4419419915e5f41ae007881306bbd53b558da93513b5fd9e46fcb9a8"),
+])
+def test_report_json_pinned(text, digest):
+    assert json_sha256(bounds_report(1, Delta.parse(text), CTX)) == digest
 
 
 def test_predicate_takes_log_h_once_at_working_precision():
