@@ -710,8 +710,8 @@ class _HeightEngine:
         pk = self._pack(bits)
         return pk.log_phi(self._log_x(pk, r, logh))
 
-    def slope_sign(self, r: int, h: int) -> int:
-        """Sign of f_r'(log h) for r = r(h), 0 when undecided at ctx.bits.
+    def falls(self, r: int, h: int) -> bool:
+        """True when f_r'(log h) <= 0 provably at ctx.bits, for r = r(h).
 
         f_r(L) = r d L - log_phi(u), so f_r' = r d - (J+F) sigma(u)
         - 2 (u + d log j0) / lam with sigma(u) = 1 / (1 + e^-u).
@@ -721,8 +721,7 @@ class _HeightEngine:
         u = self._log_x(pk, r, self._log_h(self.ctx.bits, h))
         sigma = 1 / (1 + ivc.exp(-u))
         slope = r * self.params.d - (pk.J + pk.F) * sigma - 2 * (u + pk.d_log_j0) / pk.lam
-        positive = _lt(0, slope)
-        return 0 if positive is None else 1 if positive else -1
+        return _le(slope, 0) is True
 
     def cell_false(self, la: Fraction, lb: Fraction) -> bool:
         """True when the predicate provably fails at every h with la <= log h <= lb.
@@ -765,50 +764,26 @@ class _HeightEngine:
 _CELL_FLOOR = -12
 
 
-class _RunFacts:
-    """What one search proved about the heights h with one value of r(h).
+class _Run:
+    """What one search proved about the heights h with one value r of r(h).
 
-    There the predicate holds on one run of consecutive heights (see
-    ``_Verdicts``), so the heights proved true span a hull that holds
-    throughout, and a height proved false rules out one whole side of it.
-    Every height in [start, last] is known to have this r.
+    Every height in [start, last] is known to have this r; start = T_{r-1}.
+    The predicate holds on [start, true_to] and fails on [false_from, last],
+    each fact None until proved (see ``_Verdicts``).
     """
 
-    __slots__ = ("r", "start", "last", "true_lo", "true_hi", "false_to", "false_from",
-                 "unplaced")
+    __slots__ = ("r", "start", "last", "true_to", "false_from")
 
     def __init__(self, r: int, start: int, last: int):
         self.r, self.start, self.last = r, start, last
-        self.true_lo = self.true_hi = None
-        self.false_to = 0          # false at every height <= false_to
-        self.false_from = None     # false at every height >= false_from
-        self.unplaced: set[int] = set()  # false, side not known yet
+        self.true_to = self.false_from = None
 
     def verdict(self, h: int) -> bool | None:
-        if self.true_lo is not None and self.true_lo <= h <= self.true_hi:
+        if self.true_to is not None and h <= self.true_to:
             return True
-        if h <= self.false_to or h in self.unplaced:
-            return False
         if self.false_from is not None and h >= self.false_from:
             return False
         return None
-
-    def add_true(self, h: int) -> None:
-        self.true_lo = h if self.true_lo is None else min(self.true_lo, h)
-        self.true_hi = h if self.true_hi is None else max(self.true_hi, h)
-        for f in self.unplaced:
-            self.add_false(f, -1 if f < self.true_lo else 1)
-        self.unplaced.clear()
-
-    def add_false(self, h: int, side: int) -> None:
-        """Record a false height; ``side`` -1/1 says every height below/above it
-        (in this run of r) is false too, 0 that neither side is known."""
-        if side < 0:
-            self.false_to = max(self.false_to, h)
-        elif side > 0:
-            self.false_from = h if self.false_from is None else min(self.false_from, h)
-        else:
-            self.unplaced.add(h)
 
 
 class _Verdicts:
@@ -819,16 +794,24 @@ class _Verdicts:
       (``_HeightEngine.cell_false``).  It starts at h = 1: there the right
       side r d log 1 is 0 while every term of log LHS(1) is positive, since
       log c0 = 4 zeta(2)/lam > 0 and j0 = 2d/lam > 2.  A query past the
-      prefix first grows it by cells, doubling the width in log h after a
-      success and halving it after a failure, until a cell of the floor
-      width fails.
+      prefix first grows it by cells, doubling the width in log h after two
+      successes in a row and halving it after a failure, until a cell of the
+      floor width fails.
     * Runs of one r.  For fixed r, f_r(L) = r d L - log_phi(u) with
       u = log(2cd) + log r + L + (r-1) ell is concave in L = log h, because
       log(1 + e^u) and (u + d log j0)^2 are convex.  So on [T_{r-1}, T_r - 1]
-      the predicate holds on one run of consecutive heights (``_RunFacts``).
-      A false height with no true one known is placed by the sign of
-      f_r': where it rises, every smaller height of the run fails too.
-      The first query of a run also evaluates the run's left end T_{r-1}.
+      the predicate holds on one run of consecutive heights, and ``_Run``
+      keeps two facts.  Once it holds at T_{r-1}, a true height extends
+      [T_{r-1}, true_to], and a false one ends the run of true heights, so
+      every larger height of the run fails.  A false height where f_r
+      provably falls (``_HeightEngine.falls``) also fails with every larger
+      height.  The first query of a run evaluates T_{r-1}.
+    * Why two facts suffice.  The doubling rises until its first true
+      height; bisection moves lo up on a false answer and hi down on a true
+      one.  So every later question lies above each height found false and
+      below each height found true.  The only out-of-order evaluation is
+      T_{r-1}, the smallest height of its run.  A fact covering only heights
+      below a false answer, or above a true one, can never be used.
     """
 
     def __init__(self, engine: _HeightEngine):
@@ -836,8 +819,9 @@ class _Verdicts:
         self.false_to = 1  # every height <= false_to fails
         self._log_false_to = Fraction(0)  # ... and so does every h with log h <= this
         self._width = 0  # log2 of the next cell's width in log h
+        self._grown = False  # one cell of this width succeeded, the next doubles
         self._stuck = False
-        self._runs: dict[int, _RunFacts] = {}
+        self._runs: dict[int, _Run] = {}
 
     def __call__(self, h: int) -> bool:
         self._grow_prefix(h)
@@ -850,7 +834,7 @@ class _Verdicts:
             self._learn(run, h, holds)
         return holds
 
-    def _run_of(self, h: int) -> _RunFacts:
+    def _run_of(self, h: int) -> _Run:
         """The facts on r(h); r(h) is computed only outside the known spans."""
         for run in self._runs.values():
             if run.start <= h <= run.last:
@@ -862,7 +846,7 @@ class _Verdicts:
             run.last = max(run.last, h)
             return run
         start = engine.threshold(r - 1) if r > 1 else 1
-        run = self._runs[r] = _RunFacts(r, start, h)
+        run = self._runs[r] = _Run(r, start, h)
         # r(T_{r-1} - 1) = r - 1, so adjacent runs meet
         below, above = self._runs.get(r - 1), self._runs.get(r + 1)
         if below is not None:
@@ -873,13 +857,13 @@ class _Verdicts:
             self._learn(run, start, start > self.false_to and engine.predicate(start))
         return run
 
-    def _learn(self, run: _RunFacts, h: int, holds: bool) -> None:
+    def _learn(self, run: _Run, h: int, holds: bool) -> None:
+        """Record the verdict at a height no fact of ``run`` covers yet."""
         if holds:
-            run.add_true(h)
-        elif run.true_lo is not None:
-            run.add_false(h, -1 if h < run.true_lo else 1)
-        else:
-            run.add_false(h, -self.engine.slope_sign(run.r, h))
+            if h == run.start or run.true_to is not None:
+                run.true_to = h
+        elif run.true_to is not None or self.engine.falls(run.r, h):
+            run.false_from = h
 
     def _grow_prefix(self, target: int) -> None:
         while self.false_to < target and not self._stuck:
@@ -887,9 +871,12 @@ class _Verdicts:
             lb = la + Fraction(2) ** self._width
             if self.engine.cell_false(la, lb):
                 self._log_false_to, self.false_to = lb, self.engine.floor_exp(lb)
-                self._width += 1
+                if self._grown:
+                    self._width += 1
+                self._grown = not self._grown
             elif self._width > _CELL_FLOOR:
                 self._width -= 1
+                self._grown = False
             else:
                 self._stuck = True
 
@@ -1041,8 +1028,6 @@ class EffectiveBounds:
                 f"d bumped from formula value {p.formula_d} to {p.d}: the "
                 "admissible rho interval was degenerate, no strict margin existed"
             )
-        # H_scan keeps its old wording so the report stays byte-stable; the
-        # failure at H-1 it names is re-checked in bounds_report.
         return {
             "input": {
                 "c": str(p.c),
@@ -1067,7 +1052,6 @@ class EffectiveBounds:
             "gamma": enc(self.gamma),
             "H": str(h),
             "H_predicate_false_at": str(h - 1),
-            "H_scan": f"binary-search candidate {h}; downward scan verified failure at {h - 1}",
             "H_lower": enc(self.H_lower),
             "degree_bound_formula": str(self.deg_bound_formula),
             "degree_bound_construction": str(p.d - 1),

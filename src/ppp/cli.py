@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / certified, 1 refuted, 2 usage or input error,
-3 internal disagreement between the two primary certifiers (a bug trap),
-4 undecided within resource limits: ``bounds`` hit its height cap, its
-precision ceiling or its J scan cap, and the message names the limit.
+3 internal error (a bug trap): the two primary certifiers disagree, or a
+re-check of a bound that ``bounds`` claims fails, 4 undecided within
+resource limits: ``bounds`` hit its height cap, its precision ceiling or
+its J scan cap, and the message names the limit.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ from .construct import construct_genuine, phi_geometric, phi_primorial, phi_tabl
 from .egfinv import egf_triple
 from .recur import (
     GuessBudget,
-    LeadingZeroError,
-    NonIntegralError,
     PolyRecurrence,
     apply_recurrence,
     guess_recurrence,
@@ -37,7 +36,7 @@ from .transforms import IntSequence, binomial_transform, inverse_binomial_transf
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
-EXIT_DISAGREE = 3
+EXIT_INTERNAL = 3
 EXIT_UNDECIDED = 4
 
 
@@ -70,7 +69,7 @@ def parse_sequence(text: str) -> IntSequence:
         # tolerate the unicode minus
         line = line.replace("−", "-")
         try:
-            terms.append(int(line))
+            terms.append(json_int(line))
         except ValueError as exc:
             raise InputError(f"line {lineno}: not an integer: {line!r}") from exc
     if not terms:
@@ -150,7 +149,7 @@ def cmd_certify(args) -> int:
             print(r.describe())
     if args.mode == "both" and reports[0].certified != reports[1].certified:
         print("internal error: direct and transform certifiers disagree", file=sys.stderr)
-        return EXIT_DISAGREE
+        return EXIT_INTERNAL
     return EXIT_OK if all(r.certified for r in reports) else EXIT_REFUTED
 
 
@@ -173,10 +172,7 @@ def _parse_phi(preset: str):
 
 def cmd_construct(args) -> int:
     phi = _parse_phi(args.phi)
-    try:
-        a, b, trace = construct_genuine(phi, args.n)
-    except (ValueError, TypeError) as exc:
-        raise InputError(str(exc)) from exc
+    a, b, trace = construct_genuine(phi, args.n)
     if args.trace:
         print("#     n  c  u  v  w  b  a")
         for st in trace.steps:
@@ -212,10 +208,7 @@ def _load_recurrence(path: str) -> PolyRecurrence:
 def cmd_guess(args) -> int:
     seq = _read_stdin_sequence(args)
     budget = GuessBudget(args.smax, args.dmax, args.margin)
-    try:
-        rec = guess_recurrence(seq, budget)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rec = guess_recurrence(seq, budget)
     if rec is None:
         print(_canonical_json({"found": False}))
         return EXIT_REFUTED
@@ -238,11 +231,7 @@ def cmd_verify(args) -> int:
 def cmd_apply(args) -> int:
     seq = _read_stdin_sequence(args)
     rec = _load_recurrence(args.recurrence)
-    try:
-        out = apply_recurrence(rec, seq, args.n)
-    except (LeadingZeroError, NonIntegralError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-    emit_sequence(out, sys.stdout)
+    emit_sequence(apply_recurrence(rec, seq, args.n), sys.stdout)
     return EXIT_OK
 
 
@@ -251,11 +240,8 @@ def cmd_bounds(args) -> int:
     if bits is None:
         bits = int(os.environ.get("PPP_PRECISION_BITS", "256"))
     ctx = bounds_mod.PrecisionCtx(bits=bits)
-    try:
-        delta = bounds_mod.Delta.parse(args.delta)
-        report = bounds_mod.bounds_report(_parse_fraction(args.c), delta, ctx)
-    except (bounds_mod.DomainError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    delta = bounds_mod.Delta.parse(args.delta)
+    report = bounds_mod.bounds_report(_parse_fraction(args.c), delta, ctx)
     print(_canonical_json(report.to_json_dict()))
     return EXIT_OK
 
@@ -344,6 +330,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_USAGE
     finally:

@@ -12,7 +12,7 @@ from ppp import cli
 from ppp.arith import primorial_table
 from ppp.bounds import (
     _HeightEngine,
-    _RunFacts,
+    _Run,
     _Verdicts,
     _decide_floor,
     _iv_frac,
@@ -302,14 +302,14 @@ def test_height_pinned_for_e_two_sevenths():
         "26e3c7bbacfb7bc7f4cc9373478401ce0988bb7fc845ee918b9a0c7dbcbdf25e"
     )
     assert json_sha256(rep) == (
-        "c0d3b9871a736112c4005f0bc6a3fa55de22fda0f2e0eddef7c2959c0a583124"
+        "44b73a1b23d81792066bff29eb64bb261c5db0407537fbeaca9c2ae44a65d761"
     )
 
 
 def test_report_json_pinned_for_five_quarters():
     rep = bounds_report(1, Fraction(5, 4), CTX)
     assert json_sha256(rep) == (
-        "7f339a5a3475fde225759a2321a9b81f321f6c1041075bb42dcc1425395382be"
+        "47b26d0f67d2be0f3b85520096519b8977ba72e0d7d26b2d1a96932c186a80ef"
     )
 
 
@@ -334,15 +334,18 @@ def test_height_cap_below_one_rejected():
 
 class RecordedSearch:
     """One ``_search_height`` run that records every exact predicate call,
-    every cell (in log h) proved false and every ``(h, verdict)`` used."""
+    the number of cell checks, every cell (in log h) proved false and every
+    ``(h, verdict)`` used."""
 
     def __init__(self, delta, ctx=CTX):
         self.engine = _HeightEngine(choose_parameters(1, delta, ctx), ctx)
         self.predicate, cell_false = self.engine.predicate, self.engine.cell_false
         self.evaluated, self.cells, self.used = [], [], []
+        self.cell_checks = 0
         self.engine.predicate = lambda h: self.evaluated.append(h) or self.predicate(h)
 
         def record_cell(la, lb):
+            self.cell_checks += 1
             false = cell_false(la, lb)
             if false:
                 self.cells.append((la, lb))
@@ -413,29 +416,58 @@ def test_heights_in_excluded_cells_fail(delta):
             drawn += 1
 
 
+def verdicts_with_falls(falls):
+    """A ``_Verdicts`` whose slope test answers ``falls`` at every height."""
+    verdicts = _Verdicts(_HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX))
+    verdicts.engine.falls = lambda r, h: falls
+    return verdicts
+
+
 def test_run_facts_place_false_heights_around_the_true_run():
-    run = _RunFacts(r=5, start=100, last=200)
-    run.add_false(120, 0)
-    assert (run.verdict(120), run.verdict(110), run.verdict(130)) == (False, None, None)
-    run.add_true(150)  # the true run lies above 120, so everything below fails
-    assert (run.verdict(110), run.verdict(130), run.verdict(150)) == (False, None, True)
-    run.add_true(170)
-    assert run.verdict(160) is True and run.verdict(175) is None
-    run.add_false(180, 1)
-    assert (run.verdict(175), run.verdict(190), run.verdict(200)) == (None, False, False)
-    run.add_false(140, -1)
-    assert run.verdict(130) is False and run.verdict(145) is None
+    verdicts = verdicts_with_falls(False)
+    run = _Run(r=5, start=100, last=200)
+    verdicts._learn(run, 100, True)  # the run of true heights starts at T_{r-1}
+    assert (run.verdict(100), run.verdict(101)) == (True, None)
+    verdicts._learn(run, 150, True)
+    assert (run.verdict(120), run.verdict(150), run.verdict(151)) == (True, True, None)
+    verdicts._learn(run, 180, False)  # ... so it ends below 180
+    assert (run.verdict(179), run.verdict(180), run.verdict(200)) == (None, False, False)
+    # Where T_{r-1} fails, a true height records nothing.
+    run = _Run(r=5, start=100, last=200)
+    verdicts._learn(run, 100, False)
+    verdicts._learn(run, 150, True)
+    verdicts._learn(run, 180, False)
+    assert all(run.verdict(h) is None for h in (100, 150, 160, 180, 200))
 
 
 def test_false_height_placed_by_the_slope_sign():
-    # Where f_r falls (sign -1), every larger height of the run fails too;
-    # where it rises (sign +1), every smaller one.
-    verdicts = _Verdicts(_HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX))
-    for sign in (-1, 1):
-        verdicts.engine.slope_sign = lambda r, h: sign
-        run = _RunFacts(r=5, start=100, last=200)
-        verdicts._learn(run, 150, False)
-        assert (run.verdict(120), run.verdict(180)) == ((None, False) if sign < 0 else (False, None))
+    # Where f_r falls, every larger height of the run fails too; where it
+    # rises (or the test is undecided), a false height records nothing.
+    for falls in (False, True):
+        run = _Run(r=5, start=100, last=200)
+        verdicts_with_falls(falls)._learn(run, 150, False)
+        assert (run.verdict(149), run.verdict(150), run.verdict(180)) == (
+            (None, False, False) if falls else (None, None, None))
+
+
+def test_falls_stays_false_where_the_slope_is_undecided():
+    # At 64 bits the sign of f_r' stays open on a band of heights around the
+    # top of f_r.  The first height where falls turns True lies past that
+    # band, so a 1024-bit evaluation proves the fall there too.
+    params = choose_parameters(1, Fraction(11, 10), CTX)
+    low = _HeightEngine(params, PrecisionCtx(bits=64))
+    high = _HeightEngine(params, PrecisionCtx(bits=1024))
+    r = _HeightEngine(params, CTX).r_of(247688789395926825625299)  # r(H)
+    lo, hi = 1, 2
+    while not low.falls(r, hi):
+        lo, hi = hi, hi * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if low.falls(r, mid):
+            hi = mid
+        else:
+            lo = mid
+    assert high.falls(r, hi)
 
 
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Delta.exp(Fraction(2, 7))])
@@ -447,7 +479,7 @@ def test_slope_sign_matches_a_difference_quotient(delta):
     for k in range(2, 3 * h_found.bit_length(), max(1, h_found.bit_length() // 40)):
         h = 2**k
         r = engine.r_of(h)
-        sign = engine.slope_sign(r, h)
+        falls = engine.falls(r, h)
         logh = engine._log_h(CTX.bits, h)
 
         def f(shift):  # f_r(log h + shift) for this fixed r
@@ -455,10 +487,29 @@ def test_slope_sign_matches_a_difference_quotient(delta):
             return r * d * L - engine.log_lhs(CTX.bits, r, L)
 
         rise = _lt(f(-step), f(step))
-        if sign and rise is not None:
-            assert rise is (sign > 0), (k, sign)
-            seen.add(sign)
-    assert -1 in seen
+        if rise is not None:
+            assert not (falls and rise), k
+            seen.add(falls)
+    assert True in seen
+
+
+@pytest.mark.parametrize("delta", [
+    Fraction(11, 10), Fraction(5, 4), Fraction(13, 10), Delta.exp(Fraction(2, 7)),
+])
+def test_questions_lie_between_earlier_answers(delta):
+    # The query order that lets a run keep only two facts (see _Verdicts).
+    search = RecordedSearch(delta)
+    search.run()
+    lo, hi = 0, math.inf
+    for h, verdict in search.used:
+        assert lo < h < hi, h
+        if verdict:
+            hi = h
+        else:
+            lo = h
+    # The only heights evaluated out of that order are run starts T_{r-1}.
+    starts = {run.start for run in search.verdicts._runs.values()}
+    assert set(search.evaluated) <= {h for h, _ in search.used} | starts
 
 
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
@@ -485,6 +536,7 @@ def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     assert h.bit_length() == 3845
     assert len(search.evaluated) <= 60  # the bisection alone asks 7689 heights
     assert len(search.used) == 7689
+    assert search.cell_checks <= 350  # failed checks included
 
 
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Delta.exp(Fraction(2, 7))])
@@ -510,15 +562,18 @@ def test_height_one_fails(c):
 
 # ``ppp bounds --c 1`` stdout SHA-256 for the deltas whose search is not
 # monotone near H (and e^1/2, the largest H of the nine).
-@pytest.mark.parametrize("text, digest", [
-    ("13/10", "94b7a20e478ef0092acaa554e2c2991df06bfe1e2543eb9941f906b4c2509d4f"),
-    ("e^1/4", "fe615aae417922fd7f15c74e97aac1559d49299f2db01a8e6d463096eb3d92a8"),
-    ("e^1/3", "4e471037850ecc9b7f8130e46eff63e5ba6dd64fe4c066ec0413f540779dc14d"),
-    ("e^7/20", "871b1d628c1478d6be270332de878c37dddefa444bfe3aff2a46a0150eb8a354"),
-    ("e^1/2", "d0ab856d4419419915e5f41ae007881306bbd53b558da93513b5fd9e46fcb9a8"),
-])
-def test_report_json_pinned(text, digest):
-    assert json_sha256(bounds_report(1, Delta.parse(text), CTX)) == digest
+REPORT_SHA256 = {
+    "13/10": "cf7def760607fbc21bbcf9ea0d58473b7fc50987ef1348369c6a5852b4fbdb6d",
+    "e^1/4": "baa67d072b17a940c045259542dbbdbecfd33dbd65f1f034a8ac6a0b57c12ea6",
+    "e^1/3": "fe2249cfce7ceef53d08176e6b9e75a68db0b80322babf29567023c6332b6aab",
+    "e^7/20": "8f87224059fc2eb983848d66bd07a797b3fec485669903193273ac58ca605cb5",
+    "e^1/2": "636e490e8bfcb79483dcb061bb713f199b338b17fbe353e29069320fe699e4d0",
+}
+
+
+@pytest.mark.parametrize("text", list(REPORT_SHA256))
+def test_report_json_pinned(text):
+    assert json_sha256(bounds_report(1, Delta.parse(text), CTX)) == REPORT_SHA256[text]
 
 
 def test_predicate_takes_log_h_once_at_working_precision():
@@ -557,5 +612,5 @@ def test_report_json_shape():
     float(back["rho"]["value"])  # renders as a decimal
     assert back["degeneracy_note"] == ""
     assert json_sha256(rep) == (
-        "f0ad26d3fa86ad76fffe99cc9adc53eea8cbacc1092461af4b2fc4acbe586c3a"
+        "38928243b7e50a155c48fee3f6f19d219300adfb9d8b4bc1dc75f7b00633083f"
     )

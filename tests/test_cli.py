@@ -133,6 +133,14 @@ def test_json_sequence_needs_exact_integers(text):
     assert r.stderr.startswith("error: bad JSON sequence")
 
 
+@pytest.mark.parametrize("text", ["1_000\n", "2\n\u0661\u0662\n", "\uff13\n"])
+def test_line_sequence_needs_ascii_integers(text):
+    # one rule for both formats: an optional sign and ASCII digits
+    r = run(["transform"], text)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: line ")
+
+
 def test_json_sequence_accepts_integers_and_base10_strings():
     r = run(["reindex", "--to", "0"], '{"offset": "2", "terms": [1, "-20", "+3", 40]}')
     assert r.returncode == 0
@@ -277,6 +285,7 @@ def test_bounds_cli_domain_error():
     (bounds.CapExceeded("violations persist at j=999999 near the cap 1000000"), 4),
     (ZeroDivisionError("division by zero"), 2),
     (ArithmeticError("other arithmetic failure"), 2),
+    (AssertionError("internal: the predicate holds at H-1, so H is not minimal"), 3),
 ])
 def test_bounds_exit_code_for_undecided(monkeypatch, capsys, exc, code):
     def fail(*args, **kwargs):
