@@ -75,37 +75,17 @@ def _tuple_to_fraction(t) -> Fraction:
 
 
 def _endpoints(x) -> tuple:
-    """Endpoints of an enclosure; an int is its own point enclosure."""
-    if isinstance(x, int):
-        t = libmp.from_int(x)
-        return t, t
+    """Endpoints of an enclosure, as mpf tuples."""
     return x._mpi_
 
 
-def _le(x, y) -> bool | None:
-    """Tri-state: True if surely x <= y, False if surely x > y, else None.
-
-    A Fraction is compared exactly, with an int on the other side.
-    """
-    if isinstance(x, Fraction) or isinstance(y, Fraction):
-        return x <= y
-    xa, xb = _endpoints(x)
-    ya, yb = _endpoints(y)
-    if libmp.mpf_le(xb, ya):
-        return True
-    if libmp.mpf_gt(xa, yb):
-        return False
-    return None
-
-
-def _lt(x, y) -> bool | None:
-    """Tri-state x < y, the negation of y <= x."""
-    y_le_x = _le(y, x)
-    return None if y_le_x is None else not y_le_x
-
-
 def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], object]):
-    """Run ``fn`` at increasing precision until it returns a value, not None."""
+    """Run ``fn`` at increasing precision until it returns a value, not None.
+
+    mpmath's interval comparisons already have that form: ``x < y`` is True
+    when it holds for every pair of enclosed points, False when it fails for
+    every pair, and None otherwise.
+    """
     bits = ctx.bits
     while True:
         value = fn(bits)
@@ -285,7 +265,7 @@ class PrecisionCtx:
 def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
     # exp form has 0 < ell < 1 by construction; rational form needs delta < e.
     if delta.kind == "rational":
-        if not _escalate(ctx, lambda bits: _lt(delta.iv(_ivc(bits)), _ivc(bits).e)):
+        if not _escalate(ctx, lambda bits: delta.iv(_ivc(bits)) < _ivc(bits).e):
             raise DomainError(f"delta must lie strictly below e, got {delta.label()}")
 
 
@@ -381,7 +361,7 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) 
             theta = c.mpf(0)
             for p in primes[:k]:
                 theta += c.log(c.mpf(p))
-            return _lt(theta, j * _log_e_minus(c, epsilon))
+            return theta < j * _log_e_minus(c, epsilon)
         return _escalate(ctx, attempt)
 
     theta = 0.0
@@ -412,7 +392,7 @@ def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     # epsilon < e - 1 so that e - epsilon > 1 and the comparison makes sense
-    if not _escalate(ctx, lambda bits: _lt(_iv_frac(_ivc(bits), epsilon), _ivc(bits).e - 1)):
+    if not _escalate(ctx, lambda bits: _iv_frac(_ivc(bits), epsilon) < _ivc(bits).e - 1):
         raise DomainError(f"epsilon must be below e - 1, got {epsilon}")
 
 
@@ -448,7 +428,7 @@ def _rho2_holds_strictly(delta: Delta, d: int, rho: Fraction, ctx: PrecisionCtx)
         return _in_ell(
             ctx, delta,
             lambda l, r: l * l * r * r + (2 * l - d * (1 - l)) * r + 1,
-            lambda q: _lt(q, 0),
+            lambda q: q < 0,
             rho,
         )
     except PrecisionExhausted:
@@ -463,7 +443,7 @@ def _rho1_holds(delta: Delta, d: int, rho: Fraction, epsilon: Fraction,
         ivc = _ivc(bits)
         r = _iv_frac(ivc, rho)
         lhs = (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
-        return _lt(lhs, d * r)
+        return lhs < d * r
     return _escalate(ctx, attempt)
 
 
@@ -498,7 +478,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         rho = _tuple_to_fraction(libmp.mpf_shift(mid, -1))
         if (
             rho > 0
-            and _in_ell(ctx, delta, lambda l, r: r * l, lambda v: _le(v, 1), rho)
+            and _in_ell(ctx, delta, lambda l, r: r * l, lambda v: v <= 1, rho)
             and _rho2_holds_strictly(delta, d, rho, ctx)
         ):
             break
@@ -617,16 +597,16 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         raise DomainError("x must be positive")
     epsilon = Fraction(epsilon)
     _check_epsilon_domain(ctx, epsilon)
-    if not _escalate(ctx, lambda bits: _lt(
-            _iv_frac(_ivc(bits), epsilon), _ivc(bits).e - delta.iv(_ivc(bits)))):
+    if not _escalate(ctx, lambda bits:
+            _iv_frac(_ivc(bits), epsilon) < _ivc(bits).e - delta.iv(_ivc(bits))):
         raise DomainError("epsilon must satisfy delta < e - epsilon")
 
     J = compute_J(epsilon, ctx)
     floor_j0 = _floor_j0(ctx, delta, epsilon, D)
 
     # The dilogarithm step in the tail estimate requires y = x*j0^D >= 1.
-    if not _escalate(ctx, lambda bits: _le(
-            1, _iv_frac(_ivc(bits), x) * _j0(_ivc(bits), delta, epsilon, D) ** D)):
+    if not _escalate(ctx, lambda bits:
+            1 <= _iv_frac(_ivc(bits), x) * _j0(_ivc(bits), delta, epsilon, D) ** D):
         raise DomainError(
             "bound requires x * j0^D >= 1 (the tail estimate is only valid there)"
         )
@@ -721,7 +701,7 @@ class _HeightEngine:
         u = self._log_x(pk, r, self._log_h(self.ctx.bits, h))
         sigma = 1 / (1 + ivc.exp(-u))
         slope = r * self.params.d - (pk.J + pk.F) * sigma - 2 * (u + pk.d_log_j0) / pk.lam
-        return _le(slope, 0) is True
+        return (slope <= 0) is True
 
     def cell_false(self, la: Fraction, lb: Fraction) -> bool:
         """True when the predicate provably fails at every h with la <= log h <= lb.
@@ -741,7 +721,7 @@ class _HeightEngine:
             _endpoints(self._log_x(pk, r_lo, la))[0],
             _endpoints(self._log_x(pk, r_hi, lb))[1],
         )
-        return _lt(r_hi * self.params.d * lb, pk.log_phi(u)) is True
+        return (r_hi * self.params.d * lb < pk.log_phi(u)) is True
 
     def floor_exp(self, L: Fraction) -> int:
         """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
@@ -756,34 +736,12 @@ class _HeightEngine:
         rd = r * self.params.d
         def attempt(bits: int):
             logh = logh0 if bits == self.ctx.bits else self._log_h(bits, h)
-            return _le(self.log_lhs(bits, r, logh), rd * logh)
+            return self.log_lhs(bits, r, logh) <= rd * logh
         return _escalate(self.ctx, attempt)
 
 
 # Smallest cell the false prefix tries, as a power of two: 2^-12 in log h.
 _CELL_FLOOR = -12
-
-
-class _Run:
-    """What one search proved about the heights h with one value r of r(h).
-
-    Every height in [start, last] is known to have this r; start = T_{r-1}.
-    The predicate holds on [start, true_to] and fails on [false_from, last],
-    each fact None until proved (see ``_Verdicts``).
-    """
-
-    __slots__ = ("r", "start", "last", "true_to", "false_from")
-
-    def __init__(self, r: int, start: int, last: int):
-        self.r, self.start, self.last = r, start, last
-        self.true_to = self.false_from = None
-
-    def verdict(self, h: int) -> bool | None:
-        if self.true_to is not None and h <= self.true_to:
-            return True
-        if self.false_from is not None and h >= self.false_from:
-            return False
-        return None
 
 
 class _Verdicts:
@@ -797,21 +755,23 @@ class _Verdicts:
       prefix first grows it by cells, doubling the width in log h after two
       successes in a row and halving it after a failure, until a cell of the
       floor width fails.
+    * Query order.  The doubling rises until its first true height;
+      bisection moves lo up on a false answer and hi down on a true one.  So
+      every later question lies above each height found false and below
+      each height found true.
     * Runs of one r.  For fixed r, f_r(L) = r d L - log_phi(u) with
       u = log(2cd) + log r + L + (r-1) ell is concave in L = log h, because
       log(1 + e^u) and (u + d log j0)^2 are convex.  So on [T_{r-1}, T_r - 1]
-      the predicate holds on one run of consecutive heights, and ``_Run``
-      keeps two facts.  Once it holds at T_{r-1}, a true height extends
-      [T_{r-1}, true_to], and a false one ends the run of true heights, so
-      every larger height of the run fails.  A false height where f_r
-      provably falls (``_HeightEngine.falls``) also fails with every larger
-      height.  The first query of a run evaluates T_{r-1}.
-    * Why two facts suffice.  The doubling rises until its first true
-      height; bisection moves lo up on a false answer and hi down on a true
-      one.  So every later question lies above each height found false and
-      below each height found true.  The only out-of-order evaluation is
-      T_{r-1}, the smallest height of its run.  A fact covering only heights
-      below a false answer, or above a true one, can never be used.
+      the predicate holds on one run of consecutive heights.  The first
+      question in a run evaluates T_{r-1}, and ``_starts`` keeps the verdict.
+    * Two heights.  Every later question at or below ``past_to`` fails, and
+      every later question at or above ``true_from`` holds.  A true answer
+      at h where T_{r-1} holds makes [T_{r-1}, h] true, and later questions
+      lie below h: true_from = T_{r-1}.  A false answer at h where T_{r-1}
+      holds, or where f_r provably falls (``_HeightEngine.falls``), makes
+      [h, T_r - 1] false, and later questions lie above h: past_to = T_r - 1.
+      So does a T_{r-1} that fails where f_r falls.  A true T_{r-1} alone
+      says nothing about the heights after it.
     """
 
     def __init__(self, engine: _HeightEngine):
@@ -821,49 +781,34 @@ class _Verdicts:
         self._width = 0  # log2 of the next cell's width in log h
         self._grown = False  # one cell of this width succeeded, the next doubles
         self._stuck = False
-        self._runs: dict[int, _Run] = {}
+        self.past_to = 0  # every later question <= past_to fails
+        self.true_from = math.inf  # every later question >= true_from holds
+        self._starts: dict[int, bool] = {}  # r -> the predicate at T_{r-1}
 
     def __call__(self, h: int) -> bool:
         self._grow_prefix(h)
-        if h <= self.false_to:
+        if h <= self.false_to or h <= self.past_to:
             return False
-        run = self._run_of(h)
-        holds = run.verdict(h)
-        if holds is None:
-            holds = self.engine.predicate(h)
-            self._learn(run, h, holds)
-        return holds
-
-    def _run_of(self, h: int) -> _Run:
-        """The facts on r(h); r(h) is computed only outside the known spans."""
-        for run in self._runs.values():
-            if run.start <= h <= run.last:
-                return run
+        if h >= self.true_from:
+            return True
         engine = self.engine
         r = engine.r_of(h)
-        run = self._runs.get(r)
-        if run is not None:
-            run.last = max(run.last, h)
-            return run
         start = engine.threshold(r - 1) if r > 1 else 1
-        run = self._runs[r] = _Run(r, start, h)
-        # r(T_{r-1} - 1) = r - 1, so adjacent runs meet
-        below, above = self._runs.get(r - 1), self._runs.get(r + 1)
-        if below is not None:
-            below.last = start - 1
-        if above is not None:
-            run.last = above.start - 1
-        if start < h:
-            self._learn(run, start, start > self.false_to and engine.predicate(start))
-        return run
-
-    def _learn(self, run: _Run, h: int, holds: bool) -> None:
-        """Record the verdict at a height no fact of ``run`` covers yet."""
-        if holds:
-            if h == run.start or run.true_to is not None:
-                run.true_to = h
-        elif run.true_to is not None or self.engine.falls(run.r, h):
-            run.false_from = h
+        start_holds = self._starts.get(r)
+        if start_holds is None:
+            start_holds = start > self.false_to and engine.predicate(start)
+            self._starts[r] = start_holds
+            if not start_holds and engine.falls(r, start):
+                self.past_to = engine.threshold(r) - 1  # the whole run fails
+                return False
+        if h == start:
+            return start_holds  # a true_from = h would never be used
+        holds = engine.predicate(h)
+        if holds and start_holds:
+            self.true_from = start
+        elif not holds and (start_holds or engine.falls(r, h)):
+            self.past_to = engine.threshold(r) - 1
+        return holds
 
     def _grow_prefix(self, target: int) -> None:
         while self.false_to < target and not self._stuck:
@@ -1072,9 +1017,9 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
 
     # invariants, re-checked at adverse rounding
     if not _rho2_holds_strictly(delta, params.d, params.rho, ctx):
-        raise PrecisionExhausted("internal: rho lost its strict margin")
+        raise AssertionError("internal: rho lost its strict margin")
     if not _rho1_holds(delta, params.d, params.rho, params.epsilon, ctx):
-        raise PrecisionExhausted("internal: epsilon lost its strict margin")
+        raise AssertionError("internal: epsilon lost its strict margin")
     if engine.predicate(h - 1):
         raise AssertionError("internal: the predicate holds at H-1, so H is not minimal")
 

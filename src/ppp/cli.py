@@ -50,6 +50,12 @@ class InputError(Exception):
 # or base-10 strings.
 
 
+def integer(text: str) -> int:
+    """One integer line or option: stripped, the unicode minus read as '-',
+    then an optional sign and ASCII digits (``json_int``)."""
+    return json_int(text.strip().replace("−", "-"))
+
+
 def parse_sequence(text: str) -> IntSequence:
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -66,10 +72,8 @@ def parse_sequence(text: str) -> IntSequence:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        # tolerate the unicode minus
-        line = line.replace("−", "-")
         try:
-            terms.append(json_int(line))
+            terms.append(integer(line))
         except ValueError as exc:
             raise InputError(f"line {lineno}: not an integer: {line!r}") from exc
     if not terms:
@@ -238,7 +242,11 @@ def cmd_apply(args) -> int:
 def cmd_bounds(args) -> int:
     bits = args.precision
     if bits is None:
-        bits = int(os.environ.get("PPP_PRECISION_BITS", "256"))
+        text = os.environ.get("PPP_PRECISION_BITS", "256")
+        try:
+            bits = integer(text)
+        except ValueError as exc:
+            raise InputError(f"PPP_PRECISION_BITS: {exc}") from exc
     ctx = bounds_mod.PrecisionCtx(bits=bits)
     delta = bounds_mod.Delta.parse(args.delta)
     report = bounds_mod.bounds_report(_parse_fraction(args.c), delta, ctx)
@@ -258,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="print primorial or lcm prefixes")
     p.add_argument("--kind", choices=["primorial", "lcm"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(fn=cmd_sieve)
 
     p = sub.add_parser("transform", help="binomial transform (stdin -> stdout)")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_inverse_transform)
 
     p = sub.add_parser("reindex", help="relabel a sequence's starting index")
-    p.add_argument("--to", type=int, default=0)
+    p.add_argument("--to", type=integer, default=0)
     p.set_defaults(fn=cmd_reindex)
 
     p = sub.add_parser("certify", help="congruence/divisibility certification")
@@ -280,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a genuine sequence above a growth target")
     p.add_argument("--phi", required=True,
                    help="primorial | geometric:NUM/DEN | file:PATH")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--emit", choices=["a", "b"], default="a")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=cmd_construct)
@@ -289,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_egf_invert)
 
     p = sub.add_parser("guess", help="guess a polynomial-coefficient recurrence")
-    p.add_argument("--smax", type=int, required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--margin", type=int, default=10)
+    p.add_argument("--smax", type=integer, required=True)
+    p.add_argument("--dmax", type=integer, required=True)
+    p.add_argument("--margin", type=integer, default=10)
     p.set_defaults(fn=cmd_guess)
 
     p = sub.add_parser("verify", help="verify a recurrence against a sequence")
@@ -301,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="extend a sequence by a recurrence")
     p.add_argument("--recurrence", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("bounds", help="effective recurrence-size bounds report")
     p.add_argument("--c", required=True, help="growth constant, NUM/DEN")
     p.add_argument("--delta", required=True, help="growth base, NUM/DEN or e^NUM/DEN")
-    p.add_argument("--precision", type=int, default=None,
+    p.add_argument("--precision", type=integer, default=None,
                    help="working precision bits (default 256 or PPP_PRECISION_BITS)")
     p.set_defaults(fn=cmd_bounds)
 

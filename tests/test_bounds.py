@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import math
@@ -12,13 +13,11 @@ from ppp import cli
 from ppp.arith import primorial_table
 from ppp.bounds import (
     _HeightEngine,
-    _Run,
     _Verdicts,
     _decide_floor,
     _iv_frac,
     _iv_int,
     _ivc,
-    _lt,
     _search_height,
     CapExceeded,
     Delta,
@@ -286,8 +285,8 @@ def test_r_threshold_matches_floor_route():
     k, t = 679, engine._thresholds[679]
     ivc = _ivc(2 * t.bit_length())
     jump = ivc.exp(_iv_frac(ivc, Fraction(k) / params.rho))
-    assert _lt(_iv_int(ivc, t - 1), jump) is True
-    assert _lt(jump, _iv_int(ivc, t)) is True
+    assert (_iv_int(ivc, t - 1) < jump) is True
+    assert (jump < _iv_int(ivc, t)) is True
     for h, r in ((1, 1), (2, 2), (t - 1, k), (t, k + 1), (t + 1, k + 1)):
         floor_route = _decide_floor(
             CTX, lambda c: _iv_frac(c, params.rho) * c.log(_iv_int(c, h))
@@ -416,38 +415,130 @@ def test_heights_in_excluded_cells_fail(delta):
             drawn += 1
 
 
-def verdicts_with_falls(falls):
-    """A ``_Verdicts`` whose slope test answers ``falls`` at every height."""
-    verdicts = _Verdicts(_HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX))
-    verdicts.engine.falls = lambda r, h: falls
-    return verdicts
+class FakeEngine:
+    """The part of ``_HeightEngine`` that ``_Verdicts`` uses, over small heights.
+
+    ``starts`` are the thresholds T_1 < T_2 < ... (T_0 = 1), so run r is
+    [T_{r-1}, T_r - 1].  ``true[r]`` is the run's interval of true heights
+    (empty when its ends cross), ``falls_from[r]`` the first height where the
+    slope test succeeds: at or past the run's peak, as for a concave f_r.
+    """
+
+    def __init__(self, starts, true, falls_from, h_cap_log2=16):
+        self.ctx = PrecisionCtx(h_cap_log2=h_cap_log2)
+        self.T = [1, *starts]
+        self.true, self.falls_from = true, falls_from
+        self.evaluated = []
+
+    @classmethod
+    def random(cls, seed):
+        rng = random.Random(seed)
+        empty = rng.choice([0.1, 0.5, 0.9])  # share of runs with no true height
+        T = [1]
+        while T[-1] <= 2**17:
+            T.append(T[-1] + rng.choice([1, 2, rng.randint(1, 64), rng.randint(1, T[-1])]))
+        true, falls_from = {}, {}
+        for r in range(1, len(T)):
+            lo, hi = T[r - 1], T[r] - 1
+            a = hi + 1 if rng.random() < empty else rng.choice([lo, rng.randint(lo, hi)])
+            a = max(a, 2)  # h = 1 fails
+            b = rng.randint(a - 1, hi) if a <= hi else a - 1
+            peak = rng.randint(a, b) if a <= b else rng.randint(lo - 2, hi + 2)
+            true[r] = (a, b)
+            falls_from[r] = peak + rng.choice([0, 1, rng.randint(0, hi - lo + 1)])
+        return cls(T[1:], true, falls_from, rng.choice([16, rng.randint(1, 16)]))
+
+    def r_of(self, h):
+        return bisect.bisect_right(self.T, h)
+
+    def threshold(self, k):
+        return self.T[k]
+
+    def holds(self, h):
+        a, b = self.true[self.r_of(h)]
+        return a <= h <= b
+
+    def predicate(self, h):
+        self.evaluated.append(h)
+        return self.holds(h)
+
+    def falls(self, r, h):
+        assert r == self.r_of(h)
+        return h >= self.falls_from[r]
+
+    def cell_false(self, la, lb):
+        # Widened by one height on each side, so float rounding stays safe.
+        h_lo = max(1, math.floor(math.exp(la)) - 1)
+        h_hi = math.ceil(math.exp(lb)) + 1
+        return not any(a <= min(b, h_hi) and max(a, h_lo) <= b for a, b in self.true.values())
+
+    def floor_exp(self, L):
+        return max(1, math.floor(math.exp(L) * (1 - 1e-12)))
+
+
+def small_engine(true, falls_from=201):
+    """The run [100, 200] with r = 2; the predicate holds on [50, 60] in the
+    run below it (so no cell passes 49) and nowhere above it."""
+    return FakeEngine([100, 201], {1: (50, 60), 2: true, 3: (202, 201)},
+                      {1: 55, 2: falls_from, 3: 201})
 
 
 def test_run_facts_place_false_heights_around_the_true_run():
-    verdicts = verdicts_with_falls(False)
-    run = _Run(r=5, start=100, last=200)
-    verdicts._learn(run, 100, True)  # the run of true heights starts at T_{r-1}
-    assert (run.verdict(100), run.verdict(101)) == (True, None)
-    verdicts._learn(run, 150, True)
-    assert (run.verdict(120), run.verdict(150), run.verdict(151)) == (True, True, None)
-    verdicts._learn(run, 180, False)  # ... so it ends below 180
-    assert (run.verdict(179), run.verdict(180), run.verdict(200)) == (None, False, False)
-    # Where T_{r-1} fails, a true height records nothing.
-    run = _Run(r=5, start=100, last=200)
-    verdicts._learn(run, 100, False)
-    verdicts._learn(run, 150, True)
-    verdicts._learn(run, 180, False)
-    assert all(run.verdict(h) is None for h in (100, 150, 160, 180, 200))
+    verdicts = _Verdicts(small_engine((100, 150)))
+    assert verdicts(150) is True  # T_{r-1} = 100 holds, so [100, 150] holds
+    assert (verdicts.true_from, verdicts.past_to) == (100, 0)
+    assert verdicts.engine.evaluated == [100, 150]
+    verdicts = _Verdicts(small_engine((100, 150)))
+    assert verdicts(180) is False  # ... and the true heights end below 180
+    assert (verdicts.true_from, verdicts.past_to) == (math.inf, 200)
+    # Where T_{r-1} fails, neither answer proves anything about other heights.
+    verdicts = _Verdicts(small_engine((120, 150)))
+    assert verdicts(150) is True and verdicts(130) is True
+    assert (verdicts.true_from, verdicts.past_to) == (math.inf, 0)
+    verdicts = _Verdicts(small_engine((120, 150)))
+    assert verdicts(180) is False
+    assert (verdicts.true_from, verdicts.past_to) == (math.inf, 0)
 
 
 def test_false_height_placed_by_the_slope_sign():
     # Where f_r falls, every larger height of the run fails too; where it
     # rises (or the test is undecided), a false height records nothing.
-    for falls in (False, True):
-        run = _Run(r=5, start=100, last=200)
-        verdicts_with_falls(falls)._learn(run, 150, False)
-        assert (run.verdict(149), run.verdict(150), run.verdict(180)) == (
-            (None, False, False) if falls else (None, None, None))
+    for falls_from in (160, 181):
+        verdicts = _Verdicts(small_engine((120, 150), falls_from))
+        assert verdicts(180) is False
+        assert verdicts.past_to == (200 if falls_from <= 180 else 0)
+    # A T_{r-1} that fails where f_r falls decides the whole run unevaluated.
+    verdicts = _Verdicts(small_engine((2, 1), falls_from=100))
+    assert verdicts(180) is False and verdicts.past_to == 200
+    assert verdicts.engine.evaluated == [100]
+
+
+def test_verdicts_match_plain_search_on_random_runs():
+    # A reference for the verdict layer: on 300 random arrangements of runs
+    # and true intervals, the search answered from facts finds the height
+    # that plain doubling and bisection on the predicate finds, and every
+    # verdict it used is exact.
+    outcomes = set()
+    for seed in range(300):
+        engine = FakeEngine.random(seed)
+        try:
+            expected = _search_height(engine, engine.holds)
+        except SearchExceeded:
+            expected = None
+        verdicts, used = _Verdicts(engine), []
+
+        def holds(h):
+            used.append((h, verdicts(h)))
+            return used[-1][1]
+
+        try:
+            found = _search_height(engine, holds)
+        except SearchExceeded:
+            found = None
+        assert found == expected, seed
+        assert all(engine.holds(h) is verdict for h, verdict in used), seed
+        outcomes.add(expected is None)
+    assert outcomes == {False, True}
 
 
 def test_falls_stays_false_where_the_slope_is_undecided():
@@ -486,7 +577,7 @@ def test_slope_sign_matches_a_difference_quotient(delta):
             L = logh + _iv_frac(ivc, shift)
             return r * d * L - engine.log_lhs(CTX.bits, r, L)
 
-        rise = _lt(f(-step), f(step))
+        rise = f(-step) < f(step)
         if rise is not None:
             assert not (falls and rise), k
             seen.add(falls)
@@ -508,7 +599,7 @@ def test_questions_lie_between_earlier_answers(delta):
         else:
             lo = h
     # The only heights evaluated out of that order are run starts T_{r-1}.
-    starts = {run.start for run in search.verdicts._runs.values()}
+    starts = {search.engine.threshold(r - 1) for r in search.verdicts._starts if r > 1}
     assert set(search.evaluated) <= {h for h, _ in search.used} | starts
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -141,6 +142,23 @@ def test_line_sequence_needs_ascii_integers(text):
     assert r.stderr.startswith("error: line ")
 
 
+@pytest.mark.parametrize("args, env", [
+    (["sieve", "--kind", "primorial", "--n", "1_0"], {}),
+    (["sieve", "--kind", "primorial", "--n", "\u0665"], {}),
+    (["reindex", "--to", "1_0"], {}),
+    (["construct", "--phi", "primorial", "--n", "\uff15"], {}),
+    (["guess", "--smax", "2", "--dmax", "2", "--margin", "1_0"], {}),
+    (["bounds", "--c", "1", "--delta", "11/10", "--precision", "\uff16\uff14"], {}),
+    (["bounds", "--c", "1", "--delta", "11/10"], {"PPP_PRECISION_BITS": "3_20"}),
+])
+def test_integer_options_need_ascii_integers(args, env):
+    # the line rule again: an optional sign and ASCII digits
+    r = subprocess.run(CMD + args, input="1\n2\n", capture_output=True, text=True,
+                       env={**os.environ, **env}, timeout=300)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "integer" in r.stderr
+
+
 def test_json_sequence_accepts_integers_and_base10_strings():
     r = run(["reindex", "--to", "0"], '{"offset": "2", "terms": [1, "-20", "+3", 40]}')
     assert r.returncode == 0
@@ -259,7 +277,6 @@ def test_bounds_cli_and_env_precision():
     assert d["H"] == "247688789395926825625299"
     assert d["input"]["precision_bits"] == "256"
     env = {"PPP_PRECISION_BITS": "320"}
-    import os
     r2 = subprocess.run(
         CMD + ["bounds", "--c", "1", "--delta", "11/10"],
         capture_output=True, text=True, env={**os.environ, **env}, timeout=300,
@@ -293,6 +310,25 @@ def test_bounds_exit_code_for_undecided(monkeypatch, capsys, exc, code):
     monkeypatch.setattr(bounds, "bounds_report", fail)
     assert cli.main(["bounds", "--c", "1", "--delta", "3/2"]) == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("check", ["_rho2_holds_strictly", "_rho1_holds"])
+def test_bounds_lost_margin_is_a_bug_trap(monkeypatch, capsys, check):
+    # choose_parameters verifies each margin and bounds_report re-checks it;
+    # a re-check that fails is a bug (exit 3), not a resource limit (exit 4).
+    holds, verified = getattr(bounds, check), []
+
+    def recheck_fails(*args):
+        if verified:
+            return False
+        ok = holds(*args)
+        if ok:
+            verified.append(args)
+        return ok
+
+    monkeypatch.setattr(bounds, check, recheck_fails)
+    assert cli.main(["bounds", "--c", "1", "--delta", "11/10"]) == 3
+    assert "lost its strict margin" in capsys.readouterr().err
 
 
 def test_deterministic_outputs():
