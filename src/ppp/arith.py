@@ -5,6 +5,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
+from typing import Iterator
 
 # Sieve limits must fit in a signed 64-bit word; larger requests are an
 # explicit error, never a silent truncation.
@@ -33,6 +34,34 @@ def primes_up_to(n: int) -> PrimeTable:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
     return PrimeTable(n, tuple(itertools.compress(range(n + 1), sieve)))
+
+
+def prime_segments(n: int, size: int = 1 << 17) -> Iterator[tuple[int, ...]]:
+    """Every prime <= n in increasing order, as non-empty tuples.
+
+    A segmented sieve of Eratosthenes over the odd numbers, ``size`` of them
+    per window: it holds the primes up to sqrt(n) and one window, never all
+    primes <= n.
+    """
+    if n < 0:
+        raise ValueError("limit must be a natural number")
+    if n > SIEVE_LIMIT_CAP:
+        raise ValueError(f"sieve limit {n} exceeds the 64-bit cap {SIEVE_LIMIT_CAP}")
+    odd_base = primes_up_to(math.isqrt(n)).primes[1:]
+    for lo in range(1, n + 1, 2 * size):  # the window holds the odd lo <= m <= min(hi, n)
+        hi = min(lo + 2 * size, n + 1)
+        window = bytearray([1]) * len(range(lo, hi, 2))
+        for p in odd_base:
+            if p * p >= hi:
+                break
+            first = max(p * p, -(-lo // p) * p)
+            first += p * (first % 2 == 0)  # the first odd multiple
+            window[(first - lo) // 2 :: p] = bytes(len(range(first, hi, 2 * p)))
+        primes = tuple(itertools.compress(range(lo, hi, 2), window))
+        if lo == 1:
+            primes = (2,) + primes[1:] if n >= 2 else ()  # 1 is not prime, 2 is
+        if primes:
+            yield primes
 
 
 def is_prime(n: int) -> bool:

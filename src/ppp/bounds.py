@@ -20,7 +20,7 @@ import mpmath
 import mpmath.libmp as libmp
 from mpmath import ctx_iv
 
-from .arith import primes_up_to
+from .arith import SIEVE_LIMIT_CAP, prime_segments
 
 
 class DomainError(ValueError):
@@ -36,7 +36,7 @@ class SearchExceeded(ArithmeticError):
 
 
 class CapExceeded(ArithmeticError):
-    """Primorial-growth violations persist too close to the scan cap."""
+    """The proof of J(epsilon) needs a tail point beyond the J limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,7 @@ class PrecisionCtx:
 
     bits: int = 256
     max_bits: int = 1 << 15
-    j_cap: int = 10**6
+    j_cap: int = 4 * 10**6
     h_cap_log2: int = 16384
 
     def __post_init__(self):
@@ -320,72 +320,175 @@ def degree_bound_formula(delta, ctx: PrecisionCtx | None = None) -> int:
 # J(epsilon): primorial growth threshold
 
 
-_J_CACHE: dict[tuple[Fraction, int], int] = {}
+@dataclass(frozen=True)
+class ChebyshevBound:
+    """theta(x) > x (1 - a / log(x)^k) for every real x >= start."""
+
+    a: Fraction
+    k: int
+    start: int
+    citation: str
+
+    def closes(self, ctx: PrecisionCtx, log_base: Callable, x: int) -> bool:
+        """x (1 - a / log(x)^k) >= (x+1) log_base, decided by enclosures.
+
+        The margin m(x) = x (1 - log_base - a / log(x)^k) - log_base rises
+        wherever it is >= 0 (then 1 - log_base - a / log(x)^k > 0 and grows
+        with x, and the derivative is that plus a k / log(x)^(k+1)).  So it
+        closes at every x' >= x as soon as it closes at x >= start.
+        """
+        def attempt(bits: int):
+            ivc = _ivc(bits)
+            lx = ivc.log(_iv_int(ivc, x))
+            lower = x * (1 - _iv_frac(ivc, self.a) / lx**self.k)
+            return lower >= (x + 1) * log_base(ivc)
+        return _escalate(ctx, attempt)
 
 
-def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> int:
-    """Largest j <= cap with primorial(j-1) < (e - epsilon)^j; 0 if none.
+# The tail theorems, each quoted with its source.
+ROSSER_SCHOENFELD = ChebyshevBound(
+    Fraction(1, 2), 1, 563,
+    "Rosser & Schoenfeld 1962 (Illinois J. Math. 6), Theorem 4: "
+    "theta(x) > x(1 - 1/(2 log x)) for x >= 563",
+)
+DUSART = ChebyshevBound(
+    Fraction(1, 5), 2, 3_594_641,
+    "Dusart 2010 (arXiv:1002.0442): |theta(x) - x| < 0.2 x/log^2 x for x >= 3594641",
+)
+
+# CPython's math.log is the C library's log, which no standard bounds; the
+# band below assumes it errs by at most this many units in the last place
+# (glibc and musl stay within one, and a test checks the running one).
+_LOG_ULPS = 1 << 10
+
+# Primes per block of the J scan; a block whose first sum already exceeds
+# its last j L is passed over in one step.
+_BLOCK = 64
+
+
+@dataclass(frozen=True)
+class JScan:
+    """J(epsilon) and the tail theorem that ends its scan at x0."""
+
+    J: int
+    tail: ChebyshevBound
+    x0: int
+
+
+_J_CACHE: dict[Fraction, JScan] = {}
+
+
+def _tail_point(ctx: PrecisionCtx, log_base: Callable) -> tuple[ChebyshevBound, int | None]:
+    """The tail theorem to use and its least closing x0 >= its start.
+
+    Rosser-Schoenfeld when it closes by Dusart's start, else Dusart, which
+    is the stronger bound from there on.  x0 is None when it would exceed
+    the 64-bit sieve limit.
+    """
+    tail = ROSSER_SCHOENFELD if ROSSER_SCHOENFELD.closes(ctx, log_base, DUSART.start) else DUSART
+    lo = hi = tail.start
+    while not tail.closes(ctx, log_base, hi):
+        if hi >= SIEVE_LIMIT_CAP:
+            return tail, None
+        lo, hi = hi, min(2 * hi, SIEVE_LIMIT_CAP)
+    while hi - lo > 1:  # closes at hi, not at lo
+        mid = (lo + hi) // 2
+        if tail.closes(ctx, log_base, mid):
+            hi = mid
+        else:
+            lo = mid
+    return tail, hi
+
+
+def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> JScan:
+    """J(epsilon), the largest j with primorial(j-1) < (e - epsilon)^j, with
+    the proof that no larger j qualifies.
+
+    Write L = log(e - epsilon) and theta(x) = log primorial(x).  j qualifies
+    when theta(j-1) < j L.  The tail theorem closes at x0 (``_tail_point``):
+    theta(x) >= (x+1) L for every x >= x0, so no j > x0 qualifies.  The scan
+    covers j <= x0, and raises CapExceeded when x0 exceeds ``cap`` (default
+    ``ctx.j_cap``), a resource limit.
 
     Only the ends of prime gaps are candidates: for j-1 in a gap [p, q),
-    theta(j-1) = log primorial(j-1) stays theta(p) while j*log(e - epsilon)
-    grows, so a violation anywhere in the gap makes its end j = q (or j = cap
-    in the last gap) a violation too.  Each candidate's comparison is
-    certified (float fast path with a generous borderline band re-checked by
-    enclosures), but the claim that no violation exists beyond the cap rests
-    on the prime-counting heuristic: the top 10% of the scanned range must be
-    violation-free, else CapExceeded.
+    theta(j-1) stays theta(p) while j L grows, so a qualifying j in the gap
+    makes its end j = q (or j = x0 in the last gap) qualify too.
+
+    Each candidate is decided in floats when a band shows the verdict, else
+    by enclosures.  After n terms, recursive float summation of log p with
+    per-term error at most m ulps errs by at most (n + m) u theta (1 + O(nu)),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    §4.2).  The rounded j L and the subtraction add 2u (theta + j L) more.
+    The band 2 (n + m) u (theta + j) covers both, with m = ``_LOG_ULPS``.
     """
     ctx = ctx or PrecisionCtx()
     epsilon = Fraction(epsilon)
     cap = cap if cap is not None else ctx.j_cap
-    if cap < 10:
-        raise ValueError("scan cap too small to be meaningful")
-    key = (epsilon, cap)
-    if key in _J_CACHE:
-        return _J_CACHE[key]
+    scan = _J_CACHE.get(epsilon)
+    if scan is None:
+        _check_epsilon_domain(ctx, epsilon)
+        log_base = lambda ivc: _log_e_minus(ivc, epsilon)
+        tail, x0 = _tail_point(ctx, log_base)
+    else:
+        tail, x0 = scan.tail, scan.x0
+    if x0 is None or x0 > cap:
+        needed = f"x0 = {x0}" if x0 is not None else "x0 > 2^63 - 1"
+        raise CapExceeded(
+            f"the J(epsilon) tail proof needs {needed}, beyond the J limit {cap} "
+            f"({tail.citation})"
+        )
+    if scan is None:
+        scan = _J_CACHE[epsilon] = JScan(_scan_to(ctx, log_base, x0), tail, x0)
+    return scan
 
-    _check_epsilon_domain(ctx, epsilon)
-    # float bounds for log(e - epsilon), padded outward
-    lo_t, hi_t = _endpoints(_log_e_minus(_ivc(ctx.bits), epsilon))
+
+def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> int:
+    """J(epsilon), proved by ``scan_J``; CapExceeded when its proof needs more than ``cap``."""
+    return scan_J(epsilon, ctx, cap).J
+
+
+def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
+    """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``)."""
+    # float bounds for L, padded outward
+    lo_t, hi_t = _endpoints(log_base(_ivc(ctx.bits)))
     le_lo = math.nextafter(float(_tuple_to_fraction(lo_t)), -math.inf)
     le_hi = math.nextafter(float(_tuple_to_fraction(hi_t)), math.inf)
 
-    primes = primes_up_to(cap).primes
-    # ends[k] closes the gap whose theta is the sum over the first k primes
-    ends = primes if primes[-1] == cap else primes + (cap,)
+    def band(theta: float, j: int, n: int) -> float:
+        return (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
 
-    def certified_violation(j: int, k: int) -> bool:
-        # exact re-check: theta(j-1) < j * log(e - epsilon)
-        def attempt(bits: int):
+    def surely_fails(theta: float, j: int, n: int) -> bool:
+        return theta - band(theta, j, n) > j * le_hi
+
+    def qualifies(theta: float, j: int, n: int) -> bool:
+        if surely_fails(theta, j, n):
+            return False
+        if theta + band(theta, j, n) < j * le_lo:
+            return True
+        def attempt(bits: int):  # exact re-check: theta(j-1) < j L
             c = _ivc(bits)
-            theta = c.mpf(0)
-            for p in primes[:k]:
-                theta += c.log(c.mpf(p))
-            return theta < j * _log_e_minus(c, epsilon)
+            exact = c.mpf(0)
+            for primes in prime_segments(j - 1):
+                for p in primes:
+                    exact += c.log(c.mpf(p))
+            return exact < j * log_base(c)
         return _escalate(ctx, attempt)
 
-    theta = 0.0
-    largest = 0
-    # Accumulated float error over <= pi(cap) additions stays far below the
-    # 1e-9 relative borderline band used here.
-    for k, j in enumerate(ends):
-        if k:
-            theta += math.log(primes[k - 1])
-        slack = 1e-9 * (theta + j + 1)
-        if theta - slack > j * le_hi:
-            continue  # surely satisfied
-        if theta + slack < j * le_lo:
-            largest = j  # surely violated
-            continue
-        if certified_violation(j, k):
-            largest = j
-    if largest > (9 * cap) // 10:
-        raise CapExceeded(
-            f"violations persist at j={largest} near the cap {cap}; "
-            "raise the cap to trust this epsilon"
-        )
-    _J_CACHE[key] = largest
-    return largest
+    theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
+    for segment in prime_segments(x0 - 1):
+        for i in range(0, len(segment), _BLOCK):
+            primes = segment[i : i + _BLOCK]
+            # Each candidate here has theta(j-1) >= theta and j <= primes[-1].
+            if surely_fails(theta, primes[-1], n):
+                theta += sum(map(math.log, primes))
+                n += len(primes)
+                continue
+            for p in primes:
+                if qualifies(theta, p, n):
+                    largest = p
+                theta += math.log(p)
+                n += 1
+    return x0 if qualifies(theta, x0, n) else largest
 
 
 def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
@@ -947,7 +1050,7 @@ class EffectiveBounds:
 
     params: Parameters
     ctx: PrecisionCtx
-    J: int
+    j_scan: JScan
     gamma: Enclosure
     H: int
     H_lower: Enclosure
@@ -956,6 +1059,10 @@ class EffectiveBounds:
     diag_alpha: Enclosure | None
     diag_beta: Enclosure | None
     diag_H_upper: Enclosure | None
+
+    @property
+    def J(self) -> int:
+        return self.j_scan.J
 
     def to_json_dict(self) -> dict:
         def enc(e: Enclosure | None):
@@ -986,7 +1093,7 @@ class EffectiveBounds:
             "J": str(self.J),
             "j_scan": {
                 "cap": str(self.ctx.j_cap),
-                "pnt_heuristic": True,
+                "tail": {"theorem": self.j_scan.tail.citation, "x0": str(self.j_scan.x0)},
             },
             "d": str(p.d),
             "d_from_formula": str(p.formula_d),
@@ -1042,7 +1149,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
     return EffectiveBounds(
         params=params,
         ctx=ctx,
-        J=engine.J,
+        j_scan=scan_J(params.epsilon, ctx),
         gamma=Enclosure.from_iv(gamma),
         H=h,
         H_lower=h_lower,

@@ -12,6 +12,7 @@ from ppp.arith import (
     lcm_table,
     lcm_to,
     lucas_binomial_mod,
+    prime_segments,
     primes_up_to,
     primorial,
     primorial_table,
@@ -45,6 +46,18 @@ def test_primes_table_invariants():
 def test_sieve_cap():
     with pytest.raises(ValueError):
         primes_up_to(SIEVE_LIMIT_CAP + 1)
+    for n in (-1, SIEVE_LIMIT_CAP + 1):
+        with pytest.raises(ValueError):
+            list(prime_segments(n))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 1 << 17])
+def test_prime_segments_match_the_sieve(size):
+    # window edges fall on primes, squares of primes and the limit itself
+    for n in (*range(12), 25, 49, 121, 5000, 8 * size + 1):
+        segments = list(prime_segments(n, size))
+        assert all(segments)
+        assert [p for s in segments for p in s] == list(primes_up_to(n).primes)
 
 
 def test_primorial_examples():

@@ -1,5 +1,7 @@
 import bisect
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -9,9 +11,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ppp import cli
-from ppp.arith import primorial_table
+from ppp import bounds, cli
+from ppp.arith import is_prime, prime_segments, primes_up_to, primorial_table
 from ppp.bounds import (
+    DUSART,
+    ROSSER_SCHOENFELD,
+    _LOG_ULPS,
     _HeightEngine,
     _Verdicts,
     _decide_floor,
@@ -32,6 +37,7 @@ from ppp.bounds import (
     compute_J,
     degree_bound_formula,
     phi_upper_bound,
+    scan_J,
 )
 
 CTX = PrecisionCtx()
@@ -106,11 +112,119 @@ def test_j_monotone_in_epsilon():
     assert js == sorted(js, reverse=True)
 
 
-@pytest.mark.parametrize("cap", [2000, 1999])  # 1999 is prime
+def tail_margin(bound, eps, x):
+    """x (1 - a / log(x)^k) - (x+1) log(e - eps), at 60 digits."""
+    with mpmath.workdps(60):
+        a = mpmath.mpf(bound.a.numerator) / bound.a.denominator
+        base = mpmath.e - mpmath.mpf(eps.numerator) / eps.denominator
+        return x * (1 - a / mpmath.log(x) ** bound.k) - (x + 1) * mpmath.log(base)
+
+
+@pytest.mark.parametrize("cap", [2000, 1999])
 def test_j_cap_exceeded_for_tiny_epsilon(cap):
-    eps = Fraction(1, 10**6)
-    with pytest.raises(CapExceeded, match=f"at j={brute_force_J(eps, cap)} "):
+    # For eps = 1/10 Rosser-Schoenfeld closes near 6*10^5: a smaller limit
+    # raises and names the least closing point.
+    eps = Fraction(1, 10)
+    with pytest.raises(CapExceeded, match=rf"needs x0 = (\d+), beyond the J limit {cap} ") as err:
         compute_J(eps, CTX, cap=cap)
+    x0 = int(err.value.args[0].split("x0 = ")[1].split(",")[0])
+    rs = ROSSER_SCHOENFELD
+    assert tail_margin(rs, eps, x0) >= 0 > tail_margin(rs, eps, x0 - 1)
+    assert scan_J(eps, CTX, cap=x0).x0 == x0
+    # For eps = 1/10^6 the tail closes near e^737, past any sieve.
+    with pytest.raises(CapExceeded, match=rf"needs x0 > 2\^63 - 1, beyond the J limit {cap} "):
+        compute_J(Fraction(1, 10**6), CTX, cap=cap)
+
+
+def theta_at_gap_ends(lo, hi):
+    """(q, theta(q-1)) for each prime q in (lo, hi], theta summed in floats
+    over ``prime_segments`` as the scan sums it."""
+    theta, out = 0.0, []
+    for primes in prime_segments(hi):
+        for q in primes:
+            if q > lo:
+                out.append((q, theta))
+            theta += math.log(q)
+    return out
+
+
+@pytest.mark.parametrize("bound, lo, hi", [
+    (ROSSER_SCHOENFELD, 563, 10**5), (DUSART, 3_594_641, 3_700_000),
+], ids=["rosser-schoenfeld", "dusart"])
+def test_tail_bound_holds_at_every_gap_end(bound, lo, hi):
+    # theta is constant on each gap [p, q) and x (1 - a/log^k x) rises, so
+    # the bound is tightest just below q.  lo is prime: the gaps from lo on
+    # cover [lo, hi].
+    ends = theta_at_gap_ends(lo, hi)
+    assert is_prime(lo) and len(ends) > 1000
+    for q, theta in ends:
+        assert theta * (1 - 1e-9) > q * (1 - float(bound.a) / math.log(q) ** bound.k), q
+
+
+def test_math_log_meets_the_band_assumption():
+    # The float band assumes math.log(p) errs by at most _LOG_ULPS ulps.
+    primes = [p for seg in prime_segments(20_000) for p in seg]
+    primes += [p for seg in prime_segments(4 * 10**6) for p in seg[-200:]]
+    with mpmath.workprec(120):
+        worst = max(abs(mpmath.mpf(math.log(p)) - mpmath.log(p)) / math.ulp(math.log(p))
+                    for p in primes)
+    assert worst <= _LOG_ULPS
+
+
+REFERENCE_CAP = 10**6  # not a prime: the last gap ends at the cap
+
+
+@pytest.fixture(scope="module")
+def reference_J():
+    primes = primes_up_to(REFERENCE_CAP).primes
+    thetas = tuple(itertools.accumulate(map(math.log, primes), initial=0.0))
+    return functools.partial(reference_scan, primes, thetas)
+
+
+def reference_scan(primes, thetas, eps):
+    """Largest j <= 10^6 with theta(j-1) < j log(e - eps): every gap end from
+    the top, in floats outside a 1e-6 band and at 40 digits inside it."""
+    with mpmath.workdps(40):
+        log_base = mpmath.log(mpmath.e - mpmath.mpf(eps.numerator) / eps.denominator)
+    lf = float(log_base)
+    ends = primes + (REFERENCE_CAP,)
+    for k in range(len(ends) - 1, -1, -1):
+        j, theta = ends[k], thetas[k]
+        if abs(theta - j * lf) > 1e-6 * (theta + j):
+            if theta < j * lf:
+                return j
+            continue
+        with mpmath.workdps(40):
+            if mpmath.fsum(mpmath.log(p) for p in primes[:k]) < j * log_base:
+                return j
+    return 0
+
+
+GOLDEN_DELTAS = ["e^1/2", "11/10", "3/2", "e^2/7", "5/4", "13/10", "e^1/4", "e^1/3",
+                 "e^7/20", "e^3/10", "e^9/20"]
+
+
+def test_j_equals_reference_scan_on_golden_epsilons(reference_J):
+    for text in GOLDEN_DELTAS:
+        eps = choose_parameters(1, Delta.parse(text), CTX).epsilon
+        assert compute_J(eps, CTX) == reference_J(eps), text
+
+
+def test_j_equals_reference_scan_on_a_grid(reference_J):
+    grid = [Fraction(k, 20) for k in range(2, 34)]  # 0.1 .. 1.65, below e - 1
+    for eps in grid:
+        scan = scan_J(eps, CTX)
+        assert scan.x0 <= REFERENCE_CAP
+        assert scan.J == reference_J(eps), eps
+
+
+def test_j_enclosure_route_agrees_with_the_float_band(monkeypatch):
+    # A band that covers everything sends every candidate to the enclosures.
+    eps = Fraction(3, 10)
+    want = scan_J(eps, CTX)
+    monkeypatch.setattr(bounds, "_LOG_ULPS", 2**52)
+    monkeypatch.setattr(bounds, "_J_CACHE", {})
+    assert scan_J(eps, CTX) == want and want.x0 == 563
 
 
 # --- parameter selection ----------------------------------------------------
@@ -301,14 +415,14 @@ def test_height_pinned_for_e_two_sevenths():
         "26e3c7bbacfb7bc7f4cc9373478401ce0988bb7fc845ee918b9a0c7dbcbdf25e"
     )
     assert json_sha256(rep) == (
-        "44b73a1b23d81792066bff29eb64bb261c5db0407537fbeaca9c2ae44a65d761"
+        "e0a641027cf169a8e0164fb5c87122b063154d10918f8e3bcba094043497d70d"
     )
 
 
 def test_report_json_pinned_for_five_quarters():
     rep = bounds_report(1, Fraction(5, 4), CTX)
     assert json_sha256(rep) == (
-        "47b26d0f67d2be0f3b85520096519b8977ba72e0d7d26b2d1a96932c186a80ef"
+        "e176efa030a418472bf104f14db9769083aeb607928572ba31cde4cb6a907046"
     )
 
 
@@ -652,13 +766,16 @@ def test_height_one_fails(c):
 
 
 # ``ppp bounds --c 1`` stdout SHA-256 for the deltas whose search is not
-# monotone near H (and e^1/2, the largest H of the nine).
+# monotone near H, e^1/2 (the largest H of the nine), and e^3/10 and e^9/20
+# (11086 and 10029 bits, the largest H decided at the default limits).
 REPORT_SHA256 = {
-    "13/10": "cf7def760607fbc21bbcf9ea0d58473b7fc50987ef1348369c6a5852b4fbdb6d",
-    "e^1/4": "baa67d072b17a940c045259542dbbdbecfd33dbd65f1f034a8ac6a0b57c12ea6",
-    "e^1/3": "fe2249cfce7ceef53d08176e6b9e75a68db0b80322babf29567023c6332b6aab",
-    "e^7/20": "8f87224059fc2eb983848d66bd07a797b3fec485669903193273ac58ca605cb5",
-    "e^1/2": "636e490e8bfcb79483dcb061bb713f199b338b17fbe353e29069320fe699e4d0",
+    "13/10": "9a96c5e36e9da04403d17886197ab421a98e8b9861adc89bb7e56628f150091b",
+    "e^1/4": "cc79a63be651fdc3d42baeb646ad1239f8f5ad36c4776639b241c7abd08035d3",
+    "e^1/3": "b95248d10b24a1174b7d6aea5a17b1728eead5cf7bcd6bf7576cd64a758cd5a3",
+    "e^7/20": "426aec1ee6e3bcfe29d22020497bbeee6ff4af0f0d8cd451c9e72b2358425ca8",
+    "e^1/2": "f622216ed30ddd7374f948d2c83094afe17cd35ad06f50de07ff54229d3b2ba4",
+    "e^3/10": "0f30209557480ce3b7c0d519f5a39cd024d2486e85291e7dcdac5a9505fcb94e",
+    "e^9/20": "39aa8e69f58af88d04c6662947437bca5afd594de9a3c056df36cc659df66802",
 }
 
 
@@ -698,10 +815,13 @@ def test_report_json_shape():
     back = json.loads(s)
     assert back["H"] == str(rep.H)
     assert back["J"] == str(rep.J)
-    assert back["j_scan"]["pnt_heuristic"] is True
+    assert back["j_scan"] == {
+        "cap": "4000000",
+        "tail": {"theorem": ROSSER_SCHOENFELD.citation, "x0": "563"},
+    }
     assert back["epsilon"]["exact"] == str(rep.params.epsilon)
     float(back["rho"]["value"])  # renders as a decimal
     assert back["degeneracy_note"] == ""
     assert json_sha256(rep) == (
-        "38928243b7e50a155c48fee3f6f19d219300adfb9d8b4bc1dc75f7b00633083f"
+        "2c4cf6361c0e32f3437345396652655d43120100e77a93c0ed780875d0cfc2e1"
     )

@@ -299,7 +299,7 @@ def test_bounds_cli_domain_error():
 @pytest.mark.parametrize("exc, code", [
     (bounds.SearchExceeded("no height up to 2^16384 satisfies the inequality"), 4),
     (bounds.PrecisionExhausted("floor undecided at 32768 bits"), 4),
-    (bounds.CapExceeded("violations persist at j=999999 near the cap 1000000"), 4),
+    (bounds.CapExceeded("the J(epsilon) tail proof needs x0 = 4194304, beyond the J limit"), 4),
     (ZeroDivisionError("division by zero"), 2),
     (ArithmeticError("other arithmetic failure"), 2),
     (AssertionError("internal: the predicate holds at H-1, so H is not minimal"), 3),
