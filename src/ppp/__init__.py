@@ -7,7 +7,6 @@ from .arith import (
     lcm_table,
     lcm_to,
     lucas_binomial_mod,
-    prime_segments,
     primes_up_to,
     primorial,
     primorial_table,

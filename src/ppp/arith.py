@@ -11,6 +11,9 @@ from typing import Iterator
 # explicit error, never a silent truncation.
 SIEVE_LIMIT_CAP = 2**63 - 1
 
+# Odd numbers per window of ``prime_segments``.
+_SEGMENT = 1 << 17
+
 
 @dataclass(frozen=True)
 class PrimeTable:
@@ -36,20 +39,20 @@ def primes_up_to(n: int) -> PrimeTable:
     return PrimeTable(n, tuple(itertools.compress(range(n + 1), sieve)))
 
 
-def prime_segments(n: int, size: int = 1 << 17) -> Iterator[tuple[int, ...]]:
+def prime_segments(n: int) -> Iterator[tuple[int, ...]]:
     """Every prime <= n in increasing order, as non-empty tuples.
 
-    A segmented sieve of Eratosthenes over the odd numbers, ``size`` of them
-    per window: it holds the primes up to sqrt(n) and one window, never all
-    primes <= n.
+    A segmented sieve of Eratosthenes over the odd numbers, ``_SEGMENT`` of
+    them per window: it holds the primes up to sqrt(n) and one window, never
+    all primes <= n.
     """
     if n < 0:
         raise ValueError("limit must be a natural number")
     if n > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {n} exceeds the 64-bit cap {SIEVE_LIMIT_CAP}")
     odd_base = primes_up_to(math.isqrt(n)).primes[1:]
-    for lo in range(1, n + 1, 2 * size):  # the window holds the odd lo <= m <= min(hi, n)
-        hi = min(lo + 2 * size, n + 1)
+    for lo in range(1, n + 1, 2 * _SEGMENT):  # the window holds the odd lo <= m < hi
+        hi = min(lo + 2 * _SEGMENT, n + 1)
         window = bytearray([1]) * len(range(lo, hi, 2))
         for p in odd_base:
             if p * p >= hi:

@@ -361,10 +361,6 @@ DUSART = ChebyshevBound(
 # (glibc and musl stay within one, and a test checks the running one).
 _LOG_ULPS = 1 << 10
 
-# Primes per block of the J scan; a block whose first sum already exceeds
-# its last j L is passed over in one step.
-_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class JScan:
@@ -415,11 +411,18 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> 
     makes its end j = q (or j = x0 in the last gap) qualify too.
 
     Each candidate is decided in floats when a band shows the verdict, else
-    by enclosures.  After n terms, recursive float summation of log p with
-    per-term error at most m ulps errs by at most (n + m) u theta (1 + O(nu)),
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    §4.2).  The rounded j L and the subtraction add 2u (theta + j L) more.
-    The band 2 (n + m) u (theta + j) covers both, with m = ``_LOG_ULPS``.
+    by enclosures.  Let u = 2^-53 and m = ``_LOG_ULPS``.  math.log(p) errs
+    by at most m ulps, and ulp(x) <= 2u|x|, so by at most 2 m u log p; over
+    n terms that is 2 m u theta.  Recursive summation of the n rounded logs
+    adds at most gamma_(n-1) (1 + 2 m u) theta, gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, §4.2).  For
+    (n + m) u <= 2^-20, that is n below 2^32, the float theta thus errs by
+    at most (n - 1 + 2m) u theta + 2^-18 (n - 1) u theta.  Since L < 1, the
+    rounded j L, theta +- band and the band itself add at most 2u (theta + j)
+    more.  The band 2 (n + m) u (theta + j) exceeds (n - 1 + 2m) u theta by
+    (n + 1) u theta + 2 (n + m) u j, which covers the rest: n + 1 >= 2 +
+    2^-18 (n - 1) for n >= 1, and theta = 0 for n = 0.  So the factor 2 on
+    m pays for ulp <= 2u|x|, and the factor 2 on n for the roundings.
     """
     ctx = ctx or PrecisionCtx()
     epsilon = Fraction(epsilon)
@@ -454,16 +457,11 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
     le_lo = math.nextafter(float(_tuple_to_fraction(lo_t)), -math.inf)
     le_hi = math.nextafter(float(_tuple_to_fraction(hi_t)), math.inf)
 
-    def band(theta: float, j: int, n: int) -> float:
-        return (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
-
-    def surely_fails(theta: float, j: int, n: int) -> bool:
-        return theta - band(theta, j, n) > j * le_hi
-
     def qualifies(theta: float, j: int, n: int) -> bool:
-        if surely_fails(theta, j, n):
+        band = (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
+        if theta - band > j * le_hi:
             return False
-        if theta + band(theta, j, n) < j * le_lo:
+        if theta + band < j * le_lo:
             return True
         def attempt(bits: int):  # exact re-check: theta(j-1) < j L
             c = _ivc(bits)
@@ -476,18 +474,11 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
 
     theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
     for segment in prime_segments(x0 - 1):
-        for i in range(0, len(segment), _BLOCK):
-            primes = segment[i : i + _BLOCK]
-            # Each candidate here has theta(j-1) >= theta and j <= primes[-1].
-            if surely_fails(theta, primes[-1], n):
-                theta += sum(map(math.log, primes))
-                n += len(primes)
-                continue
-            for p in primes:
-                if qualifies(theta, p, n):
-                    largest = p
-                theta += math.log(p)
-                n += 1
+        for p in segment:
+            if qualifies(theta, p, n):
+                largest = p
+            theta += math.log(p)
+            n += 1
     return x0 if qualifies(theta, x0, n) else largest
 
 

@@ -52,10 +52,11 @@ def test_sieve_cap():
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 64, 1 << 17])
-def test_prime_segments_match_the_sieve(size):
+def test_prime_segments_match_the_sieve(size, monkeypatch):
     # window edges fall on primes, squares of primes and the limit itself
+    monkeypatch.setattr(arith, "_SEGMENT", size)
     for n in (*range(12), 25, 49, 121, 5000, 8 * size + 1):
-        segments = list(prime_segments(n, size))
+        segments = list(prime_segments(n))
         assert all(segments)
         assert [p for s in segments for p in s] == list(primes_up_to(n).primes)
 

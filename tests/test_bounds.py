@@ -93,17 +93,36 @@ def brute_force_J(eps, cap):
     return max(violations)
 
 
-# 2999 and 3001 are prime: the last candidate is then a prime, not the cap.
-@pytest.mark.parametrize("eps, cap", [
-    (Fraction(1, 2), 2999), (Fraction(1, 2), 3000), (Fraction(1, 5), 3001),
-], ids=["half-2999", "half-3000", "fifth-3001"])
-def test_j_matches_brute_force(eps, cap):
-    assert compute_J(eps, CTX, cap=cap) == brute_force_J(eps, cap)
+# Past x0 the brute force checks the tail proof.  At cap = x0 it checks the
+# last candidate j = x0, where x0 is composite (1/5) or prime (21/100).
+@pytest.mark.parametrize("eps, cap, x0", [
+    (Fraction(1, 2), 2999, 563), (Fraction(1, 2), 3000, 563), (Fraction(1, 5), 3001, 771),
+    (Fraction(1, 5), 771, 771), (Fraction(21, 100), 571, 571),
+], ids=["half-2999", "half-3000", "fifth-3001", "fifth-x0-771", "21/100-x0-571"])
+def test_j_matches_brute_force(eps, cap, x0):
+    scan = scan_J(eps, CTX, cap=cap)
+    assert scan.x0 == x0 and scan.J == brute_force_J(eps, cap)
 
 
-def test_j_stability_under_doubled_cap():
+def test_j_stability_under_doubled_cap(monkeypatch):
+    # The limit gates the proof and never shortens the scan: fresh scans at
+    # cap = x0 and at 2 x0 agree, and a cached scan still refuses x0 - 1.
     eps = Fraction(1, 5)
-    assert compute_J(eps, CTX, cap=100_000) == compute_J(eps, CTX, cap=200_000)
+    monkeypatch.setattr(bounds, "_J_CACHE", {})
+    at_x0 = scan_J(eps, CTX, cap=771)
+    monkeypatch.setattr(bounds, "_J_CACHE", {})
+    assert scan_J(eps, CTX, cap=2 * 771) == at_x0 and at_x0.x0 == 771
+    with pytest.raises(CapExceeded, match="needs x0 = 771, beyond the J limit 770 "):
+        compute_J(eps, CTX, cap=770)
+
+
+def test_scan_takes_x0_as_its_last_candidate():
+    # No tail point met here qualifies itself, so the scan is run to points
+    # below one: the prime J(1/5) = 569 and its neighbours.
+    eps = Fraction(1, 5)
+    log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
+    for x0 in (568, 569, 570, 571):
+        assert bounds._scan_to(CTX, log_base, x0) == brute_force_J(eps, x0), x0
 
 
 def test_j_monotone_in_epsilon():
