@@ -1,5 +1,7 @@
 """Exact-arithmetic toolkit for primary pseudo-polynomial sequences."""
 
+import importlib
+
 from .arith import (
     PrimeTable,
     binomial,
@@ -10,23 +12,6 @@ from .arith import (
     primes_up_to,
     primorial,
     primorial_table,
-)
-from .bounds import (
-    CapExceeded,
-    Delta,
-    DomainError,
-    EffectiveBounds,
-    Enclosure,
-    Parameters,
-    PrecisionCtx,
-    PrecisionExhausted,
-    SearchExceeded,
-    bounds_report,
-    choose_parameters,
-    compute_H,
-    compute_J,
-    degree_bound_formula,
-    phi_upper_bound,
 )
 from .certify import (
     CertReport,
@@ -68,3 +53,35 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+# Only the effective bounds need real numbers.  ``ppp.bounds`` imports
+# mpmath, so it and its exports load on first access (PEP 562); every other
+# layer works without them.
+_BOUNDS_EXPORTS = frozenset({
+    "CapExceeded",
+    "Delta",
+    "DomainError",
+    "EffectiveBounds",
+    "Enclosure",
+    "Parameters",
+    "PrecisionCtx",
+    "PrecisionExhausted",
+    "SearchExceeded",
+    "bounds_report",
+    "choose_parameters",
+    "compute_H",
+    "compute_J",
+    "degree_bound_formula",
+    "phi_upper_bound",
+})
+
+
+def __getattr__(name: str):
+    if name != "bounds" and name not in _BOUNDS_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    bounds = importlib.import_module(".bounds", __name__)  # also binds ppp.bounds
+    return bounds if name == "bounds" else getattr(bounds, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _BOUNDS_EXPORTS | {"bounds"})

@@ -11,6 +11,7 @@ direction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -450,8 +451,24 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) 
     return scan_J(epsilon, ctx, cap).J
 
 
+# Candidates per block in ``_scan_to``'s one-test rejection.
+_J_BLOCK = 64
+
+
 def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
-    """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``)."""
+    """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``).
+
+    The candidates go by in blocks of at most ``_J_BLOCK`` consecutive
+    primes, and a block is rejected by one float test at its worst case: the
+    band of its last candidate (the largest n, theta and j) against the
+    first theta and the last j L.  Along a block theta, n and j only grow, and every float
+    operation rounds monotonically, so each candidate's computed band is at
+    most the worst one, theta - band at least first theta - worst band, and
+    j le_hi (le_hi > 0) at most the last j le_hi.  The block test therefore
+    rejects only when each candidate's own first test in ``qualifies`` would
+    answer False.  Blocks that are not rejected go through ``qualifies`` one
+    candidate at a time, enclosure fallback included.
+    """
     # float bounds for L, padded outward
     lo_t, hi_t = _endpoints(log_base(_ivc(ctx.bits)))
     le_lo = math.nextafter(float(_tuple_to_fraction(lo_t)), -math.inf)
@@ -474,11 +491,17 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
 
     theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
     for segment in prime_segments(x0 - 1):
-        for p in segment:
-            if qualifies(theta, p, n):
-                largest = p
-            theta += math.log(p)
-            n += 1
+        for first in range(0, len(segment), _J_BLOCK):
+            block = segment[first:first + _J_BLOCK]
+            # thetas[i] is theta before block[i]: the same additions in the same order
+            thetas = list(itertools.accumulate(map(math.log, block), initial=theta))
+            last = len(block) - 1
+            band = (n + last + _LOG_ULPS) * 2.0**-52 * (thetas[last] + block[last])
+            if thetas[0] - band <= block[last] * le_hi:  # not rejected as a block
+                for i, p in enumerate(block):
+                    if qualifies(thetas[i], p, n + i):
+                        largest = p
+            theta, n = thetas[-1], n + len(block)
     return x0 if qualifies(theta, x0, n) else largest
 
 

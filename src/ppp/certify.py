@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
-import mpmath
-
 from .arith import lcm_table, primes_up_to, primorial_table
 from .transforms import IntSequence, binomial_transform
 
@@ -201,6 +199,8 @@ def growth_exponent(a: IntSequence) -> GrowthEstimate:
 
     Purely diagnostic; no thresholds are applied here.
     """
+    import mpmath  # the only real arithmetic outside ppp.bounds
+
     if len(a) < 8:
         raise ValueError("growth estimate needs a prefix of length >= 8")
     if not any(a.terms):

@@ -14,7 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
 from .arith import lcm_table, primorial_table
 from .certify import (
     CertReport,
@@ -247,9 +246,15 @@ def cmd_bounds(args) -> int:
             bits = integer(text)
         except ValueError as exc:
             raise InputError(f"PPP_PRECISION_BITS: {exc}") from exc
-    ctx = bounds_mod.PrecisionCtx(bits=bits)
-    delta = bounds_mod.Delta.parse(args.delta)
-    report = bounds_mod.bounds_report(_parse_fraction(args.c), delta, ctx)
+    from . import bounds  # mpmath loads only for this subcommand
+
+    ctx = bounds.PrecisionCtx(bits=bits)
+    delta = bounds.Delta.parse(args.delta)
+    try:
+        report = bounds.bounds_report(_parse_fraction(args.c), delta, ctx)
+    except (bounds.SearchExceeded, bounds.PrecisionExhausted, bounds.CapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     print(_canonical_json(report.to_json_dict()))
     return EXIT_OK
 
@@ -331,10 +336,6 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except (bounds_mod.SearchExceeded, bounds_mod.PrecisionExhausted,
-            bounds_mod.CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
     except (InputError, ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -246,6 +246,20 @@ def test_j_enclosure_route_agrees_with_the_float_band(monkeypatch):
     assert scan_J(eps, CTX) == want and want.x0 == 563
 
 
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_j_block_rejection_agrees_with_the_candidate_tests(monkeypatch, block):
+    # Blocks of one are the per-candidate scan; 10^6 makes each sieve window
+    # one block.  The tail points x0 here are 20395 and 144798.
+    for text in ("e^1/2", "e^3/5"):
+        eps = choose_parameters(1, Delta.parse(text), CTX).epsilon
+        log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
+        x0 = scan_J(eps, CTX).x0
+        want = bounds._scan_to(CTX, log_base, x0)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_J_BLOCK", block)
+            assert bounds._scan_to(CTX, log_base, x0) == want, text
+
+
 # --- parameter selection ----------------------------------------------------
 
 def test_parameters_half_log_case():

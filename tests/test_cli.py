@@ -335,3 +335,108 @@ def test_deterministic_outputs():
     a = run(["construct", "--phi", "geometric:2718282/1000000", "--n", "25"])
     b = run(["construct", "--phi", "geometric:2718282/1000000", "--n", "25"])
     assert a.stdout == b.stdout
+
+
+# --- import split -----------------------------------------------------------
+# Only ``ppp bounds`` needs mpmath.  Each check runs in a fresh interpreter,
+# since this one has imported ppp.bounds already.
+
+def fresh(script, *args):
+    r = subprocess.run([sys.executable, "-c", script, *args],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+EVERY_OTHER_SUBCOMMAND = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+from ppp import cli
+
+def main(argv, stdin=""):
+    sys.stdin, out = io.StringIO(stdin), io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main(argv)
+    assert rc == 0, (argv, rc)
+    return out.getvalue()
+
+rec = sys.argv[1]
+with open(rec, "w") as f:
+    json.dump({"order": 2, "polys": [["2", "1"], ["-4", "-1"], ["1"]]}, f)
+genuine = main(["construct", "--phi", "primorial", "--n", "12"])
+main(["sieve", "--kind", "lcm", "--n", "5"])
+main(["inverse-transform"], main(["transform"], genuine))
+main(["reindex", "--to", "1"], genuine)
+main(["certify", "--mode", "both"], genuine)
+main(["egf-invert"], genuine)
+terms = main(["apply", "--recurrence", rec, "--n", "30"], "2\n5\n")
+main(["verify", "--recurrence", rec], terms)
+main(["guess", "--smax", "3", "--dmax", "2"], terms)
+print(json.dumps(sorted({"mpmath", "ppp.bounds"} & set(sys.modules))))
+"""
+
+
+def test_other_subcommands_load_neither_mpmath_nor_bounds(tmp_path):
+    out = fresh(EVERY_OTHER_SUBCOMMAND, str(tmp_path / "rec.json"))
+    assert json.loads(out) == []
+
+
+REPLAY_MODULES = r"""
+import runpy, sys
+import ppp.cli
+from ppp import bounds
+layers = runpy.run_path(sys.argv[1])["LAYERS"]
+print(sorted({f"ppp.{mod}" for _, mod, _, _ in layers} - set(sys.modules)))
+"""
+
+
+def test_replay_finds_every_traced_module_loaded():
+    # bench/replay.py wraps functions in these modules after the same imports
+    replay = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "replay.py")
+    assert fresh(REPLAY_MODULES, replay) == "[]\n"
+
+
+PUBLIC_API = {
+    "arith": ["PrimeTable", "binomial", "binomial_row", "lcm_table", "lcm_to",
+              "lucas_binomial_mod", "primes_up_to", "primorial", "primorial_table"],
+    "bounds": ["CapExceeded", "Delta", "DomainError", "EffectiveBounds", "Enclosure",
+               "Parameters", "PrecisionCtx", "PrecisionExhausted", "SearchExceeded",
+               "bounds_report", "choose_parameters", "compute_H", "compute_J",
+               "degree_bound_formula", "phi_upper_bound"],
+    "certify": ["CertReport", "Counterexample", "GrowthEstimate", "PolyDetect",
+                "certify_primary_direct", "certify_primary_hall", "certify_pseudo_hall",
+                "detect_polynomial", "growth_exponent"],
+    "construct": ["ConstructStep", "ConstructTrace", "ceil_div_rational", "construct_genuine",
+                  "phi_geometric", "phi_primorial", "phi_table"],
+    "egfinv": ["EgfTriple", "egf_reciprocal", "egf_triple", "u_over_factorial"],
+    "recur": ["GuessBudget", "LeadingZeroError", "NonIntegralError", "PolyRecurrence",
+              "apply_recurrence", "guess_recurrence", "verify_recurrence"],
+    "transforms": ["IntSequence", "RationalSeries", "binomial_transform",
+                   "inverse_binomial_transform", "ogf_of", "substitute_check"],
+}
+
+PUBLIC_API_CHECK = r"""
+import importlib, json, sys
+import ppp
+for home, names in json.loads(sys.argv[1]).items():
+    module = importlib.import_module(f"ppp.{home}")
+    for name in names:
+        scope = {}
+        exec(f"from ppp import {name}", scope)
+        assert scope[name] is getattr(ppp, name) is getattr(module, name), name
+for bad in ("ppp.no_such_name", "ppp.scan_J"):
+    try:
+        eval(bad)
+    except AttributeError:
+        continue
+    raise AssertionError(bad)
+try:
+    from ppp import no_such_name
+except ImportError:
+    print("ok")
+"""
+
+
+def test_public_api_is_unchanged():
+    assert fresh(PUBLIC_API_CHECK, json.dumps(PUBLIC_API)) == "ok\n"
+    assert fresh("import ppp; print(ppp.bounds.compute_J.__module__)") == "ppp.bounds\n"
