@@ -665,16 +665,18 @@ class _Majorant:
     log_phi(log x) = log_k + (J+F) log(1+x) + F (log 2 + D log j0)
     + (log y)^2 / lam, with lam = log(1/omega), j0 = 2D/lam, F = floor(j0),
     y = x j0^D and log_k = log c0 + J log 2 + D log J! + J^2 log(delta),
-    c0 = exp(4 zeta(2) / lam).
+    c0 = exp(4 zeta(2) / lam).  The caller passes the exact ``j_fact`` = J!,
+    which is the same at every precision.
     """
 
-    def __init__(self, ivc, delta: Delta, epsilon: Fraction, D: int, J: int, F: int):
+    def __init__(self, ivc, delta: Delta, epsilon: Fraction, D: int, J: int, F: int,
+                 j_fact: int):
         self.ivc, self.J, self.F = ivc, J, F
         self.ell = delta.iv_ell(ivc)
         self.lam = _lam(ivc, delta, epsilon)
         self.log2 = ivc.log(ivc.mpf(2))
         self.d_log_j0 = D * ivc.log(2 * D / self.lam)
-        log_jfact = ivc.log(_iv_int(ivc, math.factorial(J))) if J > 0 else ivc.mpf(0)
+        log_jfact = ivc.log(_iv_int(ivc, j_fact)) if J > 0 else ivc.mpf(0)
         log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
         self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
 
@@ -729,7 +731,7 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         )
 
     ivc = _ivc(ctx.bits)
-    majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0)
+    majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0, math.factorial(J))
     return Enclosure.from_iv(ivc.exp(majorant.log_phi(ivc.log(_iv_frac(ivc, x)))))
 
 
@@ -748,6 +750,7 @@ class _HeightEngine:
         self.params = params
         self.ctx = ctx
         self.J = compute_J(params.epsilon, ctx)
+        self._j_fact = math.factorial(self.J)  # exact, shared by every precision level
         self._packs: dict[int, _Majorant] = {}
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
 
@@ -757,7 +760,7 @@ class _HeightEngine:
         if pk is None:
             p = self.params
             ivc = _ivc(bits)
-            pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0)
+            pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0, self._j_fact)
             pk.log_2cd = ivc.log(_iv_frac(ivc, 2 * p.c * p.d))
             pk.rho = _iv_frac(ivc, p.rho)
             pk.log_x_terms = {}  # r -> (log(2cd) + log r, (r-1) ell)

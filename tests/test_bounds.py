@@ -688,6 +688,23 @@ def test_verdicts_match_plain_search_on_random_runs():
     assert outcomes == {False, True}
 
 
+def test_majorant_levels_share_one_factorial(monkeypatch):
+    # J! is exact, so building the majorant at a second precision must not
+    # compute it again: for e^9/10 that one call takes seconds.
+    calls = []
+    factorial = math.factorial
+
+    def counted(n):
+        calls.append(n)
+        return factorial(n)
+
+    monkeypatch.setattr(bounds.math, "factorial", counted)
+    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
+    low, high = engine._pack(256), engine._pack(512)
+    assert low is not high and low.ivc.prec == 256 and high.ivc.prec == 512
+    assert calls == [engine.J]
+
+
 def test_falls_stays_false_where_the_slope_is_undecided():
     # At 64 bits the sign of f_r' stays open on a band of heights around the
     # top of f_r.  The first height where falls turns True lies past that

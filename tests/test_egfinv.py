@@ -1,3 +1,4 @@
+import io
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -5,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import e_bracket
+from ppp import cli, egfinv
 from ppp.arith import primes_up_to, primorial_table
 from ppp.certify import certify_primary_direct
-from ppp.egfinv import egf_reciprocal, egf_triple, u_over_factorial
+from ppp.egfinv import _BLOCK, _middle_product, egf_reciprocal, egf_triple, u_over_factorial
 from ppp.transforms import IntSequence, inverse_binomial_transform
 
 
@@ -40,6 +42,52 @@ def test_convolution_identity(rng):
         c = egf_reciprocal(b)
         for m in range(1, n + 1):
             assert sum(math.comb(m, k) * b[k] * c[m - k] for k in range(m + 1)) == 0
+
+
+def plain_reciprocal(b):
+    """The convolution recursion c_n = -sum_k C(n,k) b_k c_{n-k}, term by term."""
+    c = [1]
+    for n in range(1, len(b)):
+        c.append(-sum(math.comb(n, k) * b[k] * c[n - k] for k in range(1, n + 1)))
+    return tuple(c)
+
+
+def signed_with_zeros(rng, length):
+    return [1] + [rng.choice((0, rng.randint(-2**40, 2**40))) for _ in range(length - 1)]
+
+
+S = _BLOCK
+
+
+@pytest.mark.parametrize("length", [1, S - 1, S, S + 1, 2 * S, 3 * S + 5, 300])
+def test_reciprocal_matches_the_plain_recursion(rng, length):
+    b = signed_with_zeros(rng, length)
+    assert egf_reciprocal(IntSequence.of(b)).terms == plain_reciprocal(b)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_reciprocal_matches_the_plain_recursion_at_any_block_width(rng, monkeypatch, width):
+    monkeypatch.setattr(egfinv, "_BLOCK", width)
+    for length in (1, width, width + 1, 3 * width + 2, 45):
+        b = signed_with_zeros(rng, length)
+        assert egf_reciprocal(IntSequence.of(b)).terms == plain_reciprocal(b)
+
+
+@pytest.mark.parametrize("m", range(1, 2 * S + 1))
+def test_middle_product_matches_the_double_sum(rng, m):
+    a = [rng.randint(-2**70, 2**70) for _ in range(m)]
+    b = [rng.randint(-2**70, 2**70) for _ in range(2 * m - 1)]
+    want = [sum(a[x] * b[y + m - 1 - x] for x in range(m)) for y in range(m)]
+    assert _middle_product(a, b) == want
+
+
+def test_corrupt_tile_scale_trips_the_exact_division(monkeypatch, capsys):
+    # A tile scaled by C(M,J) + 1 breaks the identity that makes the division
+    # by M!/n! exact; the CLI reports the internal error with exit 3.
+    monkeypatch.setattr(egfinv, "comb", lambda n, k: math.comb(n, k) + 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{k * k + 1}\n" for k in range(S + 2))))
+    assert cli.main(["egf-invert"]) == cli.EXIT_INTERNAL
+    assert "internal: the tiles of c_" in capsys.readouterr().err
 
 
 def test_triple_for_constant_sequence():
