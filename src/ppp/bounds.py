@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
 import mpmath.libmp as libmp
 from mpmath import ctx_iv
 
+from . import transforms
 from .arith import SIEVE_LIMIT_CAP, prime_segments
 
 
@@ -80,8 +80,9 @@ def _endpoints(x) -> tuple:
     return x._mpi_
 
 
-def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], object]):
-    """Run ``fn`` at increasing precision until it returns a value, not None.
+def _escalate(ctx: "PrecisionCtx", fn: Callable[[ctx_iv.MPIntervalContext], object]):
+    """Run ``fn`` on interval contexts of increasing precision until it
+    returns a value, not None.
 
     mpmath's interval comparisons already have that form: ``x < y`` is True
     when it holds for every pair of enclosed points, False when it fails for
@@ -89,7 +90,7 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], object]):
     """
     bits = ctx.bits
     while True:
-        value = fn(bits)
+        value = fn(_ivc(bits))
         if value is not None:
             return value
         if bits >= ctx.max_bits:
@@ -97,6 +98,29 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[int], object]):
                 f"comparison undecided at {bits} bits; raise the precision ceiling"
             )
         bits = min(2 * bits, ctx.max_bits)
+
+
+def _first_true(holds: Callable[[int], bool], start: int, cap: int) -> int | None:
+    """Where ``holds`` turns true in [start, cap]: doubling from ``start``
+    (the last step clipped to ``cap``), then bisection; None when it fails
+    at ``cap``.
+
+    Bisection keeps ``holds`` false at lo and true at hi, so the answer is
+    the least such n only when ``holds`` is monotone; otherwise all it
+    certifies is a false n-1 (or n = start).
+    """
+    lo = hi = start
+    while not holds(hi):
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _floors(x) -> tuple[int, int]:
@@ -107,8 +131,8 @@ def _floors(x) -> tuple[int, int]:
 
 def _decide_floor(ctx: "PrecisionCtx", make: Callable) -> int:
     """Exact floor of the real number enclosed by ``make(ivc)``."""
-    def attempt(bits: int):
-        flo, fhi = _floors(make(_ivc(bits)))
+    def attempt(ivc):
+        flo, fhi = _floors(make(ivc))
         return flo if flo == fhi else None
     return _escalate(ctx, attempt)
 
@@ -122,8 +146,9 @@ def _ceil(x) -> int | None:
     return -flo if flo == fhi else None
 
 
-def _mpf_of(q: Fraction) -> mpmath.mpf:
-    """``mpf(numerator) / denominator`` at the working precision, without its cost.
+def _mpf_of(q: Fraction, prec: int) -> tuple:
+    """``numerator / denominator`` as an mpf tuple at ``prec`` bits, rounded to
+    nearest like ``mpf(numerator) / denominator``, without its cost.
 
     A large endpoint is a multi-million-bit integer ending in a long run of
     zero bits, and mpmath's pure-Python backend strips such runs 8 bits at a
@@ -133,7 +158,8 @@ def _mpf_of(q: Fraction) -> mpmath.mpf:
     num, den = q.numerator, q.denominator
     tz = (num & -num).bit_length() - 1 if num else 0
     dz = (den & -den).bit_length() - 1
-    return mpmath.mpf((num >> tz, tz - dz)) / (den >> dz)
+    scaled = libmp.from_man_exp(num >> tz, tz - dz, prec, "n")
+    return libmp.mpf_div(scaled, libmp.from_int(den >> dz), prec, "n")
 
 
 @dataclass(frozen=True)
@@ -164,15 +190,17 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    # Decimals are rounded at 10 guard digits, at an explicit precision:
+    # nothing here reads or sets mpmath's process-wide context.
     def decimal(self, digits: int = 30) -> str:
-        with mpmath.workdps(digits + 10):
-            return mpmath.nstr((_mpf_of(self.lo) + _mpf_of(self.hi)) / 2, digits)
+        prec = libmp.dps_to_prec(digits + 10)
+        total = libmp.mpf_add(_mpf_of(self.lo, prec), _mpf_of(self.hi, prec), prec, "n")
+        return libmp.to_str(libmp.mpf_shift(total, -1), digits)
 
     def width_decimal(self, digits: int = 3) -> str:
         if self.width == 0:
             return "0"
-        with mpmath.workdps(digits + 10):
-            return mpmath.nstr(_mpf_of(self.width), digits)
+        return libmp.to_str(_mpf_of(self.width, libmp.dps_to_prec(digits + 10)), digits)
 
     def to_json_dict(self, digits: int = 30) -> dict:
         return {"value": self.decimal(digits), "width": self.width_decimal()}
@@ -217,10 +245,11 @@ class Delta:
 
     @staticmethod
     def parse(text: str) -> "Delta":
+        """``e^Q`` or ``Q``, with Q read by ``transforms.rational``: INT or INT/INT."""
         text = text.strip()
         if text.startswith("e^"):
-            return Delta.exp(Fraction(text[2:]))
-        return Delta.rational(Fraction(text))
+            return Delta.exp(transforms.rational(text[2:]))
+        return Delta.rational(transforms.rational(text))
 
     def label(self) -> str:
         return f"e^{self.value}" if self.kind == "exp" else str(self.value)
@@ -266,7 +295,7 @@ class PrecisionCtx:
 def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
     # exp form has 0 < ell < 1 by construction; rational form needs delta < e.
     if delta.kind == "rational":
-        if not _escalate(ctx, lambda bits: delta.iv(_ivc(bits)) < _ivc(bits).e):
+        if not _escalate(ctx, lambda ivc: delta.iv(ivc) < ivc.e):
             raise DomainError(f"delta must lie strictly below e, got {delta.label()}")
 
 
@@ -299,10 +328,9 @@ def _in_ell(ctx: PrecisionCtx, delta: Delta, formula: Callable, decide: Callable
     ell = delta.ell_fraction
     if ell is not None:
         return decide(formula(ell, *qs))
-    def attempt(bits: int):
-        ivc = _ivc(bits)
-        return decide(formula(delta.iv_ell(ivc), *(_iv_frac(ivc, q) for q in qs)))
-    return _escalate(ctx, attempt)
+    return _escalate(
+        ctx, lambda ivc: decide(formula(delta.iv_ell(ivc), *(_iv_frac(ivc, q) for q in qs)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +366,7 @@ class ChebyshevBound:
         with x, and the derivative is that plus a k / log(x)^(k+1)).  So it
         closes at every x' >= x as soon as it closes at x >= start.
         """
-        def attempt(bits: int):
-            ivc = _ivc(bits)
+        def attempt(ivc):
             lx = ivc.log(_iv_int(ivc, x))
             lower = x * (1 - _iv_frac(ivc, self.a) / lx**self.k)
             return lower >= (x + 1) * log_base(ivc)
@@ -383,18 +410,7 @@ def _tail_point(ctx: PrecisionCtx, log_base: Callable) -> tuple[ChebyshevBound, 
     the 64-bit sieve limit.
     """
     tail = ROSSER_SCHOENFELD if ROSSER_SCHOENFELD.closes(ctx, log_base, DUSART.start) else DUSART
-    lo = hi = tail.start
-    while not tail.closes(ctx, log_base, hi):
-        if hi >= SIEVE_LIMIT_CAP:
-            return tail, None
-        lo, hi = hi, min(2 * hi, SIEVE_LIMIT_CAP)
-    while hi - lo > 1:  # closes at hi, not at lo
-        mid = (lo + hi) // 2
-        if tail.closes(ctx, log_base, mid):
-            hi = mid
-        else:
-            lo = mid
-    return tail, hi
+    return tail, _first_true(lambda x: tail.closes(ctx, log_base, x), tail.start, SIEVE_LIMIT_CAP)
 
 
 def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> JScan:
@@ -480,8 +496,7 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
             return False
         if theta + band < j * le_lo:
             return True
-        def attempt(bits: int):  # exact re-check: theta(j-1) < j L
-            c = _ivc(bits)
+        def attempt(c):  # exact re-check: theta(j-1) < j L
             exact = c.mpf(0)
             for primes in prime_segments(j - 1):
                 for p in primes:
@@ -509,7 +524,7 @@ def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     # epsilon < e - 1 so that e - epsilon > 1 and the comparison makes sense
-    if not _escalate(ctx, lambda bits: _iv_frac(_ivc(bits), epsilon) < _ivc(bits).e - 1):
+    if not _escalate(ctx, lambda ivc: _iv_frac(ivc, epsilon) < ivc.e - 1):
         raise DomainError(f"epsilon must be below e - 1, got {epsilon}")
 
 
@@ -556,8 +571,7 @@ def _rho2_holds_strictly(delta: Delta, d: int, rho: Fraction, ctx: PrecisionCtx)
 def _rho1_holds(delta: Delta, d: int, rho: Fraction, epsilon: Fraction,
                 ctx: PrecisionCtx) -> bool:
     """(1 + rho*ell)^2 / log(1/omega) < d*rho at adverse rounding."""
-    def attempt(bits: int):
-        ivc = _ivc(bits)
+    def attempt(ivc):
         r = _iv_frac(ivc, rho)
         lhs = (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
         return lhs < d * r
@@ -604,8 +618,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         raise PrecisionExhausted("no admissible rho found after 64 bumps")
 
     # epsilon: halve from (e - delta)/2 until the strict inequality verifies
-    def eps_start(bits: int) -> Fraction | None:
-        ivc = _ivc(bits)
+    def eps_start(ivc) -> Fraction | None:
         lo, _ = _endpoints((ivc.e - delta.iv(ivc)) / 2)
         eps = _tuple_to_fraction(lo)
         return eps if eps > 0 else None
@@ -637,10 +650,6 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
     )
 
 
-def _iv_from_tuples(ivc, lo_t, hi_t):
-    return ivc.mpf([mpmath.mp.make_mpf(lo_t), mpmath.mp.make_mpf(hi_t)])
-
-
 def _iv_nonneg(ivc, x):
     """Clip an enclosure at zero; valid for quantities known to be >= 0."""
     lo, hi = _endpoints(x)
@@ -648,7 +657,7 @@ def _iv_nonneg(ivc, x):
         return x
     if libmp.mpf_lt(hi, libmp.fzero):
         raise PrecisionExhausted("nonnegative quantity enclosed strictly below zero")
-    return _iv_from_tuples(ivc, libmp.fzero, hi)
+    return ivc.make_mpf((libmp.fzero, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -716,16 +725,14 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         raise DomainError("x must be positive")
     epsilon = Fraction(epsilon)
     _check_epsilon_domain(ctx, epsilon)
-    if not _escalate(ctx, lambda bits:
-            _iv_frac(_ivc(bits), epsilon) < _ivc(bits).e - delta.iv(_ivc(bits))):
+    if not _escalate(ctx, lambda ivc: _iv_frac(ivc, epsilon) < ivc.e - delta.iv(ivc)):
         raise DomainError("epsilon must satisfy delta < e - epsilon")
 
     J = compute_J(epsilon, ctx)
     floor_j0 = _floor_j0(ctx, delta, epsilon, D)
 
     # The dilogarithm step in the tail estimate requires y = x*j0^D >= 1.
-    if not _escalate(ctx, lambda bits:
-            1 <= _iv_frac(_ivc(bits), x) * _j0(_ivc(bits), delta, epsilon, D) ** D):
+    if not _escalate(ctx, lambda ivc: 1 <= _iv_frac(ivc, x) * _j0(ivc, delta, epsilon, D) ** D):
         raise DomainError(
             "bound requires x * j0^D >= 1 (the tail estimate is only valid there)"
         )
@@ -751,20 +758,20 @@ class _HeightEngine:
         self.ctx = ctx
         self.J = compute_J(params.epsilon, ctx)
         self._j_fact = math.factorial(self.J)  # exact, shared by every precision level
-        self._packs: dict[int, _Majorant] = {}
+        self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
+        self.pack = self._pack(_ivc(ctx.bits))  # at the working precision
 
-    def _pack(self, bits: int) -> _Majorant:
-        """The majorant of Phi(d, x) at ``bits``, plus log(2cd) and rho."""
-        pk = self._packs.get(bits)
+    def _pack(self, ivc) -> _Majorant:
+        """The majorant of Phi(d, x) in the context ``ivc``, plus log(2cd) and rho."""
+        pk = self._packs.get(ivc.prec)
         if pk is None:
             p = self.params
-            ivc = _ivc(bits)
             pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0, self._j_fact)
             pk.log_2cd = ivc.log(_iv_frac(ivc, 2 * p.c * p.d))
             pk.rho = _iv_frac(ivc, p.rho)
             pk.log_x_terms = {}  # r -> (log(2cd) + log r, (r-1) ell)
-            self._packs[bits] = pk
+            self._packs[ivc.prec] = pk
         return pk
 
     def threshold(self, k: int) -> int:
@@ -776,12 +783,11 @@ class _HeightEngine:
         t = self._thresholds.get(k)
         if t is None:
             q = Fraction(k) / self.params.rho
-            t = _escalate(self.ctx, lambda bits: _ceil(_ivc(bits).exp(_iv_frac(_ivc(bits), q))))
+            t = _escalate(self.ctx, lambda ivc: _ceil(ivc.exp(_iv_frac(ivc, q))))
             self._thresholds[k] = t
         return t
 
-    def _log_h(self, bits: int, h: int):
-        ivc = _ivc(bits)
+    def _log_h(self, ivc, h: int):
         return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.mpf(0)
 
     def r_of(self, h: int, logh=None) -> int:
@@ -791,8 +797,8 @@ class _HeightEngine:
         integer k it leaves open is settled exactly by h >= T_k.
         """
         if logh is None:
-            logh = self._log_h(self.ctx.bits, h)
-        flo, fhi = _floors(self._pack(self.ctx.bits).rho * logh)
+            logh = self._log_h(self.pack.ivc, h)
+        flo, fhi = _floors(self.pack.rho * logh)
         return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
     @staticmethod
@@ -805,9 +811,9 @@ class _HeightEngine:
             terms = pk.log_x_terms[r] = (pk.log_2cd + logr, (r - 1) * pk.ell)
         return terms[0] + logh + terms[1]
 
-    def log_lhs(self, bits: int, r: int, logh):
-        """log LHS(h) at ``bits``, given ``logh`` = log h at the same precision."""
-        pk = self._pack(bits)
+    def log_lhs(self, ivc, r: int, logh):
+        """log LHS(h) in the context ``ivc``, given ``logh`` = log h in it."""
+        pk = self._pack(ivc)
         return pk.log_phi(self._log_x(pk, r, logh))
 
     def falls(self, r: int, h: int) -> bool:
@@ -816,9 +822,9 @@ class _HeightEngine:
         f_r(L) = r d L - log_phi(u), so f_r' = r d - (J+F) sigma(u)
         - 2 (u + d log j0) / lam with sigma(u) = 1 / (1 + e^-u).
         """
-        pk = self._pack(self.ctx.bits)
+        pk = self.pack
         ivc = pk.ivc
-        u = self._log_x(pk, r, self._log_h(self.ctx.bits, h))
+        u = self._log_x(pk, r, self._log_h(ivc, h))
         sigma = 1 / (1 + ivc.exp(-u))
         slope = r * self.params.d - (pk.J + pk.F) * sigma - 2 * (u + pk.d_log_j0) / pk.lam
         return (slope <= 0) is True
@@ -831,32 +837,31 @@ class _HeightEngine:
         encloses log LHS at every height of the cell, and the right side
         r d log h is at most r_hi d lb.  Inclusion alone makes this sound.
         """
-        pk = self._pack(self.ctx.bits)
+        pk = self.pack
         ivc = pk.ivc
         la, lb = _iv_frac(ivc, la), _iv_frac(ivc, lb)
         r_lo = _floors(pk.rho * la)[0] + 1
         r_hi = _floors(pk.rho * lb)[1] + 1
-        u = _iv_from_tuples(
-            ivc,
+        u = ivc.make_mpf((
             _endpoints(self._log_x(pk, r_lo, la))[0],
             _endpoints(self._log_x(pk, r_hi, lb))[1],
-        )
+        ))
         return (r_hi * self.params.d * lb < pk.log_phi(u)) is True
 
     def floor_exp(self, L: Fraction) -> int:
         """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
-        ivc = _ivc(self.ctx.bits)
+        ivc = self.pack.ivc
         return libmp.to_int(_endpoints(ivc.exp(_iv_frac(ivc, L)))[0], "f")
 
     def predicate(self, h: int) -> bool:
         # log h at the working precision serves r_of and the first attempt;
         # only escalated attempts recompute it.
-        logh0 = self._log_h(self.ctx.bits, h)
+        logh0 = self._log_h(self.pack.ivc, h)
         r = self.r_of(h, logh0)
         rd = r * self.params.d
-        def attempt(bits: int):
-            logh = logh0 if bits == self.ctx.bits else self._log_h(bits, h)
-            return self.log_lhs(bits, r, logh) <= rd * logh
+        def attempt(ivc):
+            logh = logh0 if ivc.prec == self.ctx.bits else self._log_h(ivc, h)
+            return self.log_lhs(ivc, r, logh) <= rd * logh
         return _escalate(self.ctx, attempt)
 
 
@@ -948,34 +953,24 @@ class _Verdicts:
 
 def _search_height(engine: _HeightEngine,
                    holds: Callable[[int], bool] | None = None) -> int:
-    """The height found by doubling over powers of two, then bisecting.
+    """The height found by doubling over powers of two, then bisecting
+    (``_first_true`` on [2, 2^h_cap_log2]).
 
     ``holds(h)`` is the exact predicate value, by default from a fresh
-    ``_Verdicts``.  Bisection keeps the predicate false at ``lo`` and true
-    at ``hi``, so it ends with the predicate false at h-1: the only
-    minimality it certifies.  h = 1 fails (see ``_Verdicts``), so the
+    ``_Verdicts``.  The search ends with the predicate false at h-1: the
+    only minimality it certifies.  h = 1 fails (see ``_Verdicts``), so the
     doubling starts at 2.
     """
-    ctx = engine.ctx
-    holds = holds or _Verdicts(engine)
-    k = 1
-    while not holds(1 << k):
-        if k >= ctx.h_cap_log2:
-            raise SearchExceeded(
-                f"no power of two h = 2^k with k <= {ctx.h_cap_log2} satisfies "
-                f"the inequality (doubling stopped at h = 2^{ctx.h_cap_log2}); "
-                "the minimal height can be astronomically large for some growth "
-                "bases (raise PrecisionCtx.h_cap_log2 and max_bits to continue)"
-            )
-        k += 1
-    lo, hi = 1 << (k - 1), 1 << k
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    cap = engine.ctx.h_cap_log2
+    h = _first_true(holds or _Verdicts(engine), 2, 1 << cap)
+    if h is None:
+        raise SearchExceeded(
+            f"no power of two h = 2^k with k <= {cap} satisfies "
+            f"the inequality (doubling stopped at h = 2^{cap}); "
+            "the minimal height can be astronomically large for some growth "
+            "bases (raise PrecisionCtx.h_cap_log2 and max_bits to continue)"
+        )
+    return h
 
 
 def compute_H(c, delta, params: Parameters | None = None,
@@ -990,9 +985,9 @@ def compute_H(c, delta, params: Parameters | None = None,
 
 def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
     """exp((sqrt(d^2 + 4 d rho log A) - d) / (d rho)) with A = LHS at h=1."""
-    pk = engine._pack(engine.ctx.bits)
+    pk = engine.pack
     ivc, rho, d = pk.ivc, pk.rho, engine.params.d
-    la = _iv_nonneg(ivc, engine.log_lhs(engine.ctx.bits, 1, ivc.mpf(0)))
+    la = _iv_nonneg(ivc, engine.log_lhs(ivc, 1, ivc.mpf(0)))
     val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (d * rho))
     return Enclosure.from_iv(val)
 
@@ -1030,7 +1025,7 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
     largest root of gamma X^2 - alpha X - beta.  Conservative directions:
     upper alpha and beta, lower gamma (the enclosure ``gamma`` passed in).
     """
-    pk = engine._pack(engine.ctx.bits)
+    pk = engine.pack
     ivc, rho, lam, J, F = pk.ivc, pk.rho, pk.lam, pk.J, pk.F
     glo, _ = _endpoints(gamma)
     if not libmp.mpf_gt(glo, libmp.fzero):
@@ -1048,10 +1043,9 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
         + (c3**2 + c2**2) / lam
     )
     # conservative endpoint picks
-    a_hi = _iv_from_tuples(ivc, _endpoints(alpha)[1], _endpoints(alpha)[1])
-    b_hi = _iv_from_tuples(ivc, _endpoints(beta)[1], _endpoints(beta)[1])
-    b_hi = _iv_nonneg(ivc, b_hi)
-    g_lo = _iv_from_tuples(ivc, glo, glo)
+    a_hi = ivc.make_mpf((_endpoints(alpha)[1],) * 2)
+    b_hi = _iv_nonneg(ivc, ivc.make_mpf((_endpoints(beta)[1],) * 2))
+    g_lo = ivc.make_mpf((glo, glo))
     root = (a_hi + ivc.sqrt(a_hi**2 + 4 * b_hi * g_lo)) / (2 * g_lo)
     bound = 1 + ivc.exp(root)
     return Enclosure.from_iv(alpha), Enclosure.from_iv(beta), Enclosure.from_iv(bound)
@@ -1153,7 +1147,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
 
     order_bound = _decide_floor(ctx, lambda ivc: ivc.log(_iv_int(ivc, h)) / delta.iv_ell(ivc))
 
-    pk = engine._pack(ctx.bits)
+    pk = engine.pack
     gamma = params.d * pk.rho - (1 + pk.rho * pk.ell) ** 2 / pk.lam
     diag = _height_upper_diagnostic(engine, gamma)
     if diag is not None:

@@ -199,26 +199,26 @@ def growth_exponent(a: IntSequence) -> GrowthEstimate:
 
     Purely diagnostic; no thresholds are applied here.
     """
-    import mpmath  # the only real arithmetic outside ppp.bounds
+    from mpmath import MPContext  # the only real arithmetic outside ppp.bounds
 
     if len(a) < 8:
         raise ValueError("growth estimate needs a prefix of length >= 8")
     if not any(a.terms):
         raise ValueError("growth estimate undefined for the all-zero prefix")
     top = a.last_index
-    with mpmath.workdps(40):
-        def ratio(n: int) -> mpmath.mpf:
-            return mpmath.log(abs(a[n - a.offset])) / n
+    real = MPContext()  # private: mpmath's process-wide context is shared
+    real.dps = 40
 
-        window = [
-            n
-            for n in range(max(a.offset + (3 * (top - a.offset)) // 4, a.offset + 1), top + 1)
-            if a[n - a.offset] != 0
-        ]
-        if a[top - a.offset] == 0 or not window:
-            raise ValueError("last-quarter window contains no usable nonzero terms")
-        last = ratio(top)
-        tail_max = max(ratio(n) for n in window)
-        return GrowthEstimate(
-            Decimal(mpmath.nstr(last, 30)), Decimal(mpmath.nstr(tail_max, 30))
-        )
+    def ratio(n: int):
+        return real.log(abs(a[n - a.offset])) / n
+
+    window = [
+        n
+        for n in range(max(a.offset + (3 * (top - a.offset)) // 4, a.offset + 1), top + 1)
+        if a[n - a.offset] != 0
+    ]
+    if a[top - a.offset] == 0 or not window:
+        raise ValueError("last-quarter window contains no usable nonzero terms")
+    last = ratio(top)
+    tail_max = max(ratio(n) for n in window)
+    return GrowthEstimate(Decimal(real.nstr(last, 30)), Decimal(real.nstr(tail_max, 30)))

@@ -4,7 +4,8 @@ Exit codes: 0 success / certified, 1 refuted, 2 usage or input error,
 3 internal error (a bug trap): the two primary certifiers disagree, or a
 re-check of a bound that ``bounds`` claims fails, 4 undecided within
 resource limits: ``bounds`` hit its height cap, its precision ceiling or
-its J scan cap, and the message names the limit.
+its J scan cap, and the message names the limit; or any subcommand ran out
+of memory.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import lcm_table, primorial_table
 from .certify import (
@@ -30,7 +30,14 @@ from .recur import (
     guess_recurrence,
     verify_recurrence,
 )
-from .transforms import IntSequence, binomial_transform, inverse_binomial_transform, json_int
+from .transforms import (
+    IntSequence,
+    binomial_transform,
+    integer,
+    inverse_binomial_transform,
+    json_int,
+    rational,
+)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -47,12 +54,6 @@ class InputError(Exception):
 # Sequence file format: one base-10 integer per line, '#' comments; or a JSON
 # object {"offset": n, "terms": ["...", ...]} whose values are JSON integers
 # or base-10 strings.
-
-
-def integer(text: str) -> int:
-    """One integer line or option: stripped, the unicode minus read as '-',
-    then an optional sign and ASCII digits (``json_int``)."""
-    return json_int(text.strip().replace("−", "-"))
 
 
 def parse_sequence(text: str) -> IntSequence:
@@ -98,13 +99,6 @@ def _read_stdin_sequence(args) -> IntSequence:
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +154,13 @@ def _parse_phi(preset: str):
     if preset == "primorial":
         return phi_primorial()
     if preset.startswith("geometric:"):
-        return phi_geometric(_parse_fraction(preset.split(":", 1)[1]))
+        return phi_geometric(rational(preset.split(":", 1)[1]))
     if preset.startswith("file:"):
         path = preset.split(":", 1)[1]
         try:
             with open(path, encoding="utf-8") as f:
                 lines = [line.strip() for line in f]
-            values = [Fraction(line) for line in lines if line and not line.startswith("#")]
+            values = [rational(line) for line in lines if line and not line.startswith("#")]
         except OSError as exc:
             raise InputError(f"cannot read growth table: {exc}") from exc
         return phi_table(values)
@@ -249,9 +243,9 @@ def cmd_bounds(args) -> int:
     from . import bounds  # mpmath loads only for this subcommand
 
     ctx = bounds.PrecisionCtx(bits=bits)
-    delta = bounds.Delta.parse(args.delta)
+    c, delta = rational(args.c), bounds.Delta.parse(args.delta)
     try:
-        report = bounds.bounds_report(_parse_fraction(args.c), delta, ctx)
+        report = bounds.bounds_report(c, delta, ctx)
     except (bounds.SearchExceeded, bounds.PrecisionExhausted, bounds.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
@@ -344,6 +338,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: undecided within resource limits", file=sys.stderr)
+        return EXIT_UNDECIDED
     finally:
         sys.set_int_max_str_digits(digit_limit)
 

@@ -23,6 +23,23 @@ def json_int(value) -> int:
     raise ValueError(f"not an exact integer: {value!r}")
 
 
+def integer(text: str) -> int:
+    """One integer line or option: stripped, the unicode minus read as '-',
+    then an optional sign and ASCII digits (``json_int``)."""
+    return json_int(text.strip().replace("−", "-"))
+
+
+def rational(text: str) -> Fraction:
+    """One rational option or table line: INT or INT/INT, each part read by
+    ``integer``.  No exponent or decimal point: ``1e100000000`` would ask
+    for a hundred-million-digit integer."""
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(integer(num), integer(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational NUM or NUM/DEN: {text!r}") from exc
+
+
 @dataclass(frozen=True)
 class IntSequence:
     """A finite prefix of an integer sequence.

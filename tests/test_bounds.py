@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from conftest import in_threads
 from ppp import bounds, cli
 from ppp.arith import is_prime, prime_segments, primes_up_to, primorial_table
 from ppp.bounds import (
@@ -380,6 +381,49 @@ def test_enclosure_decimal_strings(enc, value, value12, width):
     assert (enc.decimal(), enc.decimal(12), enc.width_decimal()) == (value, value12, width)
 
 
+def workdps_decimals(enc, digits):
+    """``decimal`` and ``width_decimal`` by mpmath's global context, as they
+    once were: ``nstr`` of ``mpf(numerator) / denominator`` under ``workdps``."""
+    def mpf(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(digits + 10):
+        value = mpmath.nstr((mpf(enc.lo) + mpf(enc.hi)) / 2, digits)
+    if enc.width == 0:
+        return value, "0"
+    with mpmath.workdps(3 + 10):
+        return value, mpmath.nstr(mpf(enc.width), 3)
+
+
+def test_enclosure_decimals_match_the_workdps_route():
+    rng = random.Random(20261018)
+
+    def rational():
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300))
+        return Fraction(num, rng.randint(1, 2**rng.randint(1, 200)) << rng.randint(0, 90))
+
+    for _ in range(3000):
+        lo = rational()
+        hi = lo + rng.choice((0, rational(), Fraction(1, 2**rng.randint(1, 400))))
+        enc = Enclosure(*sorted((lo, hi)))
+        digits = rng.choice((3, 12, 30, 30, 50))
+        assert (enc.decimal(digits), enc.width_decimal()) == workdps_decimals(enc, digits), enc
+
+
+def test_reports_render_alike_in_threads():
+    # Rendering reads no process-wide precision: under tight thread switching
+    # every render equals the single-threaded one, and mpmath's global
+    # precision is left as it was.
+    reports = [bounds_report(1, Delta.parse(t), CTX) for t in ("11/10", "e^1/4", "5/4")]
+    want = [rep.to_json_dict() for rep in reports]
+
+    def render(out):
+        for _ in range(30):
+            out.extend(rep.to_json_dict() for rep in reports)
+
+    assert all(out == want * 30 for out in in_threads(render))
+
+
 def test_enclosure_decimal_of_a_multi_million_bit_endpoint():
     enc = phi_upper_bound(1, Fraction(3, 5), Fraction(12, 5), Fraction(1, 10), CTX)
     assert enc.hi.numerator.bit_length() > 5 * 10**6
@@ -700,7 +744,7 @@ def test_majorant_levels_share_one_factorial(monkeypatch):
 
     monkeypatch.setattr(bounds.math, "factorial", counted)
     engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
-    low, high = engine._pack(256), engine._pack(512)
+    low, high = engine._pack(_ivc(256)), engine._pack(_ivc(512))
     assert low is not high and low.ivc.prec == 256 and high.ivc.prec == 512
     assert calls == [engine.J]
 
@@ -735,11 +779,11 @@ def test_slope_sign_matches_a_difference_quotient(delta):
         h = 2**k
         r = engine.r_of(h)
         falls = engine.falls(r, h)
-        logh = engine._log_h(CTX.bits, h)
+        logh = engine._log_h(ivc, h)
 
         def f(shift):  # f_r(log h + shift) for this fixed r
             L = logh + _iv_frac(ivc, shift)
-            return r * d * L - engine.log_lhs(CTX.bits, r, L)
+            return r * d * L - engine.log_lhs(ivc, r, L)
 
         rise = f(-step) < f(step)
         if rise is not None:
@@ -811,7 +855,7 @@ def test_height_one_fails(c):
     # log LHS(1) > 0 = r d log 1: every term of log LHS(1) is positive.
     for text in NINE_DELTAS:
         engine = _HeightEngine(choose_parameters(c, Delta.parse(text), CTX), CTX)
-        lo, _ = engine.log_lhs(CTX.bits, 1, 0)._mpi_
+        lo, _ = engine.log_lhs(_ivc(CTX.bits), 1, 0)._mpi_
         assert mpmath.mpf(lo) > 0, text
 
 
@@ -839,7 +883,7 @@ def test_predicate_takes_log_h_once_at_working_precision():
     h = compute_H(1, Fraction(11, 10), ctx=CTX)
     calls = []
     log_h = engine._log_h
-    engine._log_h = lambda bits, x: calls.append(bits) or log_h(bits, x)
+    engine._log_h = lambda ivc, x: calls.append(ivc.prec) or log_h(ivc, x)
     assert engine.predicate(h) is True
     assert calls == [CTX.bits]
 

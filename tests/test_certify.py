@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import random_prefix
+from conftest import in_threads, random_prefix
 from ppp.arith import primes_up_to, primorial_table
 from ppp.certify import (
     COUNTEREXAMPLE_CAP,
@@ -219,6 +219,20 @@ def test_growth_exponent_primorials():
     a = IntSequence.of(primorial_table(1000))
     g = growth_exponent(a)
     assert abs(g.last - 1) < Decimal("0.1")
+
+
+def test_growth_exponent_alike_in_threads():
+    # growth_exponent computes in a private mpmath context: under tight
+    # thread switching every estimate equals the single-threaded one, and
+    # mpmath's global precision is left as it was.
+    seqs = [IntSequence.of([3**n for n in range(40)]), IntSequence.of(primorial_table(500))]
+    want = [growth_exponent(a) for a in seqs]
+
+    def estimate(out):
+        for _ in range(30):
+            out.extend(growth_exponent(a) for a in seqs)
+
+    assert all(out == want * 30 for out in in_threads(estimate))
 
 
 def test_growth_exponent_errors():

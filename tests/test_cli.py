@@ -159,6 +159,35 @@ def test_integer_options_need_ascii_integers(args, env):
     assert "integer" in r.stderr
 
 
+@pytest.mark.parametrize("text", ["1e100000000", "1_000/3", "\u0661\u0661/\u0661\u0660"])
+@pytest.mark.parametrize("place", ["c", "delta", "e^delta", "geometric", "file"])
+def test_rationals_need_ascii_integer_over_integer(tmp_path, place, text):
+    # INT or INT/INT through the integer rule: an exponent used to build a
+    # hundred-million-digit integer, and the run never finished.
+    table = tmp_path / "phi.txt"
+    table.write_text(f"1\n2\n{text}\n8\n")
+    args = {
+        "c": ["bounds", "--c", text, "--delta", "11/10"],
+        "delta": ["bounds", "--c", "1", "--delta", text],
+        "e^delta": ["bounds", "--c", "1", "--delta", f"e^{text}"],
+        "geometric": ["construct", "--phi", f"geometric:{text}", "--n", "1"],
+        "file": ["construct", "--phi", f"file:{table}", "--n", "5"],
+    }[place]
+    r = subprocess.run(CMD + args, capture_output=True, text=True, timeout=30)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"error: not a rational NUM or NUM/DEN: {text!r}\n"
+
+
+def test_out_of_memory_is_undecided(monkeypatch, capsys):
+    # exit 1 would read as "refuted"
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "primorial_table", exhausted)
+    assert cli.main(["sieve", "--kind", "primorial", "--n", "10"]) == 4
+    assert capsys.readouterr().err == "error: out of memory: undecided within resource limits\n"
+
+
 def test_json_sequence_accepts_integers_and_base10_strings():
     r = run(["reindex", "--to", "0"], '{"offset": "2", "terms": [1, "-20", "+3", 40]}')
     assert r.returncode == 0
