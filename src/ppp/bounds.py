@@ -123,6 +123,11 @@ def _first_true(holds: Callable[[int], bool], start: int, cap: int) -> int | Non
     return hi
 
 
+def _hull(ivc, lo, hi):
+    """The enclosure from the lower end of ``lo`` to the upper end of ``hi``."""
+    return ivc.make_mpf((_endpoints(lo)[0], _endpoints(hi)[1]))
+
+
 def _floors(x) -> tuple[int, int]:
     """Floors of the two endpoints of an enclosure."""
     lo, hi = _endpoints(x)
@@ -704,6 +709,11 @@ class _Majorant:
             + logy**2 / self.lam
         )
 
+    def slope(self, logx):
+        """d log_phi / d log x = (J+F) / (1 + e^-u) + 2 (u + D log j0) / lam, u = log x."""
+        ivc = self.ivc
+        return (self.J + self.F) / (1 + ivc.exp(-logx)) + 2 * (logx + self.d_log_j0) / self.lam
+
 
 def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) -> Enclosure:
     """Upper enclosure of the closed-form majorant of the infinite product
@@ -802,13 +812,19 @@ class _HeightEngine:
         return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
     @staticmethod
+    def _log_x_terms(pk: _Majorant, r):
+        """The parts of u = log x = log(2cd) + log r + log h + (r-1) ell that
+        do not involve h, for an enclosure ``r`` of a real r >= 1:
+        (log(2cd) + log r, (r-1) ell).  u is increasing in r and h."""
+        return pk.log_2cd + pk.ivc.log(r), (r - 1) * pk.ell
+
+    @staticmethod
     def _log_x(pk: _Majorant, r: int, logh):
-        """u = log x = log(2cd) + log r + log h + (r-1) ell; increasing in r and h."""
+        """u = log x at an integer r, whose terms are cached."""
         terms = pk.log_x_terms.get(r)
         if terms is None:
-            ivc = pk.ivc
-            logr = ivc.log(_iv_int(ivc, r)) if r > 1 else ivc.mpf(0)
-            terms = pk.log_x_terms[r] = (pk.log_2cd + logr, (r - 1) * pk.ell)
+            terms = _HeightEngine._log_x_terms(pk, _iv_int(pk.ivc, r))
+            pk.log_x_terms[r] = terms
         return terms[0] + logh + terms[1]
 
     def log_lhs(self, ivc, r: int, logh):
@@ -819,34 +835,71 @@ class _HeightEngine:
     def falls(self, r: int, h: int) -> bool:
         """True when f_r'(log h) <= 0 provably at ctx.bits, for r = r(h).
 
-        f_r(L) = r d L - log_phi(u), so f_r' = r d - (J+F) sigma(u)
-        - 2 (u + d log j0) / lam with sigma(u) = 1 / (1 + e^-u).
+        f_r(L) = r d L - log_phi(u) with du/dL = 1, so f_r' = r d - phi'(u),
+        phi' = ``_Majorant.slope``.
         """
         pk = self.pack
-        ivc = pk.ivc
-        u = self._log_x(pk, r, self._log_h(ivc, h))
-        sigma = 1 / (1 + ivc.exp(-u))
-        slope = r * self.params.d - (pk.J + pk.F) * sigma - 2 * (u + pk.d_log_j0) / pk.lam
-        return (slope <= 0) is True
+        u = self._log_x(pk, r, self._log_h(pk.ivc, h))
+        return (r * self.params.d - pk.slope(u) <= 0) is True
+
+    def partials(self, r, L, u):
+        """(Phi_L, Phi_r) for Phi(r, L) = log_phi(u(r, L)) - r d L, enclosed
+        over the enclosures ``r`` and ``L``, given an enclosure ``u`` of
+        u(r, L) over them.
+
+        u_L = 1 and u_r = 1/r + ell, so Phi_L = phi'(u) - r d and Phi_r =
+        phi'(u) (1/r + ell) - d L, with phi' = ``_Majorant.slope``.
+        """
+        pk, d = self.pack, self.params.d
+        slope = pk.slope(u)
+        return slope - d * r, slope * (1 / r + pk.ell) - d * L
 
     def cell_false(self, la: Fraction, lb: Fraction) -> bool:
         """True when the predicate provably fails at every h with la <= log h <= lb.
 
-        On the cell r(h) lies in [r_lo, r_hi] and u = log x increases in r
-        and log h, so the interval majorant over [u(r_lo, la), u(r_hi, lb)]
-        encloses log LHS at every height of the cell, and the right side
-        r d log h is at most r_hi d lb.  Inclusion alone makes this sound.
+        A mean-value (centred) form in strip coordinates (Moore, Interval
+        Analysis, 1966).  Write L = log h, r = rho L + t, Phi(r, L) =
+        log_phi(u(r, L)) - r d L and psi(L, t) = Phi(rho L + t, L): the
+        predicate fails where psi > 0.
+
+        Soundness.  Every height of the cell has r(h) = floor(rho L) + 1 >= 1,
+        so its (L, t) lies in S = {L in [la, lb], t in (0, 1], rho L + t >= 1}.
+        S is convex and contains the centre (m, t_c), m = (la + lb)/2 and
+        t_c = max(1/2, 1 - rho m): t_c <= 1 since rho m >= 0, and
+        rho m + t_c >= 1.  S lies in the box B = {L in [la, lb],
+        r in [max(1, rho la), rho lb + 1]}, so by the mean value theorem on
+        the segment from the centre, psi on S is at least
+
+            psi(m, t_c) + psi_L(B) ([la, lb] - m) + psi_t(B) ([0, 1] - t_c),
+
+        with psi_L = Phi_L + rho Phi_r and psi_t = Phi_r (``partials``); as
+        t_c >= 1/2, |t - t_c| <= t_c on S.  u rises in r and L, so its
+        corners at (r, L) = (max(1, rho la), la) and (rho lb + 1, lb) enclose
+        it on B.
+
+        Why it is tight.  Along the strip the two sides rise together, so
+        psi_L is small; a corner bound (the majorant at the lower-left corner
+        against r d L at the upper-right) pays the whole rise of r d L,
+        about 2 d rho L per unit of L, across the cell.
         """
-        pk = self.pack
-        ivc = pk.ivc
-        la, lb = _iv_frac(ivc, la), _iv_frac(ivc, lb)
-        r_lo = _floors(pk.rho * la)[0] + 1
-        r_hi = _floors(pk.rho * lb)[1] + 1
-        u = ivc.make_mpf((
-            _endpoints(self._log_x(pk, r_lo, la))[0],
-            _endpoints(self._log_x(pk, r_hi, lb))[1],
-        ))
-        return (r_hi * self.params.d * lb < pk.log_phi(u)) is True
+        p, pk = self.params, self.pack
+        ivc, d = pk.ivc, p.d
+        m = (la + lb) / 2
+        t_c = max(Fraction(1, 2), 1 - p.rho * m)
+
+        def log_x(r, L):
+            log_2cd_r, r_ell = self._log_x_terms(pk, r)
+            return log_2cd_r + L + r_ell
+
+        r_c, L_c = _iv_frac(ivc, p.rho * m + t_c), _iv_frac(ivc, m)
+        psi_c = pk.log_phi(log_x(r_c, L_c)) - d * r_c * L_c
+        r_lo, r_hi = _iv_frac(ivc, max(1, p.rho * la)), _iv_frac(ivc, p.rho * lb + 1)
+        L_lo, L_hi = _iv_frac(ivc, la), _iv_frac(ivc, lb)
+        u = _hull(ivc, log_x(r_lo, L_lo), log_x(r_hi, L_hi))
+        phi_L, phi_r = self.partials(_hull(ivc, r_lo, r_hi), _hull(ivc, L_lo, L_hi), u)
+        psi_L = phi_L + pk.rho * phi_r
+        low = psi_c - abs(psi_L) * _iv_frac(ivc, (lb - la) / 2) - abs(phi_r) * _iv_frac(ivc, t_c)
+        return (low > 0) is True
 
     def floor_exp(self, L: Fraction) -> int:
         """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
@@ -874,7 +927,10 @@ class _Verdicts:
     they apply and from ``_HeightEngine.predicate`` otherwise.
 
     * False prefix.  Every height in [1, false_to] fails, proved by cells
-      (``_HeightEngine.cell_false``).  It starts at h = 1: there the right
+      (``_HeightEngine.cell_false``): on a cell [la, lb] of log h the
+      heights have (log h, r(h) - rho log h) in a convex set on which a
+      mean-value form, centred in that set near the strip
+      r = rho log h + 1/2, keeps the majorant's log above r d log h.  It starts at h = 1: there the right
       side r d log 1 is 0 while every term of log LHS(1) is positive, since
       log c0 = 4 zeta(2)/lam > 0 and j0 = 2d/lam > 2.  A query past the
       prefix first grows it by cells, doubling the width in log h after two

@@ -1,9 +1,11 @@
 import bisect
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import math
+import queue
 import random
 import time
 from fractions import Fraction
@@ -424,6 +426,32 @@ def test_reports_render_alike_in_threads():
     assert all(out == want * 30 for out in in_threads(render))
 
 
+def test_reports_compute_alike_in_threads():
+    # The module caches _J_CACHE and _IV_CONTEXTS fill without a lock; each
+    # key maps to a value that does not depend on the filling thread, so a
+    # race may repeat work but must not change a report.
+    texts = ["11/10", "e^1/4", "5/4", "13/10"]
+    want = {t: bounds_report(1, Delta.parse(t), CTX).to_json_dict() for t in texts}
+    tasks = queue.SimpleQueue()
+    for t in texts * 4:
+        tasks.put(t)
+
+    def compute(out):
+        while True:
+            try:
+                t = tasks.get_nowait()
+            except queue.Empty:
+                return
+            out.append((t, bounds_report(1, Delta.parse(t), CTX).to_json_dict()))
+
+    bounds._J_CACHE.clear()
+    bounds._IV_CONTEXTS.clear()
+    done = [item for out in in_threads(compute) for item in out]
+    assert len(done) == 16
+    for t, rep in done:
+        assert rep == want[t], t
+
+
 def test_enclosure_decimal_of_a_multi_million_bit_endpoint():
     enc = phi_upper_bound(1, Fraction(3, 5), Fraction(12, 5), Fraction(1, 10), CTX)
     assert enc.hi.numerator.bit_length() > 5 * 10**6
@@ -586,24 +614,27 @@ def test_every_verdict_the_search_used_is_exact(delta):
 
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10)])
 def test_heights_in_excluded_cells_fail(delta):
+    # Every proved cell, from log h = 0 to past false_to: its first and last
+    # height and three drawn between them fail.
     search = RecordedSearch(delta)
     search.run()
-    cells = search.cells
-    assert len(cells) > 20
+    cells, false_to = search.cells, search.verdicts.false_to
+    assert cells[0][0] == 0 and all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
     rng = random.Random(11)
-    drawn = 0
-    with mpmath.workprec(search.verdicts.false_to.bit_length() + 64):
-        while drawn < 200:
-            la, lb = rng.choice(cells)
-            L = la + (lb - la) * Fraction(rng.random())
-            h = max(1, int(mpmath.floor(mpmath.exp(mpmath.mpf(L.numerator) / L.denominator))))
+    checked = 0
+    with mpmath.workprec(false_to.bit_length() + 64):
+        for la, lb in cells:
             # cell ends are dyadic, so these mpf are exact
-            if not mpmath.mpf(la.numerator) / la.denominator <= mpmath.log(h) \
-                    <= mpmath.mpf(lb.numerator) / lb.denominator:
-                continue  # no integer near this point of the cell
-            assert h <= search.verdicts.false_to
-            assert search.predicate(h) is False, h
-            drawn += 1
+            la_mp, lb_mp = (mpmath.mpf(q.numerator) / q.denominator for q in (la, lb))
+            first, last = int(mpmath.ceil(mpmath.exp(la_mp))), int(mpmath.floor(mpmath.exp(lb_mp)))
+            assert first == 1 or mpmath.log(first - 1) < la_mp <= mpmath.log(first)
+            assert mpmath.log(last) <= lb_mp < mpmath.log(last + 1)
+            if first > last:
+                continue  # no integer height in this cell
+            for h in {first, last, *(rng.randint(first, last) for _ in range(3))}:
+                assert search.predicate(h) is False, h
+                checked += 1
+    assert false_to <= last and checked > 2 * len(cells)
 
 
 class FakeEngine:
@@ -811,6 +842,40 @@ def test_questions_lie_between_earlier_answers(delta):
     assert set(search.evaluated) <= {h for h, _ in search.used} | starts
 
 
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10), Delta.exp(Fraction(2, 7))])
+def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
+    # Phi(r, L) = log LHS - r d L through the engine's own majorant and
+    # log x terms at a real r, differentiated numerically at 200 bits,
+    # against the enclosures of Phi_L and Phi_r that cell_false uses.
+    engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
+    d, rho, fine = engine.params.d, engine.params.rho, _ivc(512)
+
+    def log_x(pk, R, Lv):
+        log_2cd_r, r_ell = engine._log_x_terms(pk, R)
+        return log_2cd_r + Lv + r_ell
+
+    def Phi(L, r):
+        pk, R, Lv = engine._pack(fine), fine.mpf(r), fine.mpf(L)
+        lo, _ = (pk.log_phi(log_x(pk, R, Lv)) - d * R * Lv)._mpi_
+        return mpmath.mp.make_mpf(lo)
+
+    ivc, pk = engine.pack.ivc, engine.pack
+    rng = random.Random(15)
+    for _ in range(12):
+        L = Fraction(rng.randint(1, 2**12 * 3000), 2**12)
+        r = max(1, rho * L + Fraction(rng.randint(0, 2**10), 2**10))
+        R, Lv = _iv_frac(ivc, r), _iv_frac(ivc, L)
+        enclosed = engine.partials(R, Lv, log_x(pk, R, Lv))
+        with mpmath.workprec(200):
+            point = (mpmath.mpf(L.numerator) / L.denominator, mpmath.mpf(r.numerator) / r.denominator)
+            numeric = (mpmath.diff(lambda x: Phi(x, point[1]), point[0]),
+                       mpmath.diff(lambda y: Phi(point[0], y), point[1]))
+            for value, enc in zip(numeric, enclosed):
+                lo, hi = (mpmath.mp.make_mpf(e) for e in enc._mpi_)
+                slack = mpmath.mpf(10) ** -40 * (1 + abs(value))
+                assert lo - slack <= value <= hi + slack, (L, r, value, enc)
+
+
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
 def test_no_cell_around_a_true_height_is_excluded(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
@@ -821,21 +886,38 @@ def test_no_cell_around_a_true_height_is_excluded(delta):
             if not engine.predicate(t):
                 continue
             log_t = mpmath.log(t)
-            for k in range(-12, 4):
+            for k in range(-12, 11):
                 width = Fraction(2) ** k
                 for part in range(4):  # t sits at 0, 1/4, 1/2, 3/4 of the cell
                     start = log_t - mpmath.mpf(width.numerator) / width.denominator * part / 4
-                    la = Fraction(int(mpmath.floor(start * 2**16)), 2**16)
+                    la = max(0, Fraction(int(mpmath.floor(start * 2**16)), 2**16))
                     assert engine.cell_false(la, la + width) is False, (t, k, part)
+
+
+@pytest.mark.parametrize("delta, rho", [
+    (Fraction(11, 10), Fraction(3, 4)),  # rho < 1, as e^9/10 and 12/5 choose
+    (Delta.exp(Fraction(1, 2)), None),   # the chosen rho, about 1.38
+], ids=["11/10-rho-3/4", "e^1/2"])
+def test_first_cells_of_the_prefix_are_proved(delta, rho):
+    # Each cell [0, 2^-k] has its centre below the strip's lower edge
+    # rho L + t >= 1 (2 rho m < 1); the test must still prove it, or the
+    # prefix could not grow past h = 1 after its first cell fails.
+    params = choose_parameters(1, delta, CTX)
+    if rho is not None:
+        params = dataclasses.replace(params, rho=rho)
+    engine = _HeightEngine(params, CTX)
+    for k in range(13):
+        width = Fraction(1, 2**k)
+        assert engine.cell_false(Fraction(0), width) is True, k
 
 
 def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     search = RecordedSearch(Delta.exp(Fraction(2, 7)))
     h = search.run()
     assert h.bit_length() == 3845
-    assert len(search.evaluated) <= 60  # the bisection alone asks 7689 heights
+    assert len(search.evaluated) <= 8  # the bisection alone asks 7689 heights
     assert len(search.used) == 7689
-    assert search.cell_checks <= 350  # failed checks included
+    assert search.cell_checks <= 80  # failed checks included
 
 
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Delta.exp(Fraction(2, 7))])
