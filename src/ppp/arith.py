@@ -24,19 +24,8 @@ class PrimeTable:
 
 
 def primes_up_to(n: int) -> PrimeTable:
-    """Sieve of Eratosthenes returning every prime <= n."""
-    if n < 0:
-        raise ValueError("limit must be a natural number")
-    if n > SIEVE_LIMIT_CAP:
-        raise ValueError(f"sieve limit {n} exceeds the 64-bit cap {SIEVE_LIMIT_CAP}")
-    if n < 2:
-        return PrimeTable(n, ())
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return PrimeTable(n, tuple(itertools.compress(range(n + 1), sieve)))
+    """Every prime <= n, collected from ``prime_segments``."""
+    return PrimeTable(n, tuple(itertools.chain.from_iterable(prime_segments(n))))
 
 
 def prime_segments(n: int) -> Iterator[tuple[int, ...]]:
@@ -44,13 +33,14 @@ def prime_segments(n: int) -> Iterator[tuple[int, ...]]:
 
     A segmented sieve of Eratosthenes over the odd numbers, ``_SEGMENT`` of
     them per window: it holds the primes up to sqrt(n) and one window, never
-    all primes <= n.
+    all primes <= n.  The base primes come from ``primes_up_to(isqrt(n))``;
+    below 9 there are no odd ones, and the guard ends the recursion.
     """
     if n < 0:
         raise ValueError("limit must be a natural number")
     if n > SIEVE_LIMIT_CAP:
         raise ValueError(f"sieve limit {n} exceeds the 64-bit cap {SIEVE_LIMIT_CAP}")
-    odd_base = primes_up_to(math.isqrt(n)).primes[1:]
+    odd_base = primes_up_to(math.isqrt(n)).primes[1:] if n >= 9 else ()
     for lo in range(1, n + 1, 2 * _SEGMENT):  # the window holds the odd lo <= m < hi
         hi = min(lo + 2 * _SEGMENT, n + 1)
         window = bytearray([1]) * len(range(lo, hi, 2))

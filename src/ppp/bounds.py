@@ -202,13 +202,13 @@ class Enclosure:
         total = libmp.mpf_add(_mpf_of(self.lo, prec), _mpf_of(self.hi, prec), prec, "n")
         return libmp.to_str(libmp.mpf_shift(total, -1), digits)
 
-    def width_decimal(self, digits: int = 3) -> str:
+    def width_decimal(self) -> str:
         if self.width == 0:
             return "0"
-        return libmp.to_str(_mpf_of(self.width, libmp.dps_to_prec(digits + 10)), digits)
+        return libmp.to_str(_mpf_of(self.width, libmp.dps_to_prec(3 + 10)), 3)
 
-    def to_json_dict(self, digits: int = 30) -> dict:
-        return {"value": self.decimal(digits), "width": self.width_decimal()}
+    def to_json_dict(self) -> dict:
+        return {"value": self.decimal(), "width": self.width_decimal()}
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +418,15 @@ def _tail_point(ctx: PrecisionCtx, log_base: Callable) -> tuple[ChebyshevBound, 
     return tail, _first_true(lambda x: tail.closes(ctx, log_base, x), tail.start, SIEVE_LIMIT_CAP)
 
 
-def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> JScan:
+def scan_J(epsilon, ctx: PrecisionCtx | None = None) -> JScan:
     """J(epsilon), the largest j with primorial(j-1) < (e - epsilon)^j, with
     the proof that no larger j qualifies.
 
     Write L = log(e - epsilon) and theta(x) = log primorial(x).  j qualifies
     when theta(j-1) < j L.  The tail theorem closes at x0 (``_tail_point``):
     theta(x) >= (x+1) L for every x >= x0, so no j > x0 qualifies.  The scan
-    covers j <= x0, and raises CapExceeded when x0 exceeds ``cap`` (default
-    ``ctx.j_cap``), a resource limit.
+    covers j <= x0, and raises CapExceeded when x0 exceeds ``ctx.j_cap``, a
+    resource limit; a cached scan is refused too under a smaller limit.
 
     Only the ends of prime gaps are candidates: for j-1 in a gap [p, q),
     theta(j-1) stays theta(p) while j L grows, so a qualifying j in the gap
@@ -448,7 +448,6 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> 
     """
     ctx = ctx or PrecisionCtx()
     epsilon = Fraction(epsilon)
-    cap = cap if cap is not None else ctx.j_cap
     scan = _J_CACHE.get(epsilon)
     if scan is None:
         _check_epsilon_domain(ctx, epsilon)
@@ -456,10 +455,10 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> 
         tail, x0 = _tail_point(ctx, log_base)
     else:
         tail, x0 = scan.tail, scan.x0
-    if x0 is None or x0 > cap:
+    if x0 is None or x0 > ctx.j_cap:
         needed = f"x0 = {x0}" if x0 is not None else "x0 > 2^63 - 1"
         raise CapExceeded(
-            f"the J(epsilon) tail proof needs {needed}, beyond the J limit {cap} "
+            f"the J(epsilon) tail proof needs {needed}, beyond the J limit {ctx.j_cap} "
             f"({tail.citation})"
         )
     if scan is None:
@@ -467,9 +466,9 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> 
     return scan
 
 
-def compute_J(epsilon, ctx: PrecisionCtx | None = None, cap: int | None = None) -> int:
-    """J(epsilon), proved by ``scan_J``; CapExceeded when its proof needs more than ``cap``."""
-    return scan_J(epsilon, ctx, cap).J
+def compute_J(epsilon, ctx: PrecisionCtx | None = None) -> int:
+    """J(epsilon), proved by ``scan_J``; CapExceeded past ``ctx.j_cap``."""
+    return scan_J(epsilon, ctx).J
 
 
 # Candidates per block in ``_scan_to``'s one-test rejection.

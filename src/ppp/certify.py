@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .arith import lcm_table, primes_up_to, primorial_table
-from .transforms import IntSequence, binomial_transform
+from .transforms import IntSequence, _require_offset_zero, binomial_transform
 
 COUNTEREXAMPLE_CAP = 100
 # Bit budget of one prime group's product in certify_primary_direct.
@@ -111,8 +111,7 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
     ``(n, modulus)`` order ranks at most that high within its own prime, and
     one more per prime keeps ``truncated`` exact.
     """
-    if a.offset != 0:
-        raise ValueError("certification requires offset 0")
+    _require_offset_zero(a, "primary-direct")
     top = len(a) - 1
     terms = a.terms
     bad: list[Counterexample] = []
@@ -134,8 +133,7 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
 
 def _certify_hall(a: IntSequence, table_fn, subject: str) -> CertReport:
     """Check that ``table_fn(N)[n]`` divides each binomial-transform term."""
-    if a.offset != 0:
-        raise ValueError("certification requires offset 0")
+    _require_offset_zero(a, subject)
     top = len(a) - 1
     b = binomial_transform(a)
     mods = table_fn(top)

@@ -12,7 +12,9 @@ from decimal import Decimal, localcontext
 from math import comb, factorial, perm
 from operator import add, sub
 
-from .transforms import IntSequence, binomial_transform, inverse_binomial_transform
+from .transforms import (
+    IntSequence, _require_offset_zero, binomial_transform, inverse_binomial_transform,
+)
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ def egf_reciprocal(b: IntSequence) -> IntSequence:
     own block follow term by term.  A tile costs 3^5 = 243 products where
     the plain recursion makes S^2 = 1024.
     """
-    if b.offset != 0:
-        raise ValueError("reciprocal requires offset 0")
+    _require_offset_zero(b, "egf_reciprocal")
     if b[0] != 1:
         raise ValueError(f"reciprocal requires b_0 = 1, got {b[0]}")
     size, s = len(b), _BLOCK
@@ -126,8 +127,7 @@ def egf_reciprocal(b: IntSequence) -> IntSequence:
 
 def egf_triple(a: IntSequence) -> EgfTriple:
     """Full pipeline a -> (b, c, u); requires a_0 = 1."""
-    if a.offset != 0:
-        raise ValueError("construction requires offset 0")
+    _require_offset_zero(a, "egf_triple")
     if a[0] != 1:
         raise ValueError(
             f"construction requires a_0 = 1, got {a[0]}; rescaling is refused "

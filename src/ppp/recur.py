@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CertReport, Counterexample, make_report
-from .transforms import IntSequence, json_int
+from .transforms import IntSequence, _require_offset_zero, json_int
 
 # Largest prime below 2^30; used only to skip hopeless (order, degree) cells.
 # Below 2^30 every residue is a single CPython digit, so the filter's products
@@ -129,8 +129,7 @@ def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> CertReport:
 
     Counterexamples carry modulus 0 and the nonzero residual as witness.
     """
-    if a.offset != 0:
-        raise ValueError("verification requires offset 0")
+    _require_offset_zero(a, "verify_recurrence")
     s = rec.order
     if len(a) <= s:
         raise ValueError(f"prefix length {len(a)} must exceed the order {s}")
@@ -145,8 +144,7 @@ def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> CertReport:
 
 def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> IntSequence:
     """Extend the initial terms to index n_max by solving for the top term."""
-    if initial.offset != 0:
-        raise ValueError("extension requires offset 0")
+    _require_offset_zero(initial, "apply_recurrence")
     s = rec.order
     if len(initial) < s:
         raise ValueError(f"need at least {s} initial terms, got {len(initial)}")
@@ -268,8 +266,7 @@ def guess_recurrence(a: IntSequence, budget: GuessBudget) -> PolyRecurrence | No
     One elimination mod ``_FILTER_PRIME`` per order finds the cells whose
     columns are independent; those have no nonzero solution and are skipped.
     """
-    if a.offset != 0:
-        raise ValueError("guessing requires offset 0")
+    _require_offset_zero(a, "guess_recurrence")
     budget.check(len(a))
     length = len(a)
     residues = [t % _FILTER_PRIME for t in a.terms]

@@ -27,6 +27,15 @@ def trial_division_primes(n):
     return out
 
 
+def reference_sieve(n):
+    """A plain sieve of Eratosthenes over 0..n, independent of ``ppp.arith``."""
+    flags = [k >= 2 for k in range(n + 1)]
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, n + 1, p))
+    return [k for k, prime in enumerate(flags) if prime]
+
+
 def test_primes_examples():
     assert primes_up_to(1).primes == ()
     assert primes_up_to(10).primes == (2, 3, 5, 7)
@@ -41,6 +50,17 @@ def test_primes_table_invariants():
     t = primes_up_to(500)
     assert list(t.primes) == sorted(set(t.primes))
     assert t.limit == 500
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122])
+def test_primes_at_the_recursion_edges(n):
+    # prime_segments takes base primes from primes_up_to(isqrt(n)) from
+    # n = 9 on, and each square of a prime adds one
+    assert list(primes_up_to(n).primes) == trial_division_primes(n)
+
+
+def test_primes_up_to_four_million():
+    assert len(primes_up_to(4 * 10**6).primes) == 283146
 
 
 def test_sieve_cap():
@@ -58,7 +78,7 @@ def test_prime_segments_match_the_sieve(size, monkeypatch):
     for n in (*range(12), 25, 49, 121, 5000, 8 * size + 1):
         segments = list(prime_segments(n))
         assert all(segments)
-        assert [p for s in segments for p in s] == list(primes_up_to(n).primes)
+        assert [p for s in segments for p in s] == reference_sieve(n)
 
 
 def test_primorial_examples():

@@ -8,6 +8,7 @@ import math
 import queue
 import random
 import time
+import types
 from fractions import Fraction
 
 import mpmath
@@ -46,6 +47,11 @@ from ppp.bounds import (
 CTX = PrecisionCtx()
 
 
+def capped(j_cap):
+    """CTX with the J limit ``j_cap``."""
+    return dataclasses.replace(CTX, j_cap=j_cap)
+
+
 def json_sha256(rep):
     """SHA-256 of the report exactly as ``ppp bounds`` prints it."""
     text = cli._canonical_json(rep.to_json_dict()) + "\n"
@@ -82,7 +88,7 @@ def test_degree_bound_domain():
 # --- J scan ----------------------------------------------------------------
 
 def test_j_small_for_large_epsilon():
-    assert compute_J(Fraction(3, 2), CTX, cap=5000) <= 9
+    assert compute_J(Fraction(3, 2), capped(5000)) <= 9
 
 
 def brute_force_J(eps, cap):
@@ -103,7 +109,7 @@ def brute_force_J(eps, cap):
     (Fraction(1, 5), 771, 771), (Fraction(21, 100), 571, 571),
 ], ids=["half-2999", "half-3000", "fifth-3001", "fifth-x0-771", "21/100-x0-571"])
 def test_j_matches_brute_force(eps, cap, x0):
-    scan = scan_J(eps, CTX, cap=cap)
+    scan = scan_J(eps, capped(cap))
     assert scan.x0 == x0 and scan.J == brute_force_J(eps, cap)
 
 
@@ -112,11 +118,11 @@ def test_j_stability_under_doubled_cap(monkeypatch):
     # cap = x0 and at 2 x0 agree, and a cached scan still refuses x0 - 1.
     eps = Fraction(1, 5)
     monkeypatch.setattr(bounds, "_J_CACHE", {})
-    at_x0 = scan_J(eps, CTX, cap=771)
+    at_x0 = scan_J(eps, capped(771))
     monkeypatch.setattr(bounds, "_J_CACHE", {})
-    assert scan_J(eps, CTX, cap=2 * 771) == at_x0 and at_x0.x0 == 771
+    assert scan_J(eps, capped(2 * 771)) == at_x0 and at_x0.x0 == 771
     with pytest.raises(CapExceeded, match="needs x0 = 771, beyond the J limit 770 "):
-        compute_J(eps, CTX, cap=770)
+        compute_J(eps, capped(770))
 
 
 def test_scan_takes_x0_as_its_last_candidate():
@@ -128,9 +134,27 @@ def test_scan_takes_x0_as_its_last_candidate():
         assert bounds._scan_to(CTX, log_base, x0) == brute_force_J(eps, x0), x0
 
 
+# log(e - eps) sits 100 u theta(p-1) / p off theta(p-1) / p, on the far side
+# from the skew of a math.log that errs by 600 ulps (u = 2^-53), inside the
+# band's _LOG_ULPS.  Without that term in the candidate's band, the 347 case
+# lets p qualify; without it in either band, the 313 case loses p (313 is a
+# block of its own: the 65th prime).
+@pytest.mark.parametrize("p, x0, skew, J", [(347, 547, 1, 229), (313, 317, -1, 313)])
+def test_j_band_covers_a_math_log_off_by_600_ulps(p, x0, skew, J, monkeypatch):
+    with mpmath.workdps(60):
+        theta = mpmath.fsum(mpmath.log(q) for q in primes_up_to(p - 1).primes)
+        ell = theta * (1 - skew * 100 * mpmath.mpf(2) ** -53) / p
+        eps = Fraction(mpmath.nstr(mpmath.e - mpmath.exp(ell), 50))
+    skewed = lambda x: math.log(x) * (1 - skew * 600 * 2.0**-53)
+    monkeypatch.setattr(
+        bounds, "math", types.SimpleNamespace(log=skewed, nextafter=math.nextafter, inf=math.inf)
+    )
+    log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
+    assert bounds._scan_to(CTX, log_base, x0) == brute_force_J(eps, x0) == J
+
+
 def test_j_monotone_in_epsilon():
-    caps = dict(cap=50_000)
-    js = [compute_J(Fraction(num, 10), CTX, **caps) for num in (2, 4, 8, 15)]
+    js = [compute_J(Fraction(num, 10), capped(50_000)) for num in (2, 4, 8, 15)]
     assert js == sorted(js, reverse=True)
 
 
@@ -148,14 +172,14 @@ def test_j_cap_exceeded_for_tiny_epsilon(cap):
     # raises and names the least closing point.
     eps = Fraction(1, 10)
     with pytest.raises(CapExceeded, match=rf"needs x0 = (\d+), beyond the J limit {cap} ") as err:
-        compute_J(eps, CTX, cap=cap)
+        compute_J(eps, capped(cap))
     x0 = int(err.value.args[0].split("x0 = ")[1].split(",")[0])
     rs = ROSSER_SCHOENFELD
     assert tail_margin(rs, eps, x0) >= 0 > tail_margin(rs, eps, x0 - 1)
-    assert scan_J(eps, CTX, cap=x0).x0 == x0
+    assert scan_J(eps, capped(x0)).x0 == x0
     # For eps = 1/10^6 the tail closes near e^737, past any sieve.
     with pytest.raises(CapExceeded, match=rf"needs x0 > 2\^63 - 1, beyond the J limit {cap} "):
-        compute_J(Fraction(1, 10**6), CTX, cap=cap)
+        compute_J(Fraction(1, 10**6), capped(cap))
 
 
 def theta_at_gap_ends(lo, hi):

@@ -75,6 +75,12 @@ def test_certify_exit_codes():
         assert run(["certify", "--mode", mode], ones).returncode == 0
 
 
+def test_certify_refuses_a_nonzero_offset():
+    r = run(["certify", "--mode", "both"], json.dumps({"offset": 1, "terms": ["1", "1", "1"]}))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: primary-direct requires offset 0 (got 1); re-index first\n"
+
+
 def test_certify_primary_vs_pseudo():
     prim = run(["sieve", "--kind", "primorial", "--n", "8"]).stdout
     dseq = run(["inverse-transform"], prim).stdout

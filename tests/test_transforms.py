@@ -4,6 +4,11 @@ import pytest
 
 from conftest import direct_inverse, direct_transform, random_prefix
 from ppp.arith import primorial_table
+from ppp.certify import certify_primary_direct, certify_primary_hall, certify_pseudo_hall
+from ppp.egfinv import egf_reciprocal, egf_triple
+from ppp.recur import (
+    GuessBudget, PolyRecurrence, apply_recurrence, guess_recurrence, verify_recurrence,
+)
 from ppp.transforms import (
     IntSequence,
     binomial_transform,
@@ -59,6 +64,27 @@ def test_offset_rejected():
         binomial_transform(shifted)
     with pytest.raises(ValueError):
         inverse_binomial_transform(shifted)
+
+
+REC = PolyRecurrence(((-1,), (1,)))  # a_{n+1} = a_n
+
+ENTRY_POINTS = {
+    "primary-direct": certify_primary_direct,
+    "primary-hall": certify_primary_hall,
+    "pseudo-hall": certify_pseudo_hall,
+    "egf_reciprocal": egf_reciprocal,
+    "egf_triple": egf_triple,
+    "verify_recurrence": lambda a: verify_recurrence(a, REC),
+    "apply_recurrence": lambda a: apply_recurrence(REC, a, 40),
+    "guess_recurrence": lambda a: guess_recurrence(a, GuessBudget(1, 1)),
+}
+
+
+@pytest.mark.parametrize("operation", ENTRY_POINTS)
+def test_offset_rejected_by_every_entry_point(operation):
+    # each would accept the same terms at offset 0
+    with pytest.raises(ValueError, match=rf"^{operation} requires offset 0 \(got 1\)"):
+        ENTRY_POINTS[operation](IntSequence.of([1] * 30, offset=1))
 
 
 def test_ogf_examples():
