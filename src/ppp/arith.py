@@ -73,53 +73,58 @@ def is_prime(n: int) -> bool:
 
 # Incremental prefix caches shared by the certifiers: one (primorials, lcms)
 # pair of tuples, replaced as a whole under the lock so that a reader never
-# sees a half-written extension.
+# sees a half-written extension.  A request extends only its own prefix.
 _TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
 _TABLES_LOCK = threading.Lock()
+_PRIMORIALS, _LCMS = 0, 1
 
 
-def _tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The shared (primorials, lcms) prefixes, each covering 0..n at least."""
+def _prefix(kind: int, n: int) -> tuple[int, ...]:
+    """The shared prefix ``_TABLES[kind]``, covering 0..n at least."""
     global _TABLES
     if n < 0:
         raise ValueError("n must be a natural number")
-    tables = _TABLES
-    if n < len(tables[0]):
-        return tables
+    table = _TABLES[kind]
+    if n < len(table):
+        return table
     with _TABLES_LOCK:
-        prims, lcms = _TABLES
-        if n >= len(prims):
-            pset = set(primes_up_to(n).primes)
-            p, d = prims[-1], lcms[-1]
-            new_prims, new_lcms = [], []
-            for k in range(len(prims), n + 1):
-                if k in pset:
-                    p *= k
-                d = math.lcm(d, k)
-                new_prims.append(p)
-                new_lcms.append(d)
-            _TABLES = (prims + tuple(new_prims), lcms + tuple(new_lcms))
-        return _TABLES
+        tables = list(_TABLES)
+        table = tables[kind]
+        if n >= len(table):
+            if kind == _PRIMORIALS:
+                pset = set(primes_up_to(n).primes)
+
+                def step(acc: int, k: int) -> int:
+                    return acc * k if k in pset else acc
+            else:
+                step = math.lcm
+            acc, new = table[-1], []
+            for k in range(len(table), n + 1):
+                acc = step(acc, k)
+                new.append(acc)
+            tables[kind] = table = table + tuple(new)
+            _TABLES = tuple(tables)
+        return table
 
 
 def primorial(n: int) -> int:
     """Product of all primes <= n, with the empty product equal to 1."""
-    return _tables(n)[0][n]
+    return _prefix(_PRIMORIALS, n)[n]
 
 
 def lcm_to(n: int) -> int:
     """lcm{1, ..., n}, with lcm of the empty range equal to 1."""
-    return _tables(n)[1][n]
+    return _prefix(_LCMS, n)[n]
 
 
 def primorial_table(n: int) -> tuple[int, ...]:
     """The prefix (primorial(0), ..., primorial(n))."""
-    return _tables(n)[0][: n + 1]
+    return _prefix(_PRIMORIALS, n)[: n + 1]
 
 
 def lcm_table(n: int) -> tuple[int, ...]:
     """The prefix (lcm_to(0), ..., lcm_to(n))."""
-    return _tables(n)[1][: n + 1]
+    return _prefix(_LCMS, n)[: n + 1]
 
 
 def binomial(n: int, k: int) -> int:

@@ -5,6 +5,7 @@ claims anything about indices beyond N.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -76,8 +77,12 @@ class CertReport:
         }
 
 
+def _sort_key(c: Counterexample) -> tuple[int, int]:
+    return c.n, c.modulus
+
+
 def make_report(subject: str, n: int, bad: list[Counterexample]) -> CertReport:
-    bad.sort(key=lambda c: (c.n, c.modulus))
+    bad.sort(key=_sort_key)
     truncated = len(bad) > COUNTEREXAMPLE_CAP
     return CertReport(
         certified=not bad,
@@ -106,10 +111,13 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
 
     Each term is reduced once per prime group (a product of at most
     ``_GROUP_BITS`` bits) and each prime's residues are taken from that small
-    remainder.  At most ``COUNTEREXAMPLE_CAP + 1`` counterexamples are kept per
-    prime: every member of the reported first ``COUNTEREXAMPLE_CAP`` in
-    ``(n, modulus)`` order ranks at most that high within its own prime, and
-    one more per prime keeps ``truncated`` exact.
+    remainder.  At most ``COUNTEREXAMPLE_CAP + 1`` counterexamples are kept:
+    after each failing prime only the smallest in ``(n, modulus)`` order stay.
+    An entry dropped there has ``COUNTEREXAMPLE_CAP + 1`` smaller ones ahead
+    of it, so it is not among those reported, and the one beyond the cap
+    keeps ``truncated`` exact.  The same bound cuts each prime's scan short:
+    it stops after ``COUNTEREXAMPLE_CAP + 1`` failures, and once that many
+    are kept, before the largest ``n`` among them.
     """
     _require_offset_zero(a, "primary-direct")
     top = len(a) - 1
@@ -121,27 +129,34 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
             residues = [t % p for t in small]
             if residues[p:] == residues[: top - p + 1]:
                 continue
+            end = top - p + 1
+            if len(bad) > COUNTEREXAMPLE_CAP:
+                end = min(end, bad[-1].n)  # from there on (n, p) sorts after all kept
             found = 0
-            for n in range(top - p + 1):
+            for n in range(end):
                 if residues[n + p] != residues[n]:
                     bad.append(Counterexample(n, p, terms[n + p] - terms[n]))
                     found += 1
                     if found > COUNTEREXAMPLE_CAP:
                         break
+            bad.sort(key=_sort_key)
+            del bad[COUNTEREXAMPLE_CAP + 1 :]
     return make_report("primary-direct", top, bad)
 
 
 def _certify_hall(a: IntSequence, table_fn, subject: str) -> CertReport:
-    """Check that ``table_fn(N)[n]`` divides each binomial-transform term."""
+    """Check that ``table_fn(N)[n]`` divides each binomial-transform term.
+
+    There is one modulus per ``n``, so the scan stops at the
+    ``COUNTEREXAMPLE_CAP + 1``-th failure: the report keeps the first
+    ``COUNTEREXAMPLE_CAP``, and one more sets ``truncated``.
+    """
     _require_offset_zero(a, subject)
     top = len(a) - 1
     b = binomial_transform(a)
     mods = table_fn(top)
-    bad = [
-        Counterexample(n, mods[n], b[n])
-        for n in range(top + 1)
-        if b[n] % mods[n] != 0
-    ]
+    failures = (Counterexample(n, mods[n], b[n]) for n in range(top + 1) if b[n] % mods[n] != 0)
+    bad = list(itertools.islice(failures, COUNTEREXAMPLE_CAP + 1))
     return make_report(subject, top, bad)
 
 

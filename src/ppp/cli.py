@@ -10,6 +10,7 @@ of memory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -56,9 +57,22 @@ class InputError(Exception):
 # or base-10 strings.
 
 
-def parse_sequence(text: str) -> IntSequence:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def parse_sequence(source) -> IntSequence:
+    """The sequence in ``source``, a str or a text stream.
+
+    A stream is read one physical line at a time, and each physical line is
+    split again by ``str.splitlines``, so the logical lines and their numbers
+    are those of the whole text (a str is one chunk).  Only the JSON form,
+    whose first non-blank line starts with '{', is read as one document.
+    """
+    chunks = iter((source,)) if isinstance(source, str) else source
+    head = []  # the chunks up to the first non-blank one
+    for chunk in chunks:
+        head.append(chunk)
+        if not chunk.isspace():
+            break
+    if "".join(head).lstrip().startswith("{"):
+        text = "".join(itertools.chain(head, chunks))
         try:
             obj = json.loads(text)
             if not isinstance(obj["terms"], list):
@@ -68,7 +82,8 @@ def parse_sequence(text: str) -> IntSequence:
         except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad JSON sequence: {exc}") from exc
     terms = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    lines = itertools.chain.from_iterable(c.splitlines() for c in itertools.chain(head, chunks))
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -93,8 +108,7 @@ def emit_sequence(seq: IntSequence, out) -> None:
 
 
 def _read_stdin_sequence(args) -> IntSequence:
-    text = sys.stdin.read()
-    return parse_sequence(text)
+    return parse_sequence(sys.stdin)
 
 
 def _canonical_json(obj) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .arith import primorial_table
+from .arith import primorial, primorial_table
 from .transforms import IntSequence
 
 GrowthFn = Callable[[int], Fraction]
@@ -23,7 +23,7 @@ GrowthFn = Callable[[int], Fraction]
 def phi_primorial() -> GrowthFn:
     """Preset phi(n) = primorial(n)."""
     def phi(n: int) -> Fraction:
-        return Fraction(primorial_table(n)[n])
+        return Fraction(primorial(n))
     return phi
 
 

@@ -140,6 +140,20 @@ def test_concurrent_table_extension(monkeypatch):
         sys.setswitchinterval(old_interval)
 
 
+def test_a_request_builds_only_its_own_prefix(monkeypatch):
+    # certify --mode primary-hall reads primorials only; the lcms of
+    # 0..3000 would be 0.9 MB that nothing reads.
+    monkeypatch.setattr(arith, "_TABLES", ((1,), (1,)))
+    prims = primorial_table(3000)
+    assert arith._TABLES == (prims, (1,))
+    lcms = lcm_table(2000)
+    assert arith._TABLES == (prims, lcms) and len(lcms) == 2001
+    assert lcms[2000] == math.lcm(*range(1, 2001))
+    monkeypatch.setattr(arith, "_TABLES", ((1,), (1,)))
+    assert lcm_to(500) == math.lcm(*range(1, 501))
+    assert len(arith._TABLES[0]) == 1 and len(arith._TABLES[1]) == 501
+
+
 def test_lcm_examples():
     assert lcm_to(0) == 1
     assert lcm_to(2) == 2

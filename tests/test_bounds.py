@@ -900,6 +900,46 @@ def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
                 assert lo - slack <= value <= hi + slack, (L, r, value, enc)
 
 
+def encloses(outer, inner) -> bool:
+    """The interval ``outer`` contains the interval ``inner``."""
+    lo, hi = (mpmath.mp.make_mpf(e) for e in outer._mpi_)
+    inner_lo, inner_hi = (mpmath.mp.make_mpf(e) for e in inner._mpi_)
+    return lo <= inner_lo and inner_hi <= hi
+
+
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Delta.exp(Fraction(2, 7))])
+def test_cell_box_holds_the_heights_past_an_r_jump(delta):
+    # A cell [la, lb] that ends 2^-20 past log T_k: its last heights have
+    # r(h) = k + 1, about rho lb + 1, the top of the box B over which
+    # cell_false bounds the partials.  (r(h), log h) and u(r(h), log h) of
+    # the cell's first height, of T_k and of its last height must lie in the
+    # enclosures that cell_false hands to partials.  (log h itself can sit
+    # closer to la than the working precision resolves.)
+    engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
+    pk, ivc = engine.pack, engine.pack.ivc
+    boxes = []
+    partials = engine.partials
+    engine.partials = lambda r, L, u: boxes.append((r, L, u)) or partials(r, L, u)
+    for k in (20, 60, 700):
+        t = engine.threshold(k)
+        with mpmath.workprec(t.bit_length() + 64):
+            lb = Fraction(int(mpmath.ceil(mpmath.log(t) * 2**20)) + 1, 2**20)
+            for width in (Fraction(1, 2**12), Fraction(1, 4), Fraction(4)):
+                la = max(Fraction(0), lb - width)
+                boxes.clear()
+                engine.cell_false(la, lb)
+                (r, L, u), = boxes
+                la_mp, lb_mp = (mpmath.mpf(q.numerator) / q.denominator for q in (la, lb))
+                first = int(mpmath.ceil(mpmath.exp(la_mp)))
+                last = int(mpmath.floor(mpmath.exp(lb_mp)))
+                assert engine.r_of(last) == engine.r_of(t) == k + 1
+                for h in (first, t, last):
+                    assert la_mp <= mpmath.log(h) <= lb_mp
+                    logh, rh = engine._log_h(ivc, h), engine.r_of(h)
+                    assert encloses(r, _iv_int(ivc, rh)), (k, width, h, rh)
+                    assert encloses(u, engine._log_x(pk, rh, logh)), (k, width, h)
+
+
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
 def test_no_cell_around_a_true_height_is_excluded(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)

@@ -4,10 +4,12 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import in_threads, random_prefix
+from conftest import direct_transform, in_threads, random_prefix
+from ppp import certify
 from ppp.arith import primes_up_to, primorial_table
 from ppp.certify import (
     COUNTEREXAMPLE_CAP,
+    CertReport,
     Counterexample,
     certify_primary_direct,
     certify_primary_hall,
@@ -157,6 +159,49 @@ def test_direct_truncated_at_the_cap_boundary(failures):
     assert rep == direct_reference(a)
     assert [(c.n, c.modulus) for c in rep.counterexamples] == [(n, 2) for n in range(100)]
     assert rep.truncated == (failures > COUNTEREXAMPLE_CAP)
+
+
+def capped_oracle(subject, top, every, cap):
+    """The report on a prefix whose failures are ``every``: all of them
+    sorted by (n, modulus), the first ``cap`` kept."""
+    every = sorted(every, key=lambda c: (c.n, c.modulus))
+    return CertReport(not every, top, tuple(every[:cap]), len(every) > cap, subject)
+
+
+def every_failure(a, subject):
+    """Each failing (n, modulus) of one certifier, by its definition."""
+    top = len(a) - 1
+    if subject == "primary-direct":
+        return [Counterexample(n, p, a[n + p] - a[n])
+                for p in primes_up_to(top).primes
+                for n in range(top - p + 1) if (a[n + p] - a[n]) % p]
+    b = direct_transform(a.terms)
+    mods = [math.prod(primes_up_to(n).primes) if subject == "primary-hall"
+            else math.lcm(*range(1, n + 1)) for n in range(top + 1)]
+    return [Counterexample(n, m, b[n]) for n, m in enumerate(mods) if b[n] % m]
+
+
+@pytest.mark.parametrize("cap", [3, COUNTEREXAMPLE_CAP])
+def test_bounded_certifiers_match_the_oracle(monkeypatch, rng, cap):
+    # The certifiers keep only COUNTEREXAMPLE_CAP + 1 failures while they
+    # scan; the report must be the one built from every failure.
+    monkeypatch.setattr(certify, "COUNTEREXAMPLE_CAP", cap)
+    near_miss = list(primorial_inverse(80).terms)
+    for n in (7, 30, 31, 64):
+        near_miss[n] += 1
+    cases = [IntSequence.of(near_miss), TRIANGULAR]
+    for failures in (cap, cap + 1):  # primary-hall fails at n = 2 .. failures + 1
+        b = [p + (2 <= n <= failures + 1) for n, p in enumerate(primorial_table(120))]
+        cases.append(inverse_binomial_transform(IntSequence.of(b)))
+    cases += [IntSequence.of([rng.getrandbits(64) for _ in range(length)])
+              for length in (2, 9, 40, 250)]
+    certifiers = [("primary-direct", certify_primary_direct),
+                  ("primary-hall", certify_primary_hall),
+                  ("pseudo-hall", certify_pseudo_hall)]
+    for a in cases:
+        for subject, certifier in certifiers:
+            expected = capped_oracle(subject, len(a) - 1, every_failure(a, subject), cap)
+            assert certifier(a) == expected, (subject, len(a))
 
 
 def test_report_json_round_trip():

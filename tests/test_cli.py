@@ -1,12 +1,16 @@
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from ppp import bounds, cli
 from ppp.egfinv import egf_triple
+from ppp.transforms import IntSequence
 
 CMD = [sys.executable, "-m", "ppp.cli"]
 
@@ -192,6 +196,67 @@ def test_out_of_memory_is_undecided(monkeypatch, capsys):
     monkeypatch.setattr(cli, "primorial_table", exhausted)
     assert cli.main(["sieve", "--kind", "primorial", "--n", "10"]) == 4
     assert capsys.readouterr().err == "error: out of memory: undecided within resource limits\n"
+
+
+STREAM_INPUTS = [
+    "1\r\n2\r\n\r\n3\r\n",
+    "1\r2\r\r3",
+    "1\x0b2\x0c3\x1c4\x855\u20286\n7",
+    "# a comment\n\n  7 \n\t# indented\n-8\n\n",
+    "\n\n \t\n" + json.dumps({"offset": 1, "terms": ["5", 6]}) + "\n\n",
+    "\n\x0c\n" + json.dumps({"terms": [1, 2]}),
+    "\x1c{\"terms\": [1]}",
+    "\n{\"terms\": [1, 2\n",
+    "{\"terms\": [1]}\n{}",
+    "1\n2\n\nx3\n4\n",
+    "1\r\n\r\nbad\r\n",
+    "1\u20282\x85oops\n",
+    "5\n{\"terms\": [1]}\n",
+    "",
+    "\n# only a comment\n",
+]
+
+
+def parse_outcome(source):
+    try:
+        return cli.parse_sequence(source)
+    except cli.InputError as exc:
+        return f"InputError: {exc}"
+
+
+@pytest.mark.parametrize("text", STREAM_INPUTS)
+def test_streamed_parse_equals_the_string_parse(text):
+    # logical lines, line numbers and JSON messages alike, whatever splits them
+    assert parse_outcome(io.StringIO(text)) == parse_outcome(text)
+
+
+def test_string_parse_lines_and_messages():
+    outcomes = {text: parse_outcome(text) for text in STREAM_INPUTS}
+    assert outcomes[STREAM_INPUTS[2]].terms == (1, 2, 3, 4, 5, 6, 7)
+    assert outcomes[STREAM_INPUTS[4]] == IntSequence((5, 6), 1)
+    assert outcomes["1\n2\n\nx3\n4\n"] == "InputError: line 4: not an integer: 'x3'"
+    assert outcomes["1\u20282\x85oops\n"] == "InputError: line 3: not an integer: 'oops'"
+    assert outcomes[STREAM_INPUTS[5]].startswith("InputError: bad JSON sequence: Expecting value")
+    assert outcomes[""] == "InputError: empty sequence input"
+
+
+def test_streamed_parse_holds_one_line_at_a_time(tmp_path, no_digit_limit):
+    # 2000 terms of 1000 digits: the text is 2 MB and the ints about 0.9 MB.
+    # A parser holding the text (or its lines) peaks above their sum.
+    rng = random.Random(7)
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"{rng.randrange(10**999, 10**1000)}\n" for _ in range(2000)))
+    text_size = path.stat().st_size
+    with open(path, encoding="utf-8") as f:
+        tracemalloc.start()
+        try:
+            seq = cli.parse_sequence(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    int_size = sum(sys.getsizeof(t) for t in seq.terms)
+    assert len(seq) == 2000
+    assert peak < int_size + text_size // 10, (peak, int_size, text_size)
 
 
 def test_json_sequence_accepts_integers_and_base10_strings():
