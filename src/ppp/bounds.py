@@ -292,7 +292,8 @@ class PrecisionCtx:
         if self.bits < 64:
             raise ValueError("working precision below 64 bits is not supported")
         if self.max_bits < self.bits:
-            raise ValueError("max_bits must be at least bits")
+            raise ValueError(f"working precision {self.bits} bits exceeds the "
+                             f"precision ceiling max_bits = {self.max_bits}")
         if self.h_cap_log2 < 1:
             raise ValueError("h_cap_log2 must be at least 1")
 
@@ -572,14 +573,16 @@ def _rho2_holds_strictly(delta: Delta, d: int, rho: Fraction, ctx: PrecisionCtx)
         return False
 
 
+def _gamma(ivc, delta: Delta, d: int, rho: Fraction, epsilon: Fraction):
+    """gamma = d*rho - (1 + rho*ell)^2 / log(1/omega), the strict margin."""
+    r = _iv_frac(ivc, rho)
+    return d * r - (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
+
+
 def _rho1_holds(delta: Delta, d: int, rho: Fraction, epsilon: Fraction,
                 ctx: PrecisionCtx) -> bool:
-    """(1 + rho*ell)^2 / log(1/omega) < d*rho at adverse rounding."""
-    def attempt(ivc):
-        r = _iv_frac(ivc, rho)
-        lhs = (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
-        return lhs < d * r
-    return _escalate(ctx, attempt)
+    """gamma > 0 (``_gamma``) at adverse rounding."""
+    return _escalate(ctx, lambda ivc: _gamma(ivc, delta, d, rho, epsilon) > 0)
 
 
 def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
@@ -676,10 +679,10 @@ class _Majorant:
     """The closed-form majorant of Phi(D, x) in log form, at one precision.
 
     log_phi(log x) = log_k + (J+F) log(1+x) + F (log 2 + D log j0)
-    + (log y)^2 / lam, with lam = log(1/omega), j0 = 2D/lam, F = floor(j0),
-    y = x j0^D and log_k = log c0 + J log 2 + D log J! + J^2 log(delta),
-    c0 = exp(4 zeta(2) / lam).  The caller passes the exact ``j_fact`` = J!,
-    which is the same at every precision.
+    + (log y)^2 / lam, with lam = log(1/omega), j0 = 2D/lam (``_j0``),
+    F = floor(j0), y = x j0^D and log_k = log c0 + J log 2 + D log J!
+    + J^2 log(delta), c0 = exp(4 zeta(2) / lam).  The caller passes F and
+    the exact ``j_fact`` = J!, which are the same at every precision.
     """
 
     def __init__(self, ivc, delta: Delta, epsilon: Fraction, D: int, J: int, F: int,
@@ -688,7 +691,7 @@ class _Majorant:
         self.ell = delta.iv_ell(ivc)
         self.lam = _lam(ivc, delta, epsilon)
         self.log2 = ivc.log(ivc.mpf(2))
-        self.d_log_j0 = D * ivc.log(2 * D / self.lam)
+        self.d_log_j0 = D * ivc.log(_j0(ivc, delta, epsilon, D))
         log_jfact = ivc.log(_iv_int(ivc, j_fact)) if J > 0 else ivc.mpf(0)
         log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
         self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
@@ -779,7 +782,6 @@ class _HeightEngine:
             pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0, self._j_fact)
             pk.log_2cd = ivc.log(_iv_frac(ivc, 2 * p.c * p.d))
             pk.rho = _iv_frac(ivc, p.rho)
-            pk.log_x_terms = {}  # r -> (log(2cd) + log r, (r-1) ell)
             self._packs[ivc.prec] = pk
         return pk
 
@@ -799,47 +801,36 @@ class _HeightEngine:
     def _log_h(self, ivc, h: int):
         return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.mpf(0)
 
-    def r_of(self, h: int, logh=None) -> int:
-        """r(h) = floor(rho*log(h)) + 1; ``logh`` is log h at ctx.bits if known.
+    def r_of(self, h: int) -> int:
+        """r(h) = floor(rho*log(h)) + 1.
 
         The working-precision enclosure of rho*log(h) brackets the floor; each
         integer k it leaves open is settled exactly by h >= T_k.
         """
-        if logh is None:
-            logh = self._log_h(self.pack.ivc, h)
-        flo, fhi = _floors(self.pack.rho * logh)
+        flo, fhi = _floors(self.pack.rho * self._log_h(self.pack.ivc, h))
         return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
     @staticmethod
-    def _log_x_terms(pk: _Majorant, r):
-        """The parts of u = log x = log(2cd) + log r + log h + (r-1) ell that
-        do not involve h, for an enclosure ``r`` of a real r >= 1:
-        (log(2cd) + log r, (r-1) ell).  u is increasing in r and h."""
-        return pk.log_2cd + pk.ivc.log(r), (r - 1) * pk.ell
-
-    @staticmethod
-    def _log_x(pk: _Majorant, r: int, logh):
-        """u = log x at an integer r, whose terms are cached."""
-        terms = pk.log_x_terms.get(r)
-        if terms is None:
-            terms = _HeightEngine._log_x_terms(pk, _iv_int(pk.ivc, r))
-            pk.log_x_terms[r] = terms
-        return terms[0] + logh + terms[1]
+    def _log_x(pk: _Majorant, r, L):
+        """u = log x = log(2cd) + log r + L + (r-1) ell for enclosures ``r``
+        of a real r >= 1 and ``L`` of log h.  u is increasing in r and L."""
+        return pk.log_2cd + pk.ivc.log(r) + L + (r - 1) * pk.ell
 
     def log_lhs(self, ivc, r: int, logh):
         """log LHS(h) in the context ``ivc``, given ``logh`` = log h in it."""
         pk = self._pack(ivc)
-        return pk.log_phi(self._log_x(pk, r, logh))
+        return pk.log_phi(self._log_x(pk, _iv_int(ivc, r), logh))
 
     def falls(self, r: int, h: int) -> bool:
         """True when f_r'(log h) <= 0 provably at ctx.bits, for r = r(h).
 
-        f_r(L) = r d L - log_phi(u) with du/dL = 1, so f_r' = r d - phi'(u),
-        phi' = ``_Majorant.slope``.
+        f_r(L) = r d L - log_phi(u) with du/dL = 1, so f_r' = -Phi_L
+        (``partials``).
         """
         pk = self.pack
-        u = self._log_x(pk, r, self._log_h(pk.ivc, h))
-        return (r * self.params.d - pk.slope(u) <= 0) is True
+        r_iv, L = _iv_int(pk.ivc, r), self._log_h(pk.ivc, h)
+        phi_L, _ = self.partials(r_iv, L, self._log_x(pk, r_iv, L))
+        return (phi_L >= 0) is True
 
     def partials(self, r, L, u):
         """(Phi_L, Phi_r) for Phi(r, L) = log_phi(u(r, L)) - r d L, enclosed
@@ -885,16 +876,11 @@ class _HeightEngine:
         ivc, d = pk.ivc, p.d
         m = (la + lb) / 2
         t_c = max(Fraction(1, 2), 1 - p.rho * m)
-
-        def log_x(r, L):
-            log_2cd_r, r_ell = self._log_x_terms(pk, r)
-            return log_2cd_r + L + r_ell
-
         r_c, L_c = _iv_frac(ivc, p.rho * m + t_c), _iv_frac(ivc, m)
-        psi_c = pk.log_phi(log_x(r_c, L_c)) - d * r_c * L_c
+        psi_c = pk.log_phi(self._log_x(pk, r_c, L_c)) - d * r_c * L_c
         r_lo, r_hi = _iv_frac(ivc, max(1, p.rho * la)), _iv_frac(ivc, p.rho * lb + 1)
         L_lo, L_hi = _iv_frac(ivc, la), _iv_frac(ivc, lb)
-        u = _hull(ivc, log_x(r_lo, L_lo), log_x(r_hi, L_hi))
+        u = _hull(ivc, self._log_x(pk, r_lo, L_lo), self._log_x(pk, r_hi, L_hi))
         phi_L, phi_r = self.partials(_hull(ivc, r_lo, r_hi), _hull(ivc, L_lo, L_hi), u)
         psi_L = phi_L + pk.rho * phi_r
         low = psi_c - abs(psi_L) * _iv_frac(ivc, (lb - la) / 2) - abs(phi_r) * _iv_frac(ivc, t_c)
@@ -906,13 +892,10 @@ class _HeightEngine:
         return libmp.to_int(_endpoints(ivc.exp(_iv_frac(ivc, L)))[0], "f")
 
     def predicate(self, h: int) -> bool:
-        # log h at the working precision serves r_of and the first attempt;
-        # only escalated attempts recompute it.
-        logh0 = self._log_h(self.pack.ivc, h)
-        r = self.r_of(h, logh0)
+        r = self.r_of(h)
         rd = r * self.params.d
         def attempt(ivc):
-            logh = logh0 if ivc.prec == self.ctx.bits else self._log_h(ivc, h)
+            logh = self._log_h(ivc, h)
             return self.log_lhs(ivc, r, logh) <= rd * logh
         return _escalate(self.ctx, attempt)
 
@@ -1202,8 +1185,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
 
     order_bound = _decide_floor(ctx, lambda ivc: ivc.log(_iv_int(ivc, h)) / delta.iv_ell(ivc))
 
-    pk = engine.pack
-    gamma = params.d * pk.rho - (1 + pk.rho * pk.ell) ** 2 / pk.lam
+    gamma = _gamma(engine.pack.ivc, delta, params.d, params.rho, params.epsilon)
     diag = _height_upper_diagnostic(engine, gamma)
     if diag is not None:
         d_alpha, d_beta, d_upper = diag

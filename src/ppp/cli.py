@@ -107,10 +107,6 @@ def emit_sequence(seq: IntSequence, out) -> None:
         out.write(f"{t}\n")
 
 
-def _read_stdin_sequence(args) -> IntSequence:
-    return parse_sequence(sys.stdin)
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -127,25 +123,25 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     emit_sequence(binomial_transform(seq), sys.stdout)
     return EXIT_OK
 
 
 def cmd_inverse_transform(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     emit_sequence(inverse_binomial_transform(seq), sys.stdout)
     return EXIT_OK
 
 
 def cmd_reindex(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     emit_sequence(IntSequence(seq.terms, args.to), sys.stdout)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     reports: list[CertReport] = []
     if args.mode in ("primary-direct", "both"):
         reports.append(certify_primary_direct(seq))
@@ -193,7 +189,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_egf_invert(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     triple = egf_triple(seq)
     # The canonical JSON of EgfTriple.to_json_dict(), written one term at a
     # time: the whole document would hold every digit string at once.
@@ -217,7 +213,7 @@ def _load_recurrence(path: str) -> PolyRecurrence:
 
 
 def cmd_guess(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     budget = GuessBudget(args.smax, args.dmax, args.margin)
     rec = guess_recurrence(seq, budget)
     if rec is None:
@@ -229,7 +225,7 @@ def cmd_guess(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     rec = _load_recurrence(args.recurrence)
     report = verify_recurrence(seq, rec)
     if args.json:
@@ -240,7 +236,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    seq = _read_stdin_sequence(args)
+    seq = parse_sequence(sys.stdin)
     rec = _load_recurrence(args.recurrence)
     emit_sequence(apply_recurrence(rec, seq, args.n), sys.stdout)
     return EXIT_OK

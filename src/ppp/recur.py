@@ -1,11 +1,12 @@
 """Guess, verify and apply linear recurrences with polynomial coefficients."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import CertReport, Counterexample, make_report
+from . import certify
 from .transforms import IntSequence, _require_offset_zero, json_int
 
 # Largest prime below 2^30; used only to skip hopeless (order, degree) cells.
@@ -124,22 +125,21 @@ class GuessBudget:
             )
 
 
-def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> CertReport:
+def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> certify.CertReport:
     """Check the recurrence identity exactly at every prefix index.
 
-    Counterexamples carry modulus 0 and the nonzero residual as witness.
+    Counterexamples carry modulus 0 and the residual; at most ``COUNTEREXAMPLE_CAP + 1`` are kept.
     """
     _require_offset_zero(a, "verify_recurrence")
     s = rec.order
     if len(a) <= s:
         raise ValueError(f"prefix length {len(a)} must exceed the order {s}")
     top = len(a) - 1
-    bad = []
-    for n in range(top - s + 1):
-        residual = sum(_poly_eval(rec.polys[j], n) * a[n + j] for j in range(s + 1))
-        if residual != 0:
-            bad.append(Counterexample(n, 0, residual))
-    return make_report("recurrence", top, bad)
+    residuals = (sum(_poly_eval(rec.polys[j], n) * a[n + j] for j in range(s + 1))
+                 for n in range(top - s + 1))
+    failures = (certify.Counterexample(n, 0, r) for n, r in enumerate(residuals) if r)
+    bad = list(itertools.islice(failures, certify.COUNTEREXAMPLE_CAP + 1))
+    return certify.make_report("recurrence", top, bad)
 
 
 def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> IntSequence:

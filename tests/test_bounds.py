@@ -829,6 +829,11 @@ def test_slope_sign_matches_a_difference_quotient(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
     h_found = _search_height(engine)
     ivc, d, step = _ivc(CTX.bits), engine.params.d, Fraction(1, 2**20)
+
+    def direct(r, h):  # f_r'(log h) = r d - slope(u) <= 0, written out
+        u = engine._log_x(engine.pack, _iv_int(ivc, r), engine._log_h(ivc, h))
+        return (r * d - engine.pack.slope(u) <= 0) is True
+
     seen = set()
     for k in range(2, 3 * h_found.bit_length(), max(1, h_found.bit_length() // 40)):
         h = 2**k
@@ -840,11 +845,22 @@ def test_slope_sign_matches_a_difference_quotient(delta):
             L = logh + _iv_frac(ivc, shift)
             return r * d * L - engine.log_lhs(ivc, r, L)
 
+        assert falls == direct(r, h), k
         rise = f(-step) < f(step)
         if rise is not None:
             assert not (falls and rise), k
             seen.add(falls)
     assert True in seen
+    # Where f_r turns to fall, r = r(H): bisected in log h to 2^-10, the
+    # two heights lie closer than a slope off by d (one step of r) would.
+    r, lo, hi = engine.r_of(h_found), 1, 2
+    while not engine.falls(r, hi):
+        lo, hi = hi, hi * hi
+    while hi - lo > max(1, lo >> 10):
+        mid = max(math.isqrt(lo * hi), lo + 1)
+        lo, hi = (lo, mid) if engine.falls(r, mid) else (mid, hi)
+    assert [engine.falls(r, lo), engine.falls(r, hi)] == [False, True]
+    assert [direct(r, lo), direct(r, hi)] == [False, True]
 
 
 @pytest.mark.parametrize("delta", [
@@ -866,17 +882,29 @@ def test_questions_lie_between_earlier_answers(delta):
     assert set(search.evaluated) <= {h for h, _ in search.used} | starts
 
 
+def two_part_log_x(pk, R, L):
+    """u = log x by the former route: log(2cd) + log r, then log h, then
+    (r-1) ell, with the first part cached per integer r."""
+    head, r_ell = pk.log_2cd + pk.ivc.log(R), (R - 1) * pk.ell
+    return head + L + r_ell
+
+
+@pytest.mark.parametrize("bits", [64, 256, 4096])
+def test_log_x_matches_the_two_part_route(bits):
+    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
+    pk = engine._pack(_ivc(bits))
+    for r in range(1, 601):
+        R, L = _iv_int(pk.ivc, r), _iv_frac(pk.ivc, Fraction(11 * r, 10))
+        assert engine._log_x(pk, R, L)._mpi_ == two_part_log_x(pk, R, L)._mpi_, r
+
+
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10), Delta.exp(Fraction(2, 7))])
 def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
     # Phi(r, L) = log LHS - r d L through the engine's own majorant and
     # log x terms at a real r, differentiated numerically at 200 bits,
     # against the enclosures of Phi_L and Phi_r that cell_false uses.
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
-    d, rho, fine = engine.params.d, engine.params.rho, _ivc(512)
-
-    def log_x(pk, R, Lv):
-        log_2cd_r, r_ell = engine._log_x_terms(pk, R)
-        return log_2cd_r + Lv + r_ell
+    d, rho, fine, log_x = engine.params.d, engine.params.rho, _ivc(512), engine._log_x
 
     def Phi(L, r):
         pk, R, Lv = engine._pack(fine), fine.mpf(r), fine.mpf(L)
@@ -937,7 +965,7 @@ def test_cell_box_holds_the_heights_past_an_r_jump(delta):
                     assert la_mp <= mpmath.log(h) <= lb_mp
                     logh, rh = engine._log_h(ivc, h), engine.r_of(h)
                     assert encloses(r, _iv_int(ivc, rh)), (k, width, h, rh)
-                    assert encloses(u, engine._log_x(pk, rh, logh)), (k, width, h)
+                    assert encloses(u, engine._log_x(pk, _iv_int(ivc, rh), logh)), (k, width, h)
 
 
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
@@ -1022,16 +1050,6 @@ REPORT_SHA256 = {
 @pytest.mark.parametrize("text", list(REPORT_SHA256))
 def test_report_json_pinned(text):
     assert json_sha256(bounds_report(1, Delta.parse(text), CTX)) == REPORT_SHA256[text]
-
-
-def test_predicate_takes_log_h_once_at_working_precision():
-    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
-    h = compute_H(1, Fraction(11, 10), ctx=CTX)
-    calls = []
-    log_h = engine._log_h
-    engine._log_h = lambda ivc, x: calls.append(ivc.prec) or log_h(ivc, x)
-    assert engine.predicate(h) is True
-    assert calls == [CTX.bits]
 
 
 def test_precision_ceiling_raises():

@@ -18,6 +18,7 @@ from ppp.certify import (
     growth_exponent,
     make_report,
 )
+from ppp.recur import PolyRecurrence, verify_recurrence
 from ppp.transforms import IntSequence, inverse_binomial_transform
 
 TRIANGULAR = IntSequence.of([n * (n + 1) // 2 for n in range(6)])
@@ -202,6 +203,14 @@ def test_bounded_certifiers_match_the_oracle(monkeypatch, rng, cap):
         for subject, certifier in certifiers:
             expected = capped_oracle(subject, len(a) - 1, every_failure(a, subject), cap)
             assert certifier(a) == expected, (subject, len(a))
+    # verify_recurrence: a_{n+1} - a_n = 0 fails exactly where a steps up
+    constant = PolyRecurrence(((-1,), (1,)))
+    for failures in (cap, cap + 1):
+        steps = set(rng.sample(range(3 * cap), failures))
+        a = IntSequence.of([sum(k < n for k in steps) for n in range(3 * cap + 1)])
+        every = [Counterexample(n, 0, a[n + 1] - a[n]) for n in range(3 * cap) if n in steps]
+        expected = capped_oracle("recurrence", 3 * cap, every, cap)
+        assert verify_recurrence(a, constant) == expected, failures
 
 
 def test_report_json_round_trip():

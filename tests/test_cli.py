@@ -387,9 +387,12 @@ def test_bounds_cli_and_env_precision():
 
 
 def test_bounds_precision_zero_rejected(capsys):
-    assert cli.main(["bounds", "--c", "1", "--delta", "11/10", "--precision", "0"]) == 2
-    out = capsys.readouterr()
-    assert out.out == "" and "below 64 bits" in out.err
+    for bits, message in (("0", "below 64 bits"),
+                          ("40000", "precision 40000 bits exceeds the precision ceiling "
+                                    "max_bits = 32768")):
+        assert cli.main(["bounds", "--c", "1", "--delta", "11/10", "--precision", bits]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err, bits
 
 
 def test_bounds_cli_domain_error():
