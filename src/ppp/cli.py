@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 
 from .arith import lcm_table, primorial_table
@@ -98,10 +97,8 @@ def parse_sequence(source) -> IntSequence:
 
 def emit_sequence(seq: IntSequence, out) -> None:
     if seq.offset != 0:
-        out.write(json.dumps(
-            {"offset": seq.offset, "terms": [str(t) for t in seq.terms]},
-            sort_keys=True, separators=(",", ":"),
-        ) + "\n")
+        out.write(_canonical_json({"offset": seq.offset, "terms": [str(t) for t in seq.terms]})
+                  + "\n")
         return
     for t in seq.terms:
         out.write(f"{t}\n")
@@ -124,13 +121,7 @@ def cmd_sieve(args) -> int:
 
 def cmd_transform(args) -> int:
     seq = parse_sequence(sys.stdin)
-    emit_sequence(binomial_transform(seq), sys.stdout)
-    return EXIT_OK
-
-
-def cmd_inverse_transform(args) -> int:
-    seq = parse_sequence(sys.stdin)
-    emit_sequence(inverse_binomial_transform(seq), sys.stdout)
+    emit_sequence(args.transform(seq), sys.stdout)
     return EXIT_OK
 
 
@@ -243,16 +234,9 @@ def cmd_apply(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    bits = args.precision
-    if bits is None:
-        text = os.environ.get("PPP_PRECISION_BITS", "256")
-        try:
-            bits = integer(text)
-        except ValueError as exc:
-            raise InputError(f"PPP_PRECISION_BITS: {exc}") from exc
     from . import bounds  # mpmath loads only for this subcommand
 
-    ctx = bounds.PrecisionCtx(bits=bits)
+    ctx = bounds.PrecisionCtx() if args.precision is None else bounds.PrecisionCtx(args.precision)
     c, delta = rational(args.c), bounds.Delta.parse(args.delta)
     try:
         report = bounds.bounds_report(c, delta, ctx)
@@ -279,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sieve)
 
     p = sub.add_parser("transform", help="binomial transform (stdin -> stdout)")
-    p.set_defaults(fn=cmd_transform)
+    p.set_defaults(fn=cmd_transform, transform=binomial_transform)
 
     p = sub.add_parser("inverse-transform", help="inverse binomial transform")
-    p.set_defaults(fn=cmd_inverse_transform)
+    p.set_defaults(fn=cmd_transform, transform=inverse_binomial_transform)
 
     p = sub.add_parser("reindex", help="relabel a sequence's starting index")
     p.add_argument("--to", type=integer, default=0)
@@ -325,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="growth constant, NUM/DEN")
     p.add_argument("--delta", required=True, help="growth base, NUM/DEN or e^NUM/DEN")
     p.add_argument("--precision", type=integer, default=None,
-                   help="working precision bits (default 256 or PPP_PRECISION_BITS)")
+                   help="working precision bits (default 256)")
     p.set_defaults(fn=cmd_bounds)
 
     return parser

@@ -72,10 +72,7 @@ class PolyRecurrence:
         ps = [_trim(p) for p in polys]
         while len(ps) > 1 and ps[-1] == (0,):
             ps.pop()
-        content = 0
-        for p in ps:
-            for c in p:
-                content = math.gcd(content, c)
+        content = math.gcd(*(c for p in ps for c in p))
         if content == 0:
             raise ValueError("polynomials must not all be zero")
         ps = [tuple(c // content for c in p) for p in ps]
@@ -145,6 +142,8 @@ def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> certify.CertReport
 def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> IntSequence:
     """Extend the initial terms to index n_max by solving for the top term."""
     _require_offset_zero(initial, "apply_recurrence")
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     s = rec.order
     if len(initial) < s:
         raise ValueError(f"need at least {s} initial terms, got {len(initial)}")
@@ -164,9 +163,8 @@ def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> I
 
 def _cells(s_max: int, d_max: int):
     # Ascending order+degree total, ties broken by smaller order.
-    cells = [(s, d) for s in range(s_max + 1) for d in range(d_max + 1)]
-    cells.sort(key=lambda sd: (sd[0] + sd[1], sd[0]))
-    return cells
+    return sorted(((s, d) for s in range(s_max + 1) for d in range(d_max + 1)),
+                  key=lambda sd: (sd[0] + sd[1], sd[0]))
 
 
 def _filter_rows(residues: list[int], s: int, d: int, nrows: int) -> list[list[int]]:
@@ -206,16 +204,15 @@ def _independent_prefix(rows: list[list[int]], ncols: int) -> int:
 
 
 def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis via exact Gauss-Jordan elimination over the rationals."""
+    """Nullspace basis via exact Gauss-Jordan elimination over the rationals.
+
+    Each basis vector has a 1 in its own free column, so none is zero.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
@@ -238,20 +235,11 @@ def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction
     return basis
 
 
-def _integerize(vec: list[Fraction]) -> list[int]:
-    den = math.lcm(*(f.denominator for f in vec)) if vec else 1
+def _candidate(vec: list[Fraction], s: int, d: int) -> PolyRecurrence:
+    """The order ``s``, degree ``d`` recurrence of a nullspace vector, in canonical form."""
+    den = math.lcm(*(f.denominator for f in vec))
     ints = [int(f * den) for f in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    return [x // g for x in ints] if g else ints
-
-
-def _candidate_from_vector(vec: list[int], s: int, d: int) -> PolyRecurrence | None:
-    polys = [tuple(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(s + 1)]
-    if all(all(c == 0 for c in p) for p in polys):
-        return None
-    return PolyRecurrence.normalized(polys)
+    return PolyRecurrence.normalized(ints[j * (d + 1) : (j + 1) * (d + 1)] for j in range(s + 1))
 
 
 def guess_recurrence(a: IntSequence, budget: GuessBudget) -> PolyRecurrence | None:
@@ -279,26 +267,11 @@ def guess_recurrence(a: IntSequence, budget: GuessBudget) -> PolyRecurrence | No
             lead[s] = _independent_prefix(filt, (s + 1) * (budget.d_max + 1))
         if ncols <= lead[s]:
             continue  # zero nullspace mod p, hence over the rationals
-        rows = []
-        for n in range(solve_top):
-            powers = [n**i for i in range(d + 1)]
-            row = []
-            for j in range(s + 1):
-                anj = a[n + j]
-                row.extend(anj * pw for pw in powers)
-            rows.append(row)
+        rows = [[a[n + j] * n**i for j in range(s + 1) for i in range(d + 1)]
+                for n in range(solve_top)]
         basis = _rational_nullspace(rows, ncols)
-        if not basis:
-            continue
-        candidates = []
-        for vec in basis:
-            cand = _candidate_from_vector(_integerize(vec), s, d)
-            if cand is not None:
-                candidates.append(cand)
-        if not candidates:
-            continue
-        candidates.sort(key=lambda r: (r.degree_vector(), r.polys))
-        for cand in candidates:
+        for cand in sorted((_candidate(vec, s, d) for vec in basis),
+                           key=lambda r: (r.degree_vector(), r.polys)):
             if verify_recurrence(a, cand).certified:
                 return cand
     return None

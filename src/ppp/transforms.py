@@ -53,17 +53,20 @@ class IntSequence:
     offset: int = 0
 
     def __post_init__(self):
+        # the json_int rule: an int, not a bool; nothing is truncated
+        if not isinstance(self.offset, int) or isinstance(self.offset, bool):
+            raise TypeError(f"offset must be an integer, got {type(self.offset).__name__}")
         if self.offset < 0:
             raise ValueError("offset must be a natural number")
         if not self.terms:
             raise ValueError("sequence prefix must be non-empty")
         for t in self.terms:
-            if not isinstance(t, int):
+            if not isinstance(t, int) or isinstance(t, bool):
                 raise TypeError(f"sequence terms must be integers, got {type(t).__name__}")
 
     @staticmethod
     def of(values: Iterable[int], offset: int = 0) -> "IntSequence":
-        return IntSequence(tuple(int(v) for v in values), offset)
+        return IntSequence(tuple(values), offset)
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -159,7 +159,6 @@ def test_line_sequence_needs_ascii_integers(text):
     (["construct", "--phi", "primorial", "--n", "\uff15"], {}),
     (["guess", "--smax", "2", "--dmax", "2", "--margin", "1_0"], {}),
     (["bounds", "--c", "1", "--delta", "11/10", "--precision", "\uff16\uff14"], {}),
-    (["bounds", "--c", "1", "--delta", "11/10"], {"PPP_PRECISION_BITS": "3_20"}),
 ])
 def test_integer_options_need_ascii_integers(args, env):
     # the line rule again: an optional sign and ASCII digits
@@ -371,19 +370,28 @@ def test_apply_leading_zero_reported():
 
 
 def test_bounds_cli_and_env_precision():
+    # the precision comes from --precision alone; the environment is ignored
     r = run(["bounds", "--c", "1", "--delta", "11/10"])
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert d["H"] == "247688789395926825625299"
     assert d["input"]["precision_bits"] == "256"
-    env = {"PPP_PRECISION_BITS": "320"}
     r2 = subprocess.run(
         CMD + ["bounds", "--c", "1", "--delta", "11/10"],
-        capture_output=True, text=True, env={**os.environ, **env}, timeout=300,
+        capture_output=True, text=True, env={**os.environ, "PPP_PRECISION_BITS": "320"},
+        timeout=300,
     )
-    d2 = json.loads(r2.stdout)
-    assert d2["input"]["precision_bits"] == "320"
-    assert d2["H"] == d["H"]
+    assert r2.returncode == 0 and r2.stdout == r.stdout
+    assert json.loads(r2.stdout)["input"]["precision_bits"] == "256"
+
+
+def test_apply_negative_n_is_a_usage_error(tmp_path):
+    # it used to print 3 of the 5 initial terms and exit 0
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"order": 2, "polys": [["2", "1"], ["-4", "-1"], ["1"]]}))
+    r = run(["apply", "--recurrence", str(path), "--n", "-3"], "2\n5\n16\n65\n326\n")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: n_max must be a natural number\n"
 
 
 def test_bounds_precision_zero_rejected(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from ppp.recur import (
     LeadingZeroError,
     NonIntegralError,
     PolyRecurrence,
+    _candidate,
     _filter_rows,
     _independent_prefix,
     apply_recurrence,
@@ -62,6 +64,12 @@ def test_apply_needs_enough_initial_terms():
         apply_recurrence(E_REC, IntSequence.of([2]), 10)
 
 
+def test_apply_rejects_a_negative_n_max():
+    # terms[: n_max + 1] would slice from the end and drop terms
+    with pytest.raises(ValueError, match="^n_max must be a natural number$"):
+        apply_recurrence(E_REC, e_prefix(4), -3)
+
+
 def test_verify_certifies_e_recurrence():
     assert verify_recurrence(e_prefix(40), E_REC).certified
 
@@ -95,6 +103,48 @@ def test_normalization_canonical_form():
 def test_normalization_rejects_zero():
     with pytest.raises(ValueError):
         PolyRecurrence.normalized([(0, 0), (0,)])
+
+
+def _integerize(vec):
+    # the former two-step route: divide by the gcd, then normalize
+    den = math.lcm(*(f.denominator for f in vec)) if vec else 1
+    ints = [int(f * den) for f in vec]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    return [x // g for x in ints] if g else ints
+
+
+def _candidate_from_vector(vec, s, d):
+    polys = [tuple(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(s + 1)]
+    if all(all(c == 0 for c in p) for p in polys):
+        return None
+    return PolyRecurrence.normalized(polys)
+
+
+def test_candidate_matches_the_integerize_route(rng):
+    seen = set()
+    for _ in range(600):
+        s, d = rng.randint(0, 3), rng.randint(0, 3)
+        width = (s + 1) * (d + 1)
+        vec = [Fraction(rng.randint(-12, 12), rng.randint(1, 9)) if rng.random() < 0.7
+               else Fraction(0) for _ in range(width)]
+        if rng.random() < 0.3:  # trailing zero polynomials
+            cut = rng.randint(1, width)
+            vec[cut:] = [Fraction(0)] * (width - cut)
+        if rng.random() < 0.3:  # a common factor
+            k = Fraction(rng.choice((-1, 1)) * rng.randint(2, 30), rng.randint(1, 5))
+            vec = [k * f for f in vec]
+        if not any(vec):
+            continue
+        expected = _candidate_from_vector(_integerize(vec), s, d)
+        assert _candidate(vec, s, d) == expected, (vec, s, d)
+        last = next(f for f in reversed(vec) if f)
+        seen.add((last < 0, vec[-1] == 0, expected.order < s))
+    # negative and positive leading coefficients, with and without trailing
+    # zeros and dropped zero polynomials
+    assert seen >= {(True, True, True), (False, True, True), (True, False, False),
+                    (False, False, False)}
 
 
 def test_guess_first_order_linear():

@@ -58,6 +58,23 @@ def test_linearity(rng):
         )
 
 
+@pytest.mark.parametrize("terms, offset", [
+    ([2.9, True, Fraction(7, 2)], 0),
+    ([True, 2], 0),
+    ([Fraction(4)], 0),
+    ([1, 2.0], 0),
+    ([1, 2], True),
+    ([1, 2], 1.0),
+    ([1, 2], Fraction(1)),
+])
+def test_sequence_refuses_what_json_int_refuses(terms, offset):
+    # no truncation (2.9 -> 2) and no coercion (True -> 1), in .of or directly
+    with pytest.raises(TypeError):
+        IntSequence.of(terms, offset)
+    with pytest.raises(TypeError):
+        IntSequence(tuple(terms), offset)
+
+
 def test_offset_rejected():
     shifted = IntSequence.of([1, 2, 3], offset=1)
     with pytest.raises(ValueError):
