@@ -99,29 +99,75 @@ def _require_offset_zero(s: IntSequence, what: str) -> None:
         raise ValueError(f"{what} requires offset 0 (got {s.offset}); re-index first")
 
 
+# Rows of the difference triangle that one left-to-right pass over the
+# row applies; each term is read and written once per band
+_BAND = 32
+
+
 def binomial_transform(a: IntSequence) -> IntSequence:
     """b_n = sum_k (-1)^(n-k) C(n,k) a_k, i.e. the n-th forward difference at 0.
 
-    Computed with the in-place difference triangle: O(N^2) additions and no
-    multiplications.
+    Computed with the difference triangle in place: O(N^2) additions and no
+    multiplications, in memory of one row plus ``_BAND`` terms.  Row r of
+    the triangle is ``t[j] -= t[j-1]`` for j >= r, from the right; one pass
+    over ``t`` applies a band of ``_BAND`` rows.  Each term runs down the
+    band in a local, and ``prev[k]`` holds the column before it after the
+    band's first k rows.
     """
     _require_offset_zero(a, "binomial_transform")
     t = list(a.terms)
     n = len(t)
-    for i in range(1, n):
-        for j in range(n - 1, i - 1, -1):
-            t[j] -= t[j - 1]
+    for low in range(0, n - 1, _BAND):
+        rows = min(_BAND, n - 1 - low)  # rows low+1 .. low+rows
+        # column j < low + rows takes only its first j - low rows, which
+        # leave it final; that value enters the band as prev[j - low]
+        prev = [t[low]]
+        for j in range(low + 1, low + rows):
+            cur = t[j]
+            for k in range(j - low):
+                prev[k], cur = cur, cur - prev[k]
+            prev.append(cur)
+            t[j] = cur
+        ks = range(rows)
+        for j in range(low + rows, n):
+            cur = t[j]
+            for k in ks:
+                prev[k], cur = cur, cur - prev[k]
+            t[j] = cur
     return IntSequence(tuple(t))
 
 
 def inverse_binomial_transform(b: IntSequence) -> IntSequence:
-    """a_n = sum_k C(n,k) b_k, the inverse of :func:`binomial_transform`."""
+    """a_n = sum_k C(n,k) b_k, the inverse of :func:`binomial_transform`.
+
+    Undoes the rows of :func:`binomial_transform` in place, last row first
+    and each with ``t[j] += t[j-1]`` from the left: O(N^2) additions in
+    memory of one row plus ``_BAND`` terms.  One pass over ``t`` undoes a
+    band of ``_BAND`` rows from the top, and ``prev[k]`` holds the column
+    before it with the band's first k rows still applied.
+    """
     _require_offset_zero(b, "inverse_binomial_transform")
     t = list(b.terms)
     n = len(t)
-    for i in range(n - 1, 0, -1):
-        for j in range(i, n):
-            t[j] += t[j - 1]
+    for low in reversed(range(0, n - 1, _BAND)):
+        rows = min(_BAND, n - 1 - low)  # rows low+rows .. low+1
+        # column j < low + rows has only the band's first j - low rows
+        # applied and skips the others; its value enters as prev[j - low]
+        prev = [t[low]]
+        for j in range(low + 1, low + rows):
+            cur = t[j]
+            prev.append(cur)
+            for k in range(j - low - 1, -1, -1):
+                cur += prev[k]
+                prev[k] = cur
+            t[j] = cur
+        ks = range(rows - 1, -1, -1)
+        for j in range(low + rows, n):
+            cur = t[j]
+            for k in ks:
+                cur += prev[k]
+                prev[k] = cur
+            t[j] = cur
     return IntSequence(tuple(t))
 
 

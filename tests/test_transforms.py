@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from ppp.recur import (
     GuessBudget, PolyRecurrence, apply_recurrence, guess_recurrence, verify_recurrence,
 )
 from ppp.transforms import (
+    _BAND,
     IntSequence,
     binomial_transform,
     inverse_binomial_transform,
@@ -43,6 +46,42 @@ def test_roundtrip_both_ways(rng):
         a = random_prefix(rng, max_len=48)
         assert inverse_binomial_transform(binomial_transform(a)).terms == a.terms
         assert binomial_transform(inverse_binomial_transform(a)).terms == a.terms
+
+
+@pytest.mark.parametrize("length", [
+    1, 2, _BAND - 1, _BAND, _BAND + 1, _BAND + 2, 2 * _BAND + 1, 3 * _BAND + 2, 200,
+])
+def test_bands_match_direct_formula(rng, length):
+    # length L takes L - 1 rows of the triangle: none, one, a short first
+    # band, exactly one or two full bands, one row into the next band, and
+    # many bands with a short last one
+    terms = [rng.getrandbits(rng.randint(1, 2000)) * rng.choice((1, -1))
+             for _ in range(length)]
+    a = IntSequence.of(terms)
+    assert list(binomial_transform(a).terms) == direct_transform(terms)
+    assert list(inverse_binomial_transform(a).terms) == direct_inverse(terms)
+
+
+@pytest.mark.parametrize("transform", [binomial_transform, inverse_binomial_transform])
+def test_transforms_work_in_place(rng, transform):
+    # A genuine prefix: B_n = w_n P_n with seeded nonzero 20-bit w_n, and A
+    # its inverse transform.  The input's ints exist before tracing starts,
+    # so the peak counts the output's ints, the row's list and the band.  A
+    # variant that keeps a second row or diagonal of big terms exceeds the
+    # bound (a single band over the whole row peaks at about twice it).
+    prim = primorial_table(1499)
+    b = [prim[0]] + [rng.randrange(1, 1 << 20) * rng.choice((1, -1)) * p for p in prim[1:]]
+    a = inverse_binomial_transform(IntSequence.of(b)).terms
+    given = IntSequence.of(a if transform is binomial_transform else b)
+    tracemalloc.start()
+    try:
+        out = transform(given)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    in_size = sum(sys.getsizeof(t) for t in given.terms)
+    out_size = sum(sys.getsizeof(t) for t in out.terms)
+    assert peak < out_size + in_size // 2, (peak, out_size, in_size)
 
 
 def test_linearity(rng):
