@@ -5,11 +5,11 @@ phi(n) <= A_n <= phi(n) + 2*primorial(n) whose transform terms B_n are all
 nonzero multiples of primorial(n).
 
 The recursion keeps one anti-diagonal of the difference table of A, so the
-whole run costs O(N^2) big-integer additions and no multiplications.
+whole run costs O(N^2) big-integer additions.  Apart from reading phi(n),
+each step is integer-only: a few products and one floor division.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -31,19 +31,30 @@ def phi_geometric(delta: Fraction) -> GrowthFn:
     """Preset phi(n) = delta^n for an exact rational ratio delta.
 
     Useful ratios sit strictly between e and 2*sqrt(e); nothing is enforced
-    here, any positive rational is accepted.
+    here, any positive rational is accepted.  The callable keeps its latest
+    (n, delta^n) as one pair, so calls in order of n cost one product each;
+    any other order gets delta**n.  The pair is read and replaced whole, so
+    concurrent callers each compute from a consistent one; a race can only
+    replace one cached pair by another, never return a wrong power.
     """
-    delta = Fraction(delta)
+    delta = _exact_rational(delta)
     if delta <= 0:
         raise ValueError("geometric ratio must be positive")
+    last = (0, Fraction(1))
+
     def phi(n: int) -> Fraction:
-        return delta**n
+        nonlocal last
+        k, power = last
+        if k != n:
+            power = power * delta if k + 1 == n else delta**n
+            last = (n, power)
+        return power
     return phi
 
 
 def phi_table(values) -> GrowthFn:
     """Preset backed by explicit values; index beyond the table is an error."""
-    vals = [Fraction(v) for v in values]
+    vals = [_exact_rational(v) for v in values]
     def phi(n: int) -> Fraction:
         if n >= len(vals):
             raise ValueError(f"growth table has no value at index {n}")
@@ -58,10 +69,16 @@ def _exact_rational(q) -> Fraction:
 
 
 def ceil_div_rational(q: Fraction, m: int) -> int:
-    """Exact ceiling of q/m for a rational q and a positive integer m."""
+    """Exact ceiling of q/m for a rational q and a positive integer m.
+
+    One floor division of integers, -((-num) // (den*m)); no gcd is taken.
+    """
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError("divisor must be an int")
     if m <= 0:
         raise ValueError("divisor must be positive")
-    return math.ceil(_exact_rational(q) / m)
+    q = _exact_rational(q)
+    return -(-q.numerator // (q.denominator * m))
 
 
 @dataclass(frozen=True)
@@ -93,13 +110,15 @@ def construct_genuine(
 
     At each step the multiplier w is the ceiling correction
     ceil((phi(n)-v)/P) - u when that is nonzero, else 1, which pins A_n into
-    [phi(n), phi(n)+2P].  phi values must be exact rationals.
+    [phi(n), phi(n)+2P].  phi values must be exact rationals; the ceiling
+    is -((v*den - num) // (den*P)) for phi(n) = num/den, with no gcd.
 
     Before step n, diag[j] = Delta^j A_{n-1-j} for j < n.  Telescoping
     A_n = A_{n-1} + Delta A_{n-1} = ... gives c = sum(diag), and appending
-    B_n = Delta^n A_0 then adding each entry's successor, from the end,
-    turns diag into the next anti-diagonal, with diag[0] = A_n.  The update
-    is in place: a rebuilt copy raises the peak memory of a long run.
+    B_n = Delta^n A_0 then replacing each entry, from the end, by the
+    running sum carried in a local turns diag into the next anti-diagonal,
+    with diag[0] = A_n.  The update is in place: a rebuilt copy raises the
+    peak memory of a long run.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
@@ -115,13 +134,16 @@ def construct_genuine(
         c = sum(diag)
         p = prim[n]
         u, v = divmod(c, p)
-        t = ceil_div_rational(_exact_rational(phi(n)) - v, p)
+        q = _exact_rational(phi(n))
+        den = q.denominator
+        t = -((v * den - q.numerator) // (den * p))
         w = t - u if t != u else 1
         b = w * p
         diag.append(b)
+        a = b
         for j in range(n - 1, -1, -1):
-            diag[j] += diag[j + 1]
-        a = diag[0]
+            a += diag[j]
+            diag[j] = a
         bs.append(b)
         a_terms.append(a)
         steps.append(ConstructStep(n, c, u, v, w, b, a))

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from ppp.arith import primorial_table
+from ppp.arith import primorial, primorial_table
 from ppp.certify import certify_primary_direct, certify_primary_hall
 from ppp.construct import (
     ceil_div_rational,
@@ -27,6 +30,87 @@ def test_ceil_div_examples():
 def test_ceil_div_rejects_floats():
     with pytest.raises(TypeError):
         ceil_div_rational(1.5, 2)
+
+
+def test_ceil_div_matches_math_ceil_on_seeded_rationals():
+    rng = random.Random(21)
+    divisors = [1, 2, 3, 7, 30, 10**6 + 3, primorial(100)]
+    for _ in range(400):
+        num = rng.getrandbits(rng.randrange(1, 10_000)) * rng.choice((1, -1))
+        q = Fraction(num, rng.getrandbits(rng.randrange(1, 200)) or 1)
+        m = rng.choice(divisors + [rng.randrange(1, primorial(100))])
+        assert ceil_div_rational(q, m) == math.ceil(q / m)
+    assert ceil_div_rational(Fraction(-7, 3), 1) == -2
+    assert ceil_div_rational(-7, 3) == -2
+
+
+@pytest.mark.parametrize(
+    "m", [2.0, Fraction(2), "2", True, False],
+    ids=["float", "fraction", "str", "true", "false"],
+)
+def test_ceil_div_rejects_a_divisor_that_is_not_an_int(m):
+    with pytest.raises(TypeError):
+        ceil_div_rational(Fraction(1, 3), m)
+
+
+@pytest.mark.parametrize("m", [0, -1, -primorial(30)])
+def test_ceil_div_rejects_a_divisor_that_is_not_positive(m):
+    with pytest.raises(ValueError):
+        ceil_div_rational(Fraction(1, 3), m)
+
+
+def test_growth_presets_reject_floats():
+    with pytest.raises(TypeError):
+        phi_geometric(2.7)
+    with pytest.raises(TypeError):
+        phi_table([1, 0.1])
+    with pytest.raises(ValueError):
+        phi_geometric(Fraction(-1, 2))
+
+
+def _orders(n_max: int, seed: int) -> dict[str, list[int]]:
+    shuffled = list(range(n_max + 1)) * 2
+    random.Random(seed).shuffle(shuffled)
+    return {
+        "ascending": list(range(n_max + 1)),
+        "repeated": [n for n in range(n_max + 1) for _ in range(3)],
+        "descending": list(range(n_max, -1, -1)),
+        "random": shuffled,
+    }
+
+
+def test_geometric_preset_in_any_call_order():
+    delta = Fraction(2718282, 10**6)
+    for name, order in _orders(200, seed=21).items():
+        phi = phi_geometric(delta)
+        for n in order:
+            assert phi(n) == delta**n, (name, n)
+
+
+def test_geometric_preset_shared_by_threads():
+    delta = Fraction(2718282, 10**6)
+    phi = phi_geometric(delta)
+    expected = [delta**n for n in range(121)]
+    wrong: list[tuple[int, int]] = []
+
+    def worker(seed: int) -> None:
+        for order in _orders(120, seed).values():
+            for n in order:
+                if phi(n) != expected[n]:
+                    wrong.append((seed, n))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_constant_phi_hand_trace():
