@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / certified, 1 refuted, 2 usage or input error,
-3 internal error (a bug trap): the two primary certifiers disagree, or a
-re-check of a bound that ``bounds`` claims fails, 4 undecided within
+3 internal error (a bug trap): the two primary certifiers disagree, a
+re-check of a bound that ``bounds`` claims fails, or the exact decimal
+arithmetic of ``apply`` or ``egf-invert`` would round, 4 undecided within
 resource limits: ``bounds`` hit its height cap, its precision ceiling or
 its J scan cap, and the message names the limit; or any subcommand ran out
 of memory.
@@ -10,6 +11,7 @@ of memory.
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import json
 import sys
@@ -22,16 +24,17 @@ from .certify import (
     certify_pseudo_hall,
 )
 from .construct import construct_genuine, phi_geometric, phi_primorial, phi_table
-from .egfinv import egf_triple
+from .egfinv import _require_unit_start, egf_reciprocal
 from .recur import (
     GuessBudget,
     PolyRecurrence,
-    apply_recurrence,
+    _extended,
     guess_recurrence,
     verify_recurrence,
 )
 from .transforms import (
     IntSequence,
+    _inverse_in_place,
     binomial_transform,
     integer,
     inverse_binomial_transform,
@@ -48,6 +51,16 @@ EXIT_UNDECIDED = 4
 
 class InputError(Exception):
     pass
+
+
+# ``apply`` and ``egf-invert`` compute the long terms they print as decimal
+# integers: str() of a Decimal takes time linear in its digits, of an int
+# quadratic.  Nothing in this context rounds, and a result that would be
+# rounded, infinite or invalid raises instead: that is a bug (exit 3).
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.DivisionByZero],
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +194,24 @@ def cmd_construct(args) -> int:
 
 def cmd_egf_invert(args) -> int:
     seq = parse_sequence(sys.stdin)
-    triple = egf_triple(seq)
+    _require_unit_start(seq)
+    b = binomial_transform(seq)
+    del seq  # u reuses its memory
+    with decimal.localcontext(_EXACT):
+        # egf_triple with u in decimal.  Each c_n is converted once by str()
+        # and read back in linear time, in place, so that c is never held
+        # whole both as ints and as decimals.
+        c = list(egf_reciprocal(b).terms)
+        for i, t in enumerate(c):
+            c[i] = decimal.Decimal(str(t))
+        u = c.copy()
+        _inverse_in_place(u)
     # The canonical JSON of EgfTriple.to_json_dict(), written one term at a
     # time: the whole document would hold every digit string at once.
     sep = "{"
-    for key, part in (("b", triple.b), ("c", triple.c), ("u", triple.u)):
+    for key, terms in (("b", b.terms), ("c", c), ("u", u)):
         sys.stdout.write(f'{sep}"{key}":[')
-        for j, t in enumerate(part.terms):
+        for j, t in enumerate(terms):
             sys.stdout.write(f',"{t}"' if j else f'"{t}"')
         sys.stdout.write("]")
         sep = ","
@@ -229,7 +253,10 @@ def cmd_verify(args) -> int:
 def cmd_apply(args) -> int:
     seq = parse_sequence(sys.stdin)
     rec = _load_recurrence(args.recurrence)
-    emit_sequence(apply_recurrence(rec, seq, args.n), sys.stdout)
+    with decimal.localcontext(_EXACT):
+        terms = _extended(rec, seq, args.n, decimal.Decimal)  # apply_recurrence in decimal
+    for t in terms:
+        sys.stdout.write(f"{t}\n")
     return EXIT_OK
 
 
@@ -324,6 +351,10 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
+    except decimal.DecimalException as exc:  # an ArithmeticError, but trapped by _EXACT
+        print(f"error: internal: decimal arithmetic was not exact ({type(exc).__name__})",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     except (InputError, ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

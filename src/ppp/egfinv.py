@@ -125,14 +125,19 @@ def egf_reciprocal(b: IntSequence) -> IntSequence:
     return IntSequence(tuple(cs))
 
 
-def egf_triple(a: IntSequence) -> EgfTriple:
-    """Full pipeline a -> (b, c, u); requires a_0 = 1."""
+def _require_unit_start(a: IntSequence) -> None:
+    """Refuse an ``a`` that :func:`egf_triple` cannot take."""
     _require_offset_zero(a, "egf_triple")
     if a[0] != 1:
         raise ValueError(
             f"construction requires a_0 = 1, got {a[0]}; rescaling is refused "
             "because it changes the divisibility structure"
         )
+
+
+def egf_triple(a: IntSequence) -> EgfTriple:
+    """Full pipeline a -> (b, c, u); requires a_0 = 1."""
+    _require_unit_start(a)
     b = binomial_transform(a)
     c = egf_reciprocal(b)
     u = inverse_binomial_transform(c)

@@ -141,13 +141,26 @@ def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> certify.CertReport
 
 def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> IntSequence:
     """Extend the initial terms to index n_max by solving for the top term."""
+    return IntSequence(tuple(_extended(rec, initial, n_max, int)))
+
+
+def _extended(rec: PolyRecurrence, initial: IntSequence, n_max: int, number) -> list:
+    """The terms of index 0..n_max: ``initial``'s, each passed through
+    ``number``, then the extension by ``rec``.
+
+    The step uses only sums, products and an exact division, so ``number``
+    may be ``int`` or ``decimal.Decimal`` under a context that rounds
+    nothing.  Decimal division keeps the sign of a zero quotient; ``+q``
+    turns the ``-0`` of 0 over a negative lead into 0 and leaves an int
+    as it is.
+    """
     _require_offset_zero(initial, "apply_recurrence")
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
     s = rec.order
     if len(initial) < s:
         raise ValueError(f"need at least {s} initial terms, got {len(initial)}")
-    terms = list(initial.terms)
+    terms = [number(t) for t in initial.terms[: n_max + 1]]
     for m in range(len(terms), n_max + 1):
         n = m - s
         lead = _poly_eval(rec.polys[s], n)
@@ -157,8 +170,8 @@ def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> I
         q, r = divmod(rhs, lead)
         if r != 0:
             raise NonIntegralError(n)
-        terms.append(q)
-    return IntSequence(tuple(terms[: n_max + 1]))
+        terms.append(+q)
+    return terms
 
 
 def _cells(s_max: int, d_max: int):

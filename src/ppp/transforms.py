@@ -142,12 +142,22 @@ def inverse_binomial_transform(b: IntSequence) -> IntSequence:
 
     Undoes the rows of :func:`binomial_transform` in place, last row first
     and each with ``t[j] += t[j-1]`` from the left: O(N^2) additions in
-    memory of one row plus ``_BAND`` terms.  One pass over ``t`` undoes a
-    band of ``_BAND`` rows from the top, and ``prev[k]`` holds the column
-    before it with the band's first k rows still applied.
+    memory of one row plus ``_BAND`` terms (see :func:`_inverse_in_place`).
     """
     _require_offset_zero(b, "inverse_binomial_transform")
     t = list(b.terms)
+    _inverse_in_place(t)
+    return IntSequence(tuple(t))
+
+
+def _inverse_in_place(t: list) -> None:
+    """Replace the terms of ``t`` by their inverse binomial transform.
+
+    The loop uses only additions, so the terms may be ints or exact decimal
+    integers alike.  One pass over ``t`` undoes a band of ``_BAND`` rows
+    from the top, and ``prev[k]`` holds the column before it with the
+    band's first k rows still applied.
+    """
     n = len(t)
     for low in reversed(range(0, n - 1, _BAND)):
         rows = min(_BAND, n - 1 - low)  # rows low+rows .. low+1
@@ -168,7 +178,6 @@ def inverse_binomial_transform(b: IntSequence) -> IntSequence:
                 cur += prev[k]
                 prev[k] = cur
             t[j] = cur
-    return IntSequence(tuple(t))
 
 
 def ogf_of(s: IntSequence) -> RationalSeries:

@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from ppp import bounds, cli
 from ppp.egfinv import egf_triple
-from ppp.transforms import IntSequence
+from ppp.recur import PolyRecurrence, apply_recurrence
+from ppp.transforms import _BAND, IntSequence
 
 CMD = [sys.executable, "-m", "ppp.cli"]
 
@@ -19,6 +21,17 @@ def run(args, stdin=""):
     return subprocess.run(
         CMD + args, input=stdin, capture_output=True, text=True, timeout=300
     )
+
+
+@pytest.fixture
+def in_process(monkeypatch, capsys):
+    """``cli.main(args)`` with ``stdin`` as its input: (exit code, stdout, stderr)."""
+    def main(args, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        rc = cli.main(args)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+    return main
 
 
 def test_sieve_primorial():
@@ -315,6 +328,87 @@ def test_apply_past_digit_limit(tmp_path, no_digit_limit):
     assert r.stdout == "".join(f"{t}\n" for t in a)
 
 
+def apply_cases():
+    """(polys, initial terms, n_max) for ``apply``: orders 1 to 3, signed
+    coefficients, zero and negative terms, and leads negative at small n."""
+    cases = [
+        # a zero quotient over a negative lead, which decimal division signs:
+        # zero terms; a_3 = (2 - 2) a_2; lead 2n - 5 < 0 for n < 3
+        (((0,), (-1,)), [0], 5),
+        (((-2, 1), (-1,)), [5], 8),
+        (((0,), (-5, 2)), [7], 6),
+        (((3,), (0,), (-5, 2)), [0, 4], 6),
+        (((2, 1), (-4, -1), (1,)), [2, 5, 16, 65, 326], 2),  # n_max below the initial terms
+    ]
+    rng = random.Random(2022)
+    leads = [(1,), (-1,), (-5, 2), (3, -1), (2,)]  # 3 - n vanishes at 3; 2 rarely divides
+    for _ in range(60):
+        order = rng.randint(1, 3)
+        polys = [tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3)))
+                 for _ in range(order)] + [rng.choice(leads)]
+        initial = [rng.choice((0, rng.randint(-10**6, 10**6)))
+                   for _ in range(order + rng.randint(0, 3))]
+        cases.append((tuple(polys), initial, rng.randint(0, 40)))
+    return cases
+
+
+@pytest.mark.parametrize("polys, initial, n_max", apply_cases())
+def test_apply_prints_what_apply_recurrence_returns(in_process, tmp_path, polys, initial, n_max):
+    # ppp apply computes in decimal; its output is str() of the library's int
+    # terms, or, when the library raises, the error and nothing on stdout
+    rec = PolyRecurrence(polys)
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(rec.to_json_dict()))
+    try:
+        terms = apply_recurrence(rec, IntSequence.of(initial), n_max).terms
+        expected = (0, "".join(f"{t}\n" for t in terms), "")
+    except (ValueError, ArithmeticError) as exc:
+        expected = (2, "", f"error: {exc}\n")
+    args = ["apply", "--recurrence", str(path), "--n", str(n_max)]
+    assert in_process(args, "".join(f"{t}\n" for t in initial)) == expected
+
+
+def test_apply_cases_reach_both_outcomes():
+    outcomes = []
+    for polys, initial, n_max in apply_cases():
+        try:
+            terms = apply_recurrence(PolyRecurrence(polys), IntSequence.of(initial), n_max)
+            outcomes.append(len(terms) > len(initial))
+        except ArithmeticError:
+            outcomes.append(None)
+    assert outcomes.count(True) >= 20 and outcomes.count(None) >= 10
+
+
+@pytest.mark.parametrize("length", [1, 2, _BAND, _BAND + 1, 2 * _BAND + 1, 151])
+def test_egf_invert_prints_egf_triple(in_process, no_digit_limit, length):
+    rng = random.Random(length)
+    a = [1] + [rng.randint(-10**30, 10**30) for _ in range(length - 1)]
+    expected = cli._canonical_json(egf_triple(IntSequence.of(a)).to_json_dict()) + "\n"
+    assert in_process(["egf-invert"], "".join(f"{t}\n" for t in a)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"offset": 1, "terms": [1, 2]}', "egf_triple requires offset 0 (got 1); re-index first"),
+    ("2\n1\n", "construction requires a_0 = 1, got 2; rescaling is refused "
+                "because it changes the divisibility structure"),
+])
+def test_egf_invert_refusals_keep_their_text(in_process, text, message):
+    assert in_process(["egf-invert"], text) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["apply", "--recurrence", "{rec}", "--n", "30"], "2\n5\n"),
+    (["egf-invert"], "1\n123456789\n-987654321\n"),
+])
+def test_a_trapped_decimal_operation_is_a_bug(in_process, monkeypatch, tmp_path, args, stdin):
+    # any DecimalException is an ArithmeticError, which alone would exit 2
+    rec = tmp_path / "e.json"
+    rec.write_text(json.dumps({"order": 2, "polys": [["2", "1"], ["-4", "-1"], ["1"]]}))
+    monkeypatch.setattr(cli, "_EXACT", decimal.Context(prec=5, traps=[decimal.Inexact]))
+    rc, out, err = in_process([a.replace("{rec}", str(rec)) for a in args], stdin)
+    assert (rc, out, err) == (3, "", "error: internal: decimal arithmetic was not exact (Inexact)\n")
+
+
 def test_main_restores_caller_digit_limit(capsys):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
@@ -355,18 +449,13 @@ def test_guess_none_is_exit_one():
     assert json.loads(r.stdout) == {"found": False}
 
 
-def test_apply_leading_zero_reported():
-    rec = {"order": 1, "polys": [["1"], ["-3", "1"]]}
-    import tempfile, os
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
-        json.dump(rec, f)
-        path = f.name
-    try:
-        r = run(["apply", "--recurrence", path, "--n", "10"], "6\n")
-        assert r.returncode == 2
-        assert "n=3" in r.stderr
-    finally:
-        os.unlink(path)
+def test_apply_leading_zero_reported(tmp_path):
+    # a_1..a_3 = 2, 1, 1 exist, but nothing is printed when n = 3 fails
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"order": 1, "polys": [["1"], ["-3", "1"]]}))
+    r = run(["apply", "--recurrence", str(path), "--n", "10"], "6\n")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: leading polynomial vanishes at n=3\n"
 
 
 def test_bounds_cli_and_env_precision():
