@@ -17,10 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import mpmath.libmp as libmp
-from mpmath import ctx_iv
-
-from . import transforms
+from . import real, transforms
 from .arith import SIEVE_LIMIT_CAP, prime_segments
 
 
@@ -44,47 +41,24 @@ class CapExceeded(ArithmeticError):
 # Interval plumbing
 
 
-_IV_CONTEXTS: dict[int, ctx_iv.MPIntervalContext] = {}
-
-
-def _ivc(bits: int) -> ctx_iv.MPIntervalContext:
-    ctx = _IV_CONTEXTS.get(bits)
-    if ctx is None:
-        ctx = ctx_iv.MPIntervalContext()
-        ctx.prec = bits
-        _IV_CONTEXTS[bits] = ctx
-    return ctx
+def _ivc(bits: int) -> real.Context:
+    return real.context(bits)
 
 
 def _iv_int(ivc, n: int):
     # Conversion of arbitrary ints rounds each endpoint outward.
-    return ivc.mpf(n)
+    return ivc.num(n)
 
 
 def _iv_frac(ivc, q: Fraction):
-    if q.denominator == 1:
-        return _iv_int(ivc, q.numerator)
-    return _iv_int(ivc, q.numerator) / _iv_int(ivc, q.denominator)
+    return ivc.num(q)
 
 
-def _tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, bc = t
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite interval endpoint")
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
-
-
-def _endpoints(x) -> tuple:
-    """Endpoints of an enclosure, as mpf tuples."""
-    return x._mpi_
-
-
-def _escalate(ctx: "PrecisionCtx", fn: Callable[[ctx_iv.MPIntervalContext], object]):
+def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
     """Run ``fn`` on interval contexts of increasing precision until it
     returns a value, not None.
 
-    mpmath's interval comparisons already have that form: ``x < y`` is True
+    ``ppp.real``'s comparisons already have that form: ``x < y`` is True
     when it holds for every pair of enclosed points, False when it fails for
     every pair, and None otherwise.
     """
@@ -123,21 +97,10 @@ def _first_true(holds: Callable[[int], bool], start: int, cap: int) -> int | Non
     return hi
 
 
-def _hull(ivc, lo, hi):
-    """The enclosure from the lower end of ``lo`` to the upper end of ``hi``."""
-    return ivc.make_mpf((_endpoints(lo)[0], _endpoints(hi)[1]))
-
-
-def _floors(x) -> tuple[int, int]:
-    """Floors of the two endpoints of an enclosure."""
-    lo, hi = _endpoints(x)
-    return libmp.to_int(lo, "f"), libmp.to_int(hi, "f")
-
-
 def _decide_floor(ctx: "PrecisionCtx", make: Callable) -> int:
     """Exact floor of the real number enclosed by ``make(ivc)``."""
     def attempt(ivc):
-        flo, fhi = _floors(make(ivc))
+        flo, fhi = make(ivc).floors()
         return flo if flo == fhi else None
     return _escalate(ctx, attempt)
 
@@ -147,24 +110,8 @@ def _ceil(x) -> int | None:
     endpoints have the same ceiling."""
     if isinstance(x, Fraction):
         return math.ceil(x)
-    flo, fhi = _floors(-x)
+    flo, fhi = (-x).floors()
     return -flo if flo == fhi else None
-
-
-def _mpf_of(q: Fraction, prec: int) -> tuple:
-    """``numerator / denominator`` as an mpf tuple at ``prec`` bits, rounded to
-    nearest like ``mpf(numerator) / denominator``, without its cost.
-
-    A large endpoint is a multi-million-bit integer ending in a long run of
-    zero bits, and mpmath's pure-Python backend strips such runs 8 bits at a
-    time.  Scaling by a power of two commutes with binary rounding, so taking
-    the powers of two out first gives the same mpf.
-    """
-    num, den = q.numerator, q.denominator
-    tz = (num & -num).bit_length() - 1 if num else 0
-    dz = (den & -den).bit_length() - 1
-    scaled = libmp.from_man_exp(num >> tz, tz - dz, prec, "n")
-    return libmp.mpf_div(scaled, libmp.from_int(den >> dz), prec, "n")
 
 
 @dataclass(frozen=True)
@@ -180,8 +127,7 @@ class Enclosure:
 
     @staticmethod
     def from_iv(x) -> "Enclosure":
-        lo, hi = _endpoints(x)
-        return Enclosure(_tuple_to_fraction(lo), _tuple_to_fraction(hi))
+        return Enclosure(*x.endpoints())
 
     @staticmethod
     def point(q: Fraction) -> "Enclosure":
@@ -195,17 +141,17 @@ class Enclosure:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    # Decimals are rounded at 10 guard digits, at an explicit precision:
-    # nothing here reads or sets mpmath's process-wide context.
+    # Decimals are rounded at 10 guard digits, at an explicit precision, as
+    # mpmath's nstr rounds them under workdps(digits + 10).
     def decimal(self, digits: int = 30) -> str:
-        prec = libmp.dps_to_prec(digits + 10)
-        total = libmp.mpf_add(_mpf_of(self.lo, prec), _mpf_of(self.hi, prec), prec, "n")
-        return libmp.to_str(libmp.mpf_shift(total, -1), digits)
+        prec = real.dps_to_prec(digits + 10)
+        total = real.nearest(real.nearest(self.lo, prec) + real.nearest(self.hi, prec), prec)
+        return real.to_str(total / 2, digits)
 
     def width_decimal(self) -> str:
         if self.width == 0:
             return "0"
-        return libmp.to_str(_mpf_of(self.width, libmp.dps_to_prec(3 + 10)), 3)
+        return real.to_str(real.nearest(self.width, real.dps_to_prec(3 + 10)), 3)
 
     def to_json_dict(self) -> dict:
         return {"value": self.decimal(), "width": self.width_decimal()}
@@ -491,9 +437,9 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
     candidate at a time, enclosure fallback included.
     """
     # float bounds for L, padded outward
-    lo_t, hi_t = _endpoints(log_base(_ivc(ctx.bits)))
-    le_lo = math.nextafter(float(_tuple_to_fraction(lo_t)), -math.inf)
-    le_hi = math.nextafter(float(_tuple_to_fraction(hi_t)), math.inf)
+    lo_t, hi_t = log_base(_ivc(ctx.bits)).endpoints()
+    le_lo = math.nextafter(float(lo_t), -math.inf)
+    le_hi = math.nextafter(float(hi_t), math.inf)
 
     def qualifies(theta: float, j: int, n: int) -> bool:
         band = (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
@@ -502,10 +448,10 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
         if theta + band < j * le_lo:
             return True
         def attempt(c):  # exact re-check: theta(j-1) < j L
-            exact = c.mpf(0)
+            exact = c.num(0)
             for primes in prime_segments(j - 1):
                 for p in primes:
-                    exact += c.log(c.mpf(p))
+                    exact += c.log(c.num(p))
             return exact < j * log_base(c)
         return _escalate(ctx, attempt)
 
@@ -611,9 +557,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         root = ivc.sqrt(_iv_nonneg(ivc, disc))
         lo_iv = (d * (1 - l) - 2 * l - root) / (2 * l * l)
         # rho: the interval midpoint, rounded to a dyadic at the working precision
-        mid_lo, mid_hi = _endpoints((lo_iv + 1 / l) / 2)
-        mid = libmp.mpf_add(mid_lo, mid_hi, ctx.bits, "n")
-        rho = _tuple_to_fraction(libmp.mpf_shift(mid, -1))
+        rho = ((lo_iv + 1 / l) / 2).mid()
         if (
             rho > 0
             and _in_ell(ctx, delta, lambda l, r: r * l, lambda v: v <= 1, rho)
@@ -626,8 +570,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
 
     # epsilon: halve from (e - delta)/2 until the strict inequality verifies
     def eps_start(ivc) -> Fraction | None:
-        lo, _ = _endpoints((ivc.e - delta.iv(ivc)) / 2)
-        eps = _tuple_to_fraction(lo)
+        eps, _ = ((ivc.e - delta.iv(ivc)) / 2).endpoints()
         return eps if eps > 0 else None
 
     epsilon = _escalate(ctx, eps_start)
@@ -659,12 +602,12 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
 
 def _iv_nonneg(ivc, x):
     """Clip an enclosure at zero; valid for quantities known to be >= 0."""
-    lo, hi = _endpoints(x)
-    if libmp.mpf_ge(lo, libmp.fzero):
+    sign = x >= 0
+    if sign is True:
         return x
-    if libmp.mpf_lt(hi, libmp.fzero):
+    if sign is False:
         raise PrecisionExhausted("nonnegative quantity enclosed strictly below zero")
-    return ivc.make_mpf((libmp.fzero, hi))
+    return real.hull(ivc.num(0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +615,7 @@ def _iv_nonneg(ivc, x):
 
 
 # Once the lower end of log x exceeds this, log(1+x) is log x + log(1 + 1/x).
-_LOG1P_SWITCH = libmp.from_int(40)
+_LOG1P_SWITCH = 40
 
 
 class _Majorant:
@@ -690,9 +633,9 @@ class _Majorant:
         self.ivc, self.J, self.F = ivc, J, F
         self.ell = delta.iv_ell(ivc)
         self.lam = _lam(ivc, delta, epsilon)
-        self.log2 = ivc.log(ivc.mpf(2))
+        self.log2 = ivc.log(ivc.num(2))
         self.d_log_j0 = D * ivc.log(_j0(ivc, delta, epsilon, D))
-        log_jfact = ivc.log(_iv_int(ivc, j_fact)) if J > 0 else ivc.mpf(0)
+        log_jfact = ivc.log(_iv_int(ivc, j_fact)) if J > 0 else ivc.num(0)
         log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
         self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
 
@@ -700,7 +643,7 @@ class _Majorant:
         ivc = self.ivc
         logy = logx + self.d_log_j0
         # log(1+x) two ways, both enclosing; pick by the endpoint scale
-        if libmp.mpf_gt(_endpoints(logx)[0], _LOG1P_SWITCH):
+        if (logx > _LOG1P_SWITCH) is True:
             log1px = logx + ivc.log(1 + ivc.exp(-logx))
         else:
             log1px = ivc.log(1 + ivc.exp(logx))
@@ -799,7 +742,7 @@ class _HeightEngine:
         return t
 
     def _log_h(self, ivc, h: int):
-        return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.mpf(0)
+        return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.num(0)
 
     def r_of(self, h: int) -> int:
         """r(h) = floor(rho*log(h)) + 1.
@@ -807,7 +750,7 @@ class _HeightEngine:
         The working-precision enclosure of rho*log(h) brackets the floor; each
         integer k it leaves open is settled exactly by h >= T_k.
         """
-        flo, fhi = _floors(self.pack.rho * self._log_h(self.pack.ivc, h))
+        flo, fhi = (self.pack.rho * self._log_h(self.pack.ivc, h)).floors()
         return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
     @staticmethod
@@ -880,8 +823,8 @@ class _HeightEngine:
         psi_c = pk.log_phi(self._log_x(pk, r_c, L_c)) - d * r_c * L_c
         r_lo, r_hi = _iv_frac(ivc, max(1, p.rho * la)), _iv_frac(ivc, p.rho * lb + 1)
         L_lo, L_hi = _iv_frac(ivc, la), _iv_frac(ivc, lb)
-        u = _hull(ivc, self._log_x(pk, r_lo, L_lo), self._log_x(pk, r_hi, L_hi))
-        phi_L, phi_r = self.partials(_hull(ivc, r_lo, r_hi), _hull(ivc, L_lo, L_hi), u)
+        u = real.hull(self._log_x(pk, r_lo, L_lo), self._log_x(pk, r_hi, L_hi))
+        phi_L, phi_r = self.partials(real.hull(r_lo, r_hi), real.hull(L_lo, L_hi), u)
         psi_L = phi_L + pk.rho * phi_r
         low = psi_c - abs(psi_L) * _iv_frac(ivc, (lb - la) / 2) - abs(phi_r) * _iv_frac(ivc, t_c)
         return (low > 0) is True
@@ -889,7 +832,7 @@ class _HeightEngine:
     def floor_exp(self, L: Fraction) -> int:
         """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
         ivc = self.pack.ivc
-        return libmp.to_int(_endpoints(ivc.exp(_iv_frac(ivc, L)))[0], "f")
+        return ivc.exp(_iv_frac(ivc, L)).floors()[0]
 
     def predicate(self, h: int) -> bool:
         r = self.r_of(h)
@@ -1025,7 +968,7 @@ def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
     """exp((sqrt(d^2 + 4 d rho log A) - d) / (d rho)) with A = LHS at h=1."""
     pk = engine.pack
     ivc, rho, d = pk.ivc, pk.rho, engine.params.d
-    la = _iv_nonneg(ivc, engine.log_lhs(ivc, 1, ivc.mpf(0)))
+    la = _iv_nonneg(ivc, engine.log_lhs(ivc, 1, ivc.num(0)))
     val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (d * rho))
     return Enclosure.from_iv(val)
 
@@ -1065,8 +1008,7 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
     """
     pk = engine.pack
     ivc, rho, lam, J, F = pk.ivc, pk.rho, pk.lam, pk.J, pk.F
-    glo, _ = _endpoints(gamma)
-    if not libmp.mpf_gt(glo, libmp.fzero):
+    if (gamma > 0) is not True:
         return None  # strict margin not visible at this precision
     one_plus = 1 + rho * pk.ell
     t = ivc.log(rho * (engine.ctx.h_cap_log2 * pk.log2) + 1)
@@ -1081,9 +1023,9 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
         + (c3**2 + c2**2) / lam
     )
     # conservative endpoint picks
-    a_hi = ivc.make_mpf((_endpoints(alpha)[1],) * 2)
-    b_hi = _iv_nonneg(ivc, ivc.make_mpf((_endpoints(beta)[1],) * 2))
-    g_lo = ivc.make_mpf((glo, glo))
+    a_hi = alpha.upper()
+    b_hi = _iv_nonneg(ivc, beta.upper())
+    g_lo = gamma.lower()
     root = (a_hi + ivc.sqrt(a_hi**2 + 4 * b_hi * g_lo)) / (2 * g_lo)
     bound = 1 + ivc.exp(root)
     return Enclosure.from_iv(alpha), Enclosure.from_iv(beta), Enclosure.from_iv(bound)

@@ -15,7 +15,7 @@ import mpmath
 import pytest
 
 from conftest import in_threads
-from ppp import bounds, cli
+from ppp import bounds, cli, real
 from ppp.arith import is_prime, prime_segments, primes_up_to, primorial_table
 from ppp.bounds import (
     DUSART,
@@ -45,6 +45,18 @@ from ppp.bounds import (
 )
 
 CTX = PrecisionCtx()
+
+
+def fraction_of(x) -> Fraction:
+    """An mpf as a Fraction, exactly."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def mpf_exact(q: Fraction):
+    """A dyadic endpoint as an mpf, without rounding."""
+    with mpmath.workprec(max(53, q.numerator.bit_length())):
+        return mpmath.mpf(q.numerator) / q.denominator
 
 
 def capped(j_cap):
@@ -451,7 +463,7 @@ def test_reports_render_alike_in_threads():
 
 
 def test_reports_compute_alike_in_threads():
-    # The module caches _J_CACHE and _IV_CONTEXTS fill without a lock; each
+    # The caches _J_CACHE, real._CONTEXTS and real._CONSTANTS fill without a lock; each
     # key maps to a value that does not depend on the filling thread, so a
     # race may repeat work but must not change a report.
     texts = ["11/10", "e^1/4", "5/4", "13/10"]
@@ -469,7 +481,8 @@ def test_reports_compute_alike_in_threads():
             out.append((t, bounds_report(1, Delta.parse(t), CTX).to_json_dict()))
 
     bounds._J_CACHE.clear()
-    bounds._IV_CONTEXTS.clear()
+    real._CONTEXTS.clear()
+    real._CONSTANTS.clear()
     done = [item for out in in_threads(compute) for item in out]
     assert len(done) == 16
     for t, rep in done:
@@ -895,7 +908,7 @@ def test_log_x_matches_the_two_part_route(bits):
     pk = engine._pack(_ivc(bits))
     for r in range(1, 601):
         R, L = _iv_int(pk.ivc, r), _iv_frac(pk.ivc, Fraction(11 * r, 10))
-        assert engine._log_x(pk, R, L)._mpi_ == two_part_log_x(pk, R, L)._mpi_, r
+        assert engine._log_x(pk, R, L).endpoints() == two_part_log_x(pk, R, L).endpoints(), r
 
 
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10), Delta.exp(Fraction(2, 7))])
@@ -907,9 +920,9 @@ def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
     d, rho, fine, log_x = engine.params.d, engine.params.rho, _ivc(512), engine._log_x
 
     def Phi(L, r):
-        pk, R, Lv = engine._pack(fine), fine.mpf(r), fine.mpf(L)
-        lo, _ = (pk.log_phi(log_x(pk, R, Lv)) - d * R * Lv)._mpi_
-        return mpmath.mp.make_mpf(lo)
+        pk, R, Lv = engine._pack(fine), _iv_frac(fine, fraction_of(r)), _iv_frac(fine, fraction_of(L))
+        lo, _ = (pk.log_phi(log_x(pk, R, Lv)) - d * R * Lv).endpoints()
+        return mpf_exact(lo)
 
     ivc, pk = engine.pack.ivc, engine.pack
     rng = random.Random(15)
@@ -923,15 +936,15 @@ def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
             numeric = (mpmath.diff(lambda x: Phi(x, point[1]), point[0]),
                        mpmath.diff(lambda y: Phi(point[0], y), point[1]))
             for value, enc in zip(numeric, enclosed):
-                lo, hi = (mpmath.mp.make_mpf(e) for e in enc._mpi_)
+                lo, hi = (mpf_exact(e) for e in enc.endpoints())
                 slack = mpmath.mpf(10) ** -40 * (1 + abs(value))
                 assert lo - slack <= value <= hi + slack, (L, r, value, enc)
 
 
 def encloses(outer, inner) -> bool:
     """The interval ``outer`` contains the interval ``inner``."""
-    lo, hi = (mpmath.mp.make_mpf(e) for e in outer._mpi_)
-    inner_lo, inner_hi = (mpmath.mp.make_mpf(e) for e in inner._mpi_)
+    lo, hi = outer.endpoints()
+    inner_lo, inner_hi = inner.endpoints()
     return lo <= inner_lo and inner_hi <= hi
 
 
@@ -1029,8 +1042,8 @@ def test_height_one_fails(c):
     # log LHS(1) > 0 = r d log 1: every term of log LHS(1) is positive.
     for text in NINE_DELTAS:
         engine = _HeightEngine(choose_parameters(c, Delta.parse(text), CTX), CTX)
-        lo, _ = engine.log_lhs(_ivc(CTX.bits), 1, 0)._mpi_
-        assert mpmath.mpf(lo) > 0, text
+        lo, _ = engine.log_lhs(_ivc(CTX.bits), 1, 0).endpoints()
+        assert lo > 0, text
 
 
 # ``ppp bounds --c 1`` stdout SHA-256 for the deltas whose search is not
