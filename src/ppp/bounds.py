@@ -610,6 +610,11 @@ def _iv_nonneg(ivc, x):
     return real.hull(ivc.num(0), x)
 
 
+def _iv_max0(ivc, x):
+    """max(0, x) over an enclosure."""
+    return ivc.num(0) if (x <= 0) is True else _iv_nonneg(ivc, x)
+
+
 # ---------------------------------------------------------------------------
 # Majorized product bound
 
@@ -639,9 +644,12 @@ class _Majorant:
         log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
         self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
 
-    def log_phi(self, logx):
+    def log_phi(self, logx, logy=None):
+        """log_phi at u = log x; ``logy`` replaces u + D log j0 in the last
+        term (see ``lowest_log_phi``)."""
         ivc = self.ivc
-        logy = logx + self.d_log_j0
+        if logy is None:
+            logy = logx + self.d_log_j0
         # log(1+x) two ways, both enclosing; pick by the endpoint scale
         if (logx > _LOG1P_SWITCH) is True:
             log1px = logx + ivc.log(1 + ivc.exp(-logx))
@@ -653,6 +661,15 @@ class _Majorant:
             + self.F * (self.log2 + self.d_log_j0)
             + logy**2 / self.lam
         )
+
+    def lowest_log_phi(self, u1):
+        """A lower bound of log_phi(u) over every u >= u1.
+
+        (J+F) log(1 + e^u) rises with u, the terms free of u stay, and
+        (u + D log j0)^2 >= max(0, u1 + D log j0)^2: the square falls while
+        u + D log j0 < 0.
+        """
+        return self.log_phi(u1, _iv_max0(self.ivc, u1 + self.d_log_j0))
 
     def slope(self, logx):
         """d log_phi / d log x = (J+F) / (1 + e^-u) + 2 (u + D log j0) / lam, u = log x."""
@@ -965,11 +982,18 @@ def compute_H(c, delta, params: Parameters | None = None,
 
 
 def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
-    """exp((sqrt(d^2 + 4 d rho log A) - d) / (d rho)) with A = LHS at h=1."""
+    """exp((sqrt(d^2 + 4 d rho log A) - d) / (2 d rho)), below every height
+    where the predicate holds.
+
+    u = log x rises with h from u(1) = log(2cd) (r(1) = 1), so log LHS(h)
+    >= log A := ``lowest_log_phi(log(2cd))`` for every h >= 1.  A true h has
+    log A <= r d L <= (rho L + 1) d L with L = log h, so L is at least the
+    positive root of d rho L^2 + d L - log A.
+    """
     pk = engine.pack
     ivc, rho, d = pk.ivc, pk.rho, engine.params.d
-    la = _iv_nonneg(ivc, engine.log_lhs(ivc, 1, ivc.num(0)))
-    val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (d * rho))
+    la = _iv_nonneg(ivc, pk.lowest_log_phi(pk.log_2cd))
+    val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (2 * d * rho))
     return Enclosure.from_iv(val)
 
 
@@ -1015,7 +1039,7 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
     c2 = pk.log_2cd + t + pk.d_log_j0
     c3 = pk.log_2cd + pk.d_log_j0
     alpha = (J + F) * one_plus + 2 * one_plus * c2 / lam
-    log1px_const = pk.log2 + _iv_nonneg(ivc, pk.log_2cd + t)
+    log1px_const = pk.log2 + _iv_max0(ivc, pk.log_2cd + t)
     beta = (
         pk.log_k
         + F * (pk.log2 + pk.d_log_j0)

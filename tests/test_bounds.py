@@ -557,14 +557,14 @@ def test_height_pinned_for_e_two_sevenths():
         "26e3c7bbacfb7bc7f4cc9373478401ce0988bb7fc845ee918b9a0c7dbcbdf25e"
     )
     assert json_sha256(rep) == (
-        "e0a641027cf169a8e0164fb5c87122b063154d10918f8e3bcba094043497d70d"
+        "33861136352bc1fd382f0618f439e662a685bc612283fed66db8874854bb6c59"
     )
 
 
 def test_report_json_pinned_for_five_quarters():
     rep = bounds_report(1, Fraction(5, 4), CTX)
     assert json_sha256(rep) == (
-        "e176efa030a418472bf104f14db9769083aeb607928572ba31cde4cb6a907046"
+        "1dc27bbb898b16f148776cdc178e9437d6065513fa3096f9541a1c5190586ec1"
     )
 
 
@@ -1034,6 +1034,23 @@ def test_height_is_not_the_smallest_true_height(delta):
     assert earlier < h and engine.predicate(earlier)
 
 
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(1, 10), Fraction(1, 10**6)])
+def test_no_height_below_the_lower_bound_holds(c):
+    # Brute force over every height below H_lower.  At c = 1/10^6 the
+    # square term of log LHS(1) sits below its minimum over h (u(1) + d log
+    # j0 < 0), so LHS(1) is no lower bound; H = 57 lies far below the
+    # e^15 that LHS(1) and a divisor d rho gave.
+    engine = _HeightEngine(choose_parameters(c, Fraction(11, 10), CTX), CTX)
+    lower = bounds._height_lower_bound(engine).lo
+    assert lower > 40
+    assert not any(engine.predicate(h) for h in range(1, math.ceil(lower)))
+
+
+def test_small_c_height_is_above_its_lower_bound():
+    rep = bounds_report(Fraction(1, 10**6), Fraction(11, 10), CTX)
+    assert rep.H == 57 and rep.H_lower.hi < 57
+
+
 NINE_DELTAS = ["e^1/2", "11/10", "3/2", "e^2/7", "5/4", "13/10", "e^1/4", "e^1/3", "e^7/20"]
 
 
@@ -1050,13 +1067,13 @@ def test_height_one_fails(c):
 # monotone near H, e^1/2 (the largest H of the nine), and e^3/10 and e^9/20
 # (11086 and 10029 bits, the largest H decided at the default limits).
 REPORT_SHA256 = {
-    "13/10": "9a96c5e36e9da04403d17886197ab421a98e8b9861adc89bb7e56628f150091b",
-    "e^1/4": "cc79a63be651fdc3d42baeb646ad1239f8f5ad36c4776639b241c7abd08035d3",
-    "e^1/3": "b95248d10b24a1174b7d6aea5a17b1728eead5cf7bcd6bf7576cd64a758cd5a3",
-    "e^7/20": "426aec1ee6e3bcfe29d22020497bbeee6ff4af0f0d8cd451c9e72b2358425ca8",
-    "e^1/2": "f622216ed30ddd7374f948d2c83094afe17cd35ad06f50de07ff54229d3b2ba4",
-    "e^3/10": "0f30209557480ce3b7c0d519f5a39cd024d2486e85291e7dcdac5a9505fcb94e",
-    "e^9/20": "39aa8e69f58af88d04c6662947437bca5afd594de9a3c056df36cc659df66802",
+    "13/10": "e0041db96519b52dea155d68353ae4b1b6513324160bb1c82cbd50b456871bef",
+    "e^1/4": "a834ce0501b1c4ee7edce2bf86ec89c73a22ed3337ba2c5e5d61e9f4d8000c62",
+    "e^1/3": "165924f35df3dc33ad3baff01033e998047c2659970432360394c1d1d226b69d",
+    "e^7/20": "1ab0a89753c5098e04ed7c6117527127686b964dfa3c97050ffd11617eb02904",
+    "e^1/2": "71669181b1e747f8ef93deb18b1828a97a9570229b5658c1fcff17d9e10789a8",
+    "e^3/10": "67d02391cca084746c0316b9cc7ed976dc421f2fbd6c12e43bf127ace1c19ea1",
+    "e^9/20": "7db619d2db39eeb250bee26a3a633452d47618c272ca56fb9285cd77455d4f4c",
 }
 
 
@@ -1094,5 +1111,5 @@ def test_report_json_shape():
     float(back["rho"]["value"])  # renders as a decimal
     assert back["degeneracy_note"] == ""
     assert json_sha256(rep) == (
-        "2c4cf6361c0e32f3437345396652655d43120100e77a93c0ed780875d0cfc2e1"
+        "199f12b259b4ec6681cb95e923e3deebbf6d4a32145186bad0e72bae41ef7b20"
     )

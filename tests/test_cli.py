@@ -474,6 +474,13 @@ def test_bounds_cli_and_env_precision():
     assert json.loads(r2.stdout)["input"]["precision_bits"] == "256"
 
 
+def test_bounds_small_c_exits_zero():
+    # it exited 3: H = 57 fell below a "lower bound" of about 3.4e6
+    r = run(["bounds", "--c", "1/1000000", "--delta", "11/10"])
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["H"] == "57"
+
+
 def test_apply_negative_n_is_a_usage_error(tmp_path):
     # it used to print 3 of the 5 initial terms and exit 0
     path = tmp_path / "e.json"
@@ -538,8 +545,9 @@ def test_deterministic_outputs():
 
 
 # --- import split -----------------------------------------------------------
-# Only ``ppp bounds`` needs mpmath.  Each check runs in a fresh interpreter,
-# since this one has imported ppp.bounds already.
+# Only ``ppp bounds`` loads real arithmetic (ppp.bounds and ppp.real), and
+# nothing loads mpmath.  Each check runs in a fresh interpreter, since this
+# one has imported ppp.bounds already.
 
 def fresh(script, *args):
     r = subprocess.run([sys.executable, "-c", script, *args],
@@ -572,13 +580,34 @@ main(["egf-invert"], genuine)
 terms = main(["apply", "--recurrence", rec, "--n", "30"], "2\n5\n")
 main(["verify", "--recurrence", rec], terms)
 main(["guess", "--smax", "3", "--dmax", "2"], terms)
-print(json.dumps(sorted({"mpmath", "ppp.bounds"} & set(sys.modules))))
+print(json.dumps(sorted({"mpmath", "ppp.bounds", "ppp.real"} & set(sys.modules))))
 """
 
 
 def test_other_subcommands_load_neither_mpmath_nor_bounds(tmp_path):
     out = fresh(EVERY_OTHER_SUBCOMMAND, str(tmp_path / "rec.json"))
     assert json.loads(out) == []
+
+
+ONE_COMMAND = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+from ppp import cli
+with redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted({"mpmath", "ppp.bounds", "ppp.real"} & set(sys.modules))]))
+import ppp.real  # the module checked for exists
+"""
+
+
+def test_bounds_runs_without_mpmath():
+    out = fresh(ONE_COMMAND, "bounds", "--c", "1", "--delta", "11/10")
+    assert json.loads(out) == [0, ["ppp.bounds", "ppp.real"]]
+
+
+def test_sieve_loads_no_real_arithmetic():
+    out = fresh(ONE_COMMAND, "sieve", "--kind", "primorial", "--n", "5")
+    assert json.loads(out) == [0, []]
 
 
 REPLAY_MODULES = r"""
