@@ -54,9 +54,9 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
-# Only the effective bounds need real numbers.  ``ppp.bounds`` imports
-# mpmath, so it and its exports load on first access (PEP 562); every other
-# layer works without them.
+# Only the effective bounds need real numbers.  ``ppp.bounds`` and its
+# interval arithmetic ``ppp.real`` load on first access (PEP 562); every
+# other layer works without them.
 _BOUNDS_EXPORTS = frozenset({
     "CapExceeded",
     "Delta",

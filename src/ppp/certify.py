@@ -212,18 +212,17 @@ def growth_exponent(a: IntSequence) -> GrowthEstimate:
 
     Purely diagnostic; no thresholds are applied here.
     """
-    from mpmath import MPContext  # the only real arithmetic outside ppp.bounds
+    from . import real  # the only real arithmetic outside ppp.bounds
 
     if len(a) < 8:
         raise ValueError("growth estimate needs a prefix of length >= 8")
     if not any(a.terms):
         raise ValueError("growth estimate undefined for the all-zero prefix")
     top = a.last_index
-    real = MPContext()  # private: mpmath's process-wide context is shared
-    real.dps = 40
+    ctx = real.context(real.dps_to_prec(40))
 
     def ratio(n: int):
-        return real.log(abs(a[n - a.offset])) / n
+        return (ctx.log(ctx.num(abs(a[n - a.offset]))) / n).mid()
 
     window = [
         n
@@ -234,4 +233,4 @@ def growth_exponent(a: IntSequence) -> GrowthEstimate:
         raise ValueError("last-quarter window contains no usable nonzero terms")
     last = ratio(top)
     tail_max = max(ratio(n) for n in window)
-    return GrowthEstimate(Decimal(real.nstr(last, 30)), Decimal(real.nstr(tail_max, 30)))
+    return GrowthEstimate(Decimal(real.to_str(last, 30)), Decimal(real.to_str(tail_max, 30)))

@@ -261,7 +261,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from . import bounds  # mpmath loads only for this subcommand
+    from . import bounds  # real arithmetic loads only for this subcommand
 
     ctx = bounds.PrecisionCtx() if args.precision is None else bounds.PrecisionCtx(args.precision)
     c, delta = rational(args.c), bounds.Delta.parse(args.delta)

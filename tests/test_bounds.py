@@ -49,8 +49,8 @@ CTX = PrecisionCtx()
 
 def fraction_of(x) -> Fraction:
     """An mpf as a Fraction, exactly."""
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
+    man, exp = x.man_exp  # of |x|
+    return Fraction(man) * Fraction(2) ** exp * (-1 if x < 0 else 1)
 
 
 def mpf_exact(q: Fraction):
@@ -444,6 +444,24 @@ def test_enclosure_decimals_match_the_workdps_route():
         lo = rational()
         hi = lo + rng.choice((0, rational(), Fraction(1, 2**rng.randint(1, 400))))
         enc = Enclosure(*sorted((lo, hi)))
+        digits = rng.choice((3, 12, 30, 30, 50))
+        assert (enc.decimal(digits), enc.width_decimal()) == workdps_decimals(enc, digits), enc
+
+
+def test_enclosure_decimals_match_the_workdps_route_far_from_one():
+    # Past 2^3500 mpmath's to_str scales by a power of ten in rounded
+    # arithmetic, and ppp.real takes exact digits instead.
+    rng = random.Random(20261019)
+
+    def rational():
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300))
+        scale = Fraction(2) ** (rng.choice((-1, 1)) * rng.randint(3000, 8000))
+        return Fraction(num, rng.randint(1, 2**rng.randint(1, 200))) * scale
+
+    for _ in range(1000):
+        lo = rational()
+        hi = lo + rng.choice((0, abs(rational()), abs(lo) / 2**rng.randint(1, 400)))
+        enc = Enclosure(lo, hi)
         digits = rng.choice((3, 12, 30, 30, 50))
         assert (enc.decimal(digits), enc.width_decimal()) == workdps_decimals(enc, digits), enc
 
