@@ -41,17 +41,9 @@ class CapExceeded(ArithmeticError):
 # Interval plumbing
 
 
-def _ivc(bits: int) -> real.Context:
-    return real.context(bits)
-
-
-def _iv_int(ivc, n: int):
-    # Conversion of arbitrary ints rounds each endpoint outward.
-    return ivc.num(n)
-
-
-def _iv_frac(ivc, q: Fraction):
-    return ivc.num(q)
+# The interval context at a precision; ``ivc.num(q)`` encloses an int or a
+# Fraction, each endpoint rounded outward.
+_ivc = real.context
 
 
 def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
@@ -212,13 +204,13 @@ class Delta:
 
     def iv(self, ivc):
         if self.kind == "exp":
-            return ivc.exp(_iv_frac(ivc, self.value))
-        return _iv_frac(ivc, self.value)
+            return ivc.exp(ivc.num(self.value))
+        return ivc.num(self.value)
 
     def iv_ell(self, ivc):
         if self.kind == "exp":
-            return _iv_frac(ivc, self.value)
-        return ivc.log(_iv_frac(ivc, self.value))
+            return ivc.num(self.value)
+        return ivc.log(ivc.num(self.value))
 
 
 @dataclass(frozen=True)
@@ -253,7 +245,7 @@ def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
 
 def _log_e_minus(ivc, epsilon: Fraction):
     """log(e - epsilon)."""
-    return ivc.log(ivc.e - _iv_frac(ivc, epsilon))
+    return ivc.log(ivc.e - ivc.num(epsilon))
 
 
 def _lam(ivc, delta: Delta, epsilon: Fraction):
@@ -281,7 +273,7 @@ def _in_ell(ctx: PrecisionCtx, delta: Delta, formula: Callable, decide: Callable
     if ell is not None:
         return decide(formula(ell, *qs))
     return _escalate(
-        ctx, lambda ivc: decide(formula(delta.iv_ell(ivc), *(_iv_frac(ivc, q) for q in qs)))
+        ctx, lambda ivc: decide(formula(delta.iv_ell(ivc), *(ivc.num(q) for q in qs)))
     )
 
 
@@ -319,8 +311,8 @@ class ChebyshevBound:
         closes at every x' >= x as soon as it closes at x >= start.
         """
         def attempt(ivc):
-            lx = ivc.log(_iv_int(ivc, x))
-            lower = x * (1 - _iv_frac(ivc, self.a) / lx**self.k)
+            lx = ivc.log(ivc.num(x))
+            lower = x * (1 - ivc.num(self.a) / lx**self.k)
             return lower >= (x + 1) * log_base(ivc)
         return _escalate(ctx, attempt)
 
@@ -475,7 +467,7 @@ def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     # epsilon < e - 1 so that e - epsilon > 1 and the comparison makes sense
-    if not _escalate(ctx, lambda ivc: _iv_frac(ivc, epsilon) < ivc.e - 1):
+    if not _escalate(ctx, lambda ivc: ivc.num(epsilon) < ivc.e - 1):
         raise DomainError(f"epsilon must be below e - 1, got {epsilon}")
 
 
@@ -521,7 +513,7 @@ def _rho2_holds_strictly(delta: Delta, d: int, rho: Fraction, ctx: PrecisionCtx)
 
 def _gamma(ivc, delta: Delta, d: int, rho: Fraction, epsilon: Fraction):
     """gamma = d*rho - (1 + rho*ell)^2 / log(1/omega), the strict margin."""
-    r = _iv_frac(ivc, rho)
+    r = ivc.num(rho)
     return d * r - (1 + r * delta.iv_ell(ivc)) ** 2 / _lam(ivc, delta, epsilon)
 
 
@@ -581,7 +573,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
     else:
         raise PrecisionExhausted("epsilon halving did not reach a strict margin")
 
-    omega_iv = delta.iv(ivc) / (ivc.e - _iv_frac(ivc, epsilon))
+    omega_iv = delta.iv(ivc) / (ivc.e - ivc.num(epsilon))
     ell_fr = delta.ell_fraction
 
     return Parameters(
@@ -640,7 +632,7 @@ class _Majorant:
         self.lam = _lam(ivc, delta, epsilon)
         self.log2 = ivc.log(ivc.num(2))
         self.d_log_j0 = D * ivc.log(_j0(ivc, delta, epsilon, D))
-        log_jfact = ivc.log(_iv_int(ivc, j_fact)) if J > 0 else ivc.num(0)
+        log_jfact = ivc.log(ivc.num(j_fact)) if J > 0 else ivc.num(0)
         log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
         self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
 
@@ -697,21 +689,21 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         raise DomainError("x must be positive")
     epsilon = Fraction(epsilon)
     _check_epsilon_domain(ctx, epsilon)
-    if not _escalate(ctx, lambda ivc: _iv_frac(ivc, epsilon) < ivc.e - delta.iv(ivc)):
+    if not _escalate(ctx, lambda ivc: ivc.num(epsilon) < ivc.e - delta.iv(ivc)):
         raise DomainError("epsilon must satisfy delta < e - epsilon")
 
     J = compute_J(epsilon, ctx)
     floor_j0 = _floor_j0(ctx, delta, epsilon, D)
 
     # The dilogarithm step in the tail estimate requires y = x*j0^D >= 1.
-    if not _escalate(ctx, lambda ivc: 1 <= _iv_frac(ivc, x) * _j0(ivc, delta, epsilon, D) ** D):
+    if not _escalate(ctx, lambda ivc: 1 <= ivc.num(x) * _j0(ivc, delta, epsilon, D) ** D):
         raise DomainError(
             "bound requires x * j0^D >= 1 (the tail estimate is only valid there)"
         )
 
     ivc = _ivc(ctx.bits)
     majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0, math.factorial(J))
-    return Enclosure.from_iv(ivc.exp(majorant.log_phi(ivc.log(_iv_frac(ivc, x)))))
+    return Enclosure.from_iv(ivc.exp(majorant.log_phi(ivc.log(ivc.num(x)))))
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +732,8 @@ class _HeightEngine:
         if pk is None:
             p = self.params
             pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0, self._j_fact)
-            pk.log_2cd = ivc.log(_iv_frac(ivc, 2 * p.c * p.d))
-            pk.rho = _iv_frac(ivc, p.rho)
+            pk.log_2cd = ivc.log(ivc.num(2 * p.c * p.d))
+            pk.rho = ivc.num(p.rho)
             self._packs[ivc.prec] = pk
         return pk
 
@@ -754,12 +746,12 @@ class _HeightEngine:
         t = self._thresholds.get(k)
         if t is None:
             q = Fraction(k) / self.params.rho
-            t = _escalate(self.ctx, lambda ivc: _ceil(ivc.exp(_iv_frac(ivc, q))))
+            t = _escalate(self.ctx, lambda ivc: _ceil(ivc.exp(ivc.num(q))))
             self._thresholds[k] = t
         return t
 
     def _log_h(self, ivc, h: int):
-        return ivc.log(_iv_int(ivc, h)) if h > 1 else ivc.num(0)
+        return ivc.log(ivc.num(h)) if h > 1 else ivc.num(0)
 
     def r_of(self, h: int) -> int:
         """r(h) = floor(rho*log(h)) + 1.
@@ -779,7 +771,7 @@ class _HeightEngine:
     def log_lhs(self, ivc, r: int, logh):
         """log LHS(h) in the context ``ivc``, given ``logh`` = log h in it."""
         pk = self._pack(ivc)
-        return pk.log_phi(self._log_x(pk, _iv_int(ivc, r), logh))
+        return pk.log_phi(self._log_x(pk, ivc.num(r), logh))
 
     def falls(self, r: int, h: int) -> bool:
         """True when f_r'(log h) <= 0 provably at ctx.bits, for r = r(h).
@@ -788,7 +780,7 @@ class _HeightEngine:
         (``partials``).
         """
         pk = self.pack
-        r_iv, L = _iv_int(pk.ivc, r), self._log_h(pk.ivc, h)
+        r_iv, L = pk.ivc.num(r), self._log_h(pk.ivc, h)
         phi_L, _ = self.partials(r_iv, L, self._log_x(pk, r_iv, L))
         return (phi_L >= 0) is True
 
@@ -836,20 +828,20 @@ class _HeightEngine:
         ivc, d = pk.ivc, p.d
         m = (la + lb) / 2
         t_c = max(Fraction(1, 2), 1 - p.rho * m)
-        r_c, L_c = _iv_frac(ivc, p.rho * m + t_c), _iv_frac(ivc, m)
+        r_c, L_c = ivc.num(p.rho * m + t_c), ivc.num(m)
         psi_c = pk.log_phi(self._log_x(pk, r_c, L_c)) - d * r_c * L_c
-        r_lo, r_hi = _iv_frac(ivc, max(1, p.rho * la)), _iv_frac(ivc, p.rho * lb + 1)
-        L_lo, L_hi = _iv_frac(ivc, la), _iv_frac(ivc, lb)
+        r_lo, r_hi = ivc.num(max(1, p.rho * la)), ivc.num(p.rho * lb + 1)
+        L_lo, L_hi = ivc.num(la), ivc.num(lb)
         u = real.hull(self._log_x(pk, r_lo, L_lo), self._log_x(pk, r_hi, L_hi))
         phi_L, phi_r = self.partials(real.hull(r_lo, r_hi), real.hull(L_lo, L_hi), u)
         psi_L = phi_L + pk.rho * phi_r
-        low = psi_c - abs(psi_L) * _iv_frac(ivc, (lb - la) / 2) - abs(phi_r) * _iv_frac(ivc, t_c)
+        low = psi_c - abs(psi_L) * ivc.num((lb - la) / 2) - abs(phi_r) * ivc.num(t_c)
         return (low > 0) is True
 
     def floor_exp(self, L: Fraction) -> int:
         """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
         ivc = self.pack.ivc
-        return ivc.exp(_iv_frac(ivc, L)).floors()[0]
+        return ivc.exp(ivc.num(L)).floors()[0]
 
     def predicate(self, h: int) -> bool:
         r = self.r_of(h)
@@ -1149,7 +1141,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
     if Fraction(h) < h_lower.lo:
         raise AssertionError("internal: height fell below its certified lower bound")
 
-    order_bound = _decide_floor(ctx, lambda ivc: ivc.log(_iv_int(ivc, h)) / delta.iv_ell(ivc))
+    order_bound = _decide_floor(ctx, lambda ivc: ivc.log(ivc.num(h)) / delta.iv_ell(ivc))
 
     gamma = _gamma(engine.pack.ivc, delta, params.d, params.rho, params.epsilon)
     diag = _height_upper_diagnostic(engine, gamma)

@@ -152,6 +152,12 @@ def _cmp_q(m: int, e: int, q) -> int:
     return (a > b) - (a < b)
 
 
+def _diff(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
+    """m1 2^e1 - m2 2^e2, exactly."""
+    e = min(e1, e2)
+    return (m1 << (e1 - e)) - (m2 << (e2 - e)), e
+
+
 def _fraction(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
@@ -675,7 +681,7 @@ class Context:
         wp = p + _GUARD
         lo, hi, sh = _log_fixed(x.lm, x.le, wp)
         if _cmp(x.lm, x.le, x.hm, x.he):
-            dm, de = _sum(x.hm, x.he, -x.lm, x.le, p + wp)  # b - a, exactly enough
+            dm, de = _diff(x.hm, x.he, x.lm, x.le)
             # u 2^-sh = (b - a) / a at scale -sh, rounded up
             u_m, u_e = _quot(dm, de - sh, x.lm, x.le, wp)
             u = -(-u_m >> -u_e) if u_e < 0 else u_m << u_e
@@ -698,7 +704,7 @@ class Context:
         lo, hi, sh = _exp_fixed(x.lm, x.le, wp)
         sh2 = sh
         if _cmp(x.lm, x.le, x.hm, x.he):
-            tm, te = _sum(x.hm, x.he, -x.lm, x.le, p + wp)  # t = b - a > 0
+            tm, te = _diff(x.hm, x.he, x.lm, x.le)  # t = b - a > 0
             if te < 0 and 2 * (-te - tm.bit_length()) >= hi.bit_length():
                 # hi (1 + t + t^2) = hi (2^(-2te) + tm 2^(-te) + tm^2) 2^(2te)
                 v = hi * ((1 << -2 * te) + (tm << -te) + tm * tm)

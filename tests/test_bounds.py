@@ -24,8 +24,6 @@ from ppp.bounds import (
     _HeightEngine,
     _Verdicts,
     _decide_floor,
-    _iv_frac,
-    _iv_int,
     _ivc,
     _search_height,
     CapExceeded,
@@ -558,12 +556,12 @@ def test_r_threshold_matches_floor_route():
     assert 679 in engine._thresholds
     k, t = 679, engine._thresholds[679]
     ivc = _ivc(2 * t.bit_length())
-    jump = ivc.exp(_iv_frac(ivc, Fraction(k) / params.rho))
-    assert (_iv_int(ivc, t - 1) < jump) is True
-    assert (jump < _iv_int(ivc, t)) is True
+    jump = ivc.exp(ivc.num(Fraction(k) / params.rho))
+    assert (ivc.num(t - 1) < jump) is True
+    assert (jump < ivc.num(t)) is True
     for h, r in ((1, 1), (2, 2), (t - 1, k), (t, k + 1), (t + 1, k + 1)):
         floor_route = _decide_floor(
-            CTX, lambda c: _iv_frac(c, params.rho) * c.log(_iv_int(c, h))
+            CTX, lambda c: c.num(params.rho) * c.log(c.num(h))
         ) + 1
         assert engine.r_of(h) == floor_route == r
 
@@ -862,7 +860,7 @@ def test_slope_sign_matches_a_difference_quotient(delta):
     ivc, d, step = _ivc(CTX.bits), engine.params.d, Fraction(1, 2**20)
 
     def direct(r, h):  # f_r'(log h) = r d - slope(u) <= 0, written out
-        u = engine._log_x(engine.pack, _iv_int(ivc, r), engine._log_h(ivc, h))
+        u = engine._log_x(engine.pack, ivc.num(r), engine._log_h(ivc, h))
         return (r * d - engine.pack.slope(u) <= 0) is True
 
     seen = set()
@@ -873,7 +871,7 @@ def test_slope_sign_matches_a_difference_quotient(delta):
         logh = engine._log_h(ivc, h)
 
         def f(shift):  # f_r(log h + shift) for this fixed r
-            L = logh + _iv_frac(ivc, shift)
+            L = logh + ivc.num(shift)
             return r * d * L - engine.log_lhs(ivc, r, L)
 
         assert falls == direct(r, h), k
@@ -925,7 +923,7 @@ def test_log_x_matches_the_two_part_route(bits):
     engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
     pk = engine._pack(_ivc(bits))
     for r in range(1, 601):
-        R, L = _iv_int(pk.ivc, r), _iv_frac(pk.ivc, Fraction(11 * r, 10))
+        R, L = pk.ivc.num(r), pk.ivc.num(Fraction(11 * r, 10))
         assert engine._log_x(pk, R, L).endpoints() == two_part_log_x(pk, R, L).endpoints(), r
 
 
@@ -938,7 +936,7 @@ def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
     d, rho, fine, log_x = engine.params.d, engine.params.rho, _ivc(512), engine._log_x
 
     def Phi(L, r):
-        pk, R, Lv = engine._pack(fine), _iv_frac(fine, fraction_of(r)), _iv_frac(fine, fraction_of(L))
+        pk, R, Lv = engine._pack(fine), fine.num(fraction_of(r)), fine.num(fraction_of(L))
         lo, _ = (pk.log_phi(log_x(pk, R, Lv)) - d * R * Lv).endpoints()
         return mpf_exact(lo)
 
@@ -947,7 +945,7 @@ def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
     for _ in range(12):
         L = Fraction(rng.randint(1, 2**12 * 3000), 2**12)
         r = max(1, rho * L + Fraction(rng.randint(0, 2**10), 2**10))
-        R, Lv = _iv_frac(ivc, r), _iv_frac(ivc, L)
+        R, Lv = ivc.num(r), ivc.num(L)
         enclosed = engine.partials(R, Lv, log_x(pk, R, Lv))
         with mpmath.workprec(200):
             point = (mpmath.mpf(L.numerator) / L.denominator, mpmath.mpf(r.numerator) / r.denominator)
@@ -995,8 +993,8 @@ def test_cell_box_holds_the_heights_past_an_r_jump(delta):
                 for h in (first, t, last):
                     assert la_mp <= mpmath.log(h) <= lb_mp
                     logh, rh = engine._log_h(ivc, h), engine.r_of(h)
-                    assert encloses(r, _iv_int(ivc, rh)), (k, width, h, rh)
-                    assert encloses(u, engine._log_x(pk, _iv_int(ivc, rh), logh)), (k, width, h)
+                    assert encloses(r, ivc.num(rh)), (k, width, h, rh)
+                    assert encloses(u, engine._log_x(pk, ivc.num(rh), logh)), (k, width, h)
 
 
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
