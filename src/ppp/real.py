@@ -8,7 +8,8 @@ result for every pair of enclosed points:
 * ``+ - * /``, ``abs``, integer powers, ``sqrt`` and the conversion of ints
   and Fractions compute each endpoint exactly (or with a sticky bit) and
   round it once, down for the lower and up for the upper end: each endpoint
-  is the correctly rounded one.
+  is the correctly rounded one.  (A power longer than 16 p bits is rounded
+  at every step of binary powering instead, outward.)
 * ``log``, ``exp``, ``e`` and ``pi`` sum a series in fixed point at about
   ``p + _GUARD`` bits, with every truncation bounded as stated in the
   docstring of the kernel that sums it, and round the enclosure outward.
