@@ -52,11 +52,15 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
 
     ``ppp.real``'s comparisons already have that form: ``x < y`` is True
     when it holds for every pair of enclosed points, False when it fails for
-    every pair, and None otherwise.
+    every pair, and None otherwise.  A division by an enclosure of 0 is
+    undecided too: more precision may separate the divisor from 0.
     """
     bits = ctx.bits
     while True:
-        value = fn(_ivc(bits))
+        try:
+            value = fn(_ivc(bits))
+        except ZeroDivisionError:
+            value = None
         if value is not None:
             return value
         if bits >= ctx.max_bits:

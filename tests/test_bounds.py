@@ -1098,6 +1098,15 @@ def test_report_json_pinned(text):
     assert json_sha256(bounds_report(1, Delta.parse(text), CTX)) == REPORT_SHA256[text]
 
 
+def test_divisor_near_zero_escalates():
+    # 1 - log(delta) is below 2^-90 here: at 64 bits the degree formula
+    # divided by an enclosure of 0 and the run ended with exit 2.
+    delta = Fraction(27182818284590452353602874713, 10**28)
+    assert degree_bound_formula(delta, PrecisionCtx(bits=64)) == degree_bound_formula(delta, CTX)
+    with pytest.raises(PrecisionExhausted):
+        degree_bound_formula(delta, PrecisionCtx(bits=64, max_bits=64))
+
+
 def test_precision_ceiling_raises():
     # resolving H against H-1 here needs ~2^-69 resolution: undecidable at a
     # hard 64-bit ceiling
