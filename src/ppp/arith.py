@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -71,60 +70,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Incremental prefix caches shared by the certifiers: one (primorials, lcms)
-# pair of tuples, replaced as a whole under the lock so that a reader never
-# sees a half-written extension.  A request extends only its own prefix.
-_TABLES: tuple[tuple[int, ...], tuple[int, ...]] = ((1,), (1,))
-_TABLES_LOCK = threading.Lock()
-_PRIMORIALS, _LCMS = 0, 1
-
-
-def _prefix(kind: int, n: int) -> tuple[int, ...]:
-    """The shared prefix ``_TABLES[kind]``, covering 0..n at least."""
-    global _TABLES
+def _natural(n: int) -> int:
     if n < 0:
         raise ValueError("n must be a natural number")
-    table = _TABLES[kind]
-    if n < len(table):
-        return table
-    with _TABLES_LOCK:
-        tables = list(_TABLES)
-        table = tables[kind]
-        if n >= len(table):
-            if kind == _PRIMORIALS:
-                pset = set(primes_up_to(n).primes)
-
-                def step(acc: int, k: int) -> int:
-                    return acc * k if k in pset else acc
-            else:
-                step = math.lcm
-            acc, new = table[-1], []
-            for k in range(len(table), n + 1):
-                acc = step(acc, k)
-                new.append(acc)
-            tables[kind] = table = table + tuple(new)
-            _TABLES = tuple(tables)
-        return table
+    return n
 
 
 def primorial(n: int) -> int:
     """Product of all primes <= n, with the empty product equal to 1."""
-    return _prefix(_PRIMORIALS, n)[n]
+    return math.prod(primes_up_to(_natural(n)).primes)
 
 
 def lcm_to(n: int) -> int:
     """lcm{1, ..., n}, with lcm of the empty range equal to 1."""
-    return _prefix(_LCMS, n)[n]
+    return math.lcm(*range(1, _natural(n) + 1))
 
 
 def primorial_table(n: int) -> tuple[int, ...]:
-    """The prefix (primorial(0), ..., primorial(n))."""
-    return _prefix(_PRIMORIALS, n)[: n + 1]
+    """The prefix (primorial(0), ..., primorial(n)): a running product."""
+    pset = set(primes_up_to(_natural(n)).primes)
+    return tuple(itertools.accumulate(
+        range(1, n + 1), lambda acc, k: acc * k if k in pset else acc, initial=1))
 
 
 def lcm_table(n: int) -> tuple[int, ...]:
-    """The prefix (lcm_to(0), ..., lcm_to(n))."""
-    return _prefix(_LCMS, n)[: n + 1]
+    """The prefix (lcm_to(0), ..., lcm_to(n)): a running lcm."""
+    return tuple(itertools.accumulate(range(1, _natural(n) + 1), math.lcm, initial=1))
 
 
 def binomial(n: int, k: int) -> int:

@@ -43,7 +43,7 @@ class CapExceeded(ArithmeticError):
 
 # The interval context at a precision; ``ivc.num(q)`` encloses an int or a
 # Fraction, each endpoint rounded outward.
-_ivc = real.context
+_ivc = real.Context
 
 
 def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
@@ -347,9 +347,6 @@ class JScan:
     x0: int
 
 
-_J_CACHE: dict[Fraction, JScan] = {}
-
-
 def _tail_point(ctx: PrecisionCtx, log_base: Callable) -> tuple[ChebyshevBound, int | None]:
     """The tail theorem to use and its least closing x0 >= its start.
 
@@ -369,7 +366,7 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None) -> JScan:
     when theta(j-1) < j L.  The tail theorem closes at x0 (``_tail_point``):
     theta(x) >= (x+1) L for every x >= x0, so no j > x0 qualifies.  The scan
     covers j <= x0, and raises CapExceeded when x0 exceeds ``ctx.j_cap``, a
-    resource limit; a cached scan is refused too under a smaller limit.
+    resource limit.
 
     Only the ends of prime gaps are candidates: for j-1 in a gap [p, q),
     theta(j-1) stays theta(p) while j L grows, so a qualifying j in the gap
@@ -391,22 +388,16 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None) -> JScan:
     """
     ctx = ctx or PrecisionCtx()
     epsilon = Fraction(epsilon)
-    scan = _J_CACHE.get(epsilon)
-    if scan is None:
-        _check_epsilon_domain(ctx, epsilon)
-        log_base = lambda ivc: _log_e_minus(ivc, epsilon)
-        tail, x0 = _tail_point(ctx, log_base)
-    else:
-        tail, x0 = scan.tail, scan.x0
+    _check_epsilon_domain(ctx, epsilon)
+    log_base = lambda ivc: _log_e_minus(ivc, epsilon)
+    tail, x0 = _tail_point(ctx, log_base)
     if x0 is None or x0 > ctx.j_cap:
         needed = f"x0 = {x0}" if x0 is not None else "x0 > 2^63 - 1"
         raise CapExceeded(
             f"the J(epsilon) tail proof needs {needed}, beyond the J limit {ctx.j_cap} "
             f"({tail.citation})"
         )
-    if scan is None:
-        scan = _J_CACHE[epsilon] = JScan(_scan_to(ctx, log_base, x0), tail, x0)
-    return scan
+    return JScan(_scan_to(ctx, log_base, x0), tail, x0)
 
 
 def compute_J(epsilon, ctx: PrecisionCtx | None = None) -> int:
@@ -724,7 +715,8 @@ class _HeightEngine:
     def __init__(self, params: Parameters, ctx: PrecisionCtx):
         self.params = params
         self.ctx = ctx
-        self.J = compute_J(params.epsilon, ctx)
+        self.j_scan = scan_J(params.epsilon, ctx)
+        self.J = self.j_scan.J
         self._j_fact = math.factorial(self.J)  # exact, shared by every precision level
         self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
@@ -754,16 +746,14 @@ class _HeightEngine:
             self._thresholds[k] = t
         return t
 
-    def _log_h(self, ivc, h: int):
-        return ivc.log(ivc.num(h)) if h > 1 else ivc.num(0)
-
     def r_of(self, h: int) -> int:
         """r(h) = floor(rho*log(h)) + 1.
 
         The working-precision enclosure of rho*log(h) brackets the floor; each
         integer k it leaves open is settled exactly by h >= T_k.
         """
-        flo, fhi = (self.pack.rho * self._log_h(self.pack.ivc, h)).floors()
+        pk = self.pack
+        flo, fhi = (pk.rho * pk.ivc.log(pk.ivc.num(h))).floors()
         return flo + 1 + sum(h >= self.threshold(k) for k in range(flo + 1, fhi + 1))
 
     @staticmethod
@@ -784,7 +774,7 @@ class _HeightEngine:
         (``partials``).
         """
         pk = self.pack
-        r_iv, L = pk.ivc.num(r), self._log_h(pk.ivc, h)
+        r_iv, L = pk.ivc.num(r), pk.ivc.log(pk.ivc.num(h))
         phi_L, _ = self.partials(r_iv, L, self._log_x(pk, r_iv, L))
         return (phi_L >= 0) is True
 
@@ -851,7 +841,7 @@ class _HeightEngine:
         r = self.r_of(h)
         rd = r * self.params.d
         def attempt(ivc):
-            logh = self._log_h(ivc, h)
+            logh = ivc.log(ivc.num(h))
             return self.log_lhs(ivc, r, logh) <= rd * logh
         return _escalate(self.ctx, attempt)
 
@@ -1159,7 +1149,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
     return EffectiveBounds(
         params=params,
         ctx=ctx,
-        j_scan=scan_J(params.epsilon, ctx),
+        j_scan=engine.j_scan,
         gamma=Enclosure.from_iv(gamma),
         H=h,
         H_lower=h_lower,

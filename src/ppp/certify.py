@@ -5,9 +5,10 @@ claims anything about indices beyond N.
 """
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Iterable
 
 from .arith import lcm_table, primes_up_to, primorial_table
 from .transforms import IntSequence, _require_offset_zero, binomial_transform
@@ -81,8 +82,11 @@ def _sort_key(c: Counterexample) -> tuple[int, int]:
     return c.n, c.modulus
 
 
-def make_report(subject: str, n: int, bad: list[Counterexample]) -> CertReport:
-    bad.sort(key=_sort_key)
+def make_report(subject: str, n: int, failures: Iterable[Counterexample]) -> CertReport:
+    """The report on ``failures``, in any order: it keeps the first
+    ``COUNTEREXAMPLE_CAP`` in ``(n, modulus)`` order, and one more sets
+    ``truncated``.  No more than ``COUNTEREXAMPLE_CAP + 1`` are held at once."""
+    bad = heapq.nsmallest(COUNTEREXAMPLE_CAP + 1, failures, key=_sort_key)
     truncated = len(bad) > COUNTEREXAMPLE_CAP
     return CertReport(
         certified=not bad,
@@ -145,19 +149,13 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
 
 
 def _certify_hall(a: IntSequence, table_fn, subject: str) -> CertReport:
-    """Check that ``table_fn(N)[n]`` divides each binomial-transform term.
-
-    There is one modulus per ``n``, so the scan stops at the
-    ``COUNTEREXAMPLE_CAP + 1``-th failure: the report keeps the first
-    ``COUNTEREXAMPLE_CAP``, and one more sets ``truncated``.
-    """
+    """Check that ``table_fn(N)[n]`` divides each binomial-transform term."""
     _require_offset_zero(a, subject)
     top = len(a) - 1
     b = binomial_transform(a)
     mods = table_fn(top)
     failures = (Counterexample(n, mods[n], b[n]) for n in range(top + 1) if b[n] % mods[n] != 0)
-    bad = list(itertools.islice(failures, COUNTEREXAMPLE_CAP + 1))
-    return make_report(subject, top, bad)
+    return make_report(subject, top, failures)
 
 
 def certify_primary_hall(a: IntSequence) -> CertReport:
@@ -219,7 +217,7 @@ def growth_exponent(a: IntSequence) -> GrowthEstimate:
     if not any(a.terms):
         raise ValueError("growth estimate undefined for the all-zero prefix")
     top = a.last_index
-    ctx = real.context(real.dps_to_prec(40))
+    ctx = real.Context(real.dps_to_prec(40))
 
     def ratio(n: int):
         return (ctx.log(ctx.num(abs(a[n - a.offset]))) / n).mid()

@@ -14,42 +14,50 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .arith import primorial, primorial_table
+from .arith import is_prime, primorial, primorial_table
 from .transforms import IntSequence
 
 GrowthFn = Callable[[int], Fraction]
 
 
-def phi_primorial() -> GrowthFn:
-    """Preset phi(n) = primorial(n)."""
+def _in_order(step: Callable[[Fraction, int], Fraction],
+              direct: Callable[[int], Fraction]) -> GrowthFn:
+    """A growth function with phi(0) = 1 that keeps its latest (n, phi(n)).
+
+    A call at the next n costs one ``step(phi(n-1), n)``; any other order
+    gets ``direct(n)``.  The pair is read and replaced whole, so concurrent
+    callers each compute from a consistent one; a race can only replace one
+    kept pair by another, never return a wrong value.
+    """
+    last = (0, Fraction(1))
+
     def phi(n: int) -> Fraction:
-        return Fraction(primorial(n))
+        nonlocal last
+        k, value = last
+        if k != n:
+            value = step(value, n) if k + 1 == n else direct(n)
+            last = (n, value)
+        return value
     return phi
+
+
+def phi_primorial() -> GrowthFn:
+    """Preset phi(n) = primorial(n); in order of n, one product at a prime."""
+    return _in_order(lambda value, n: value * n if is_prime(n) else value,
+                     lambda n: Fraction(primorial(n)))
 
 
 def phi_geometric(delta: Fraction) -> GrowthFn:
     """Preset phi(n) = delta^n for an exact rational ratio delta.
 
     Useful ratios sit strictly between e and 2*sqrt(e); nothing is enforced
-    here, any positive rational is accepted.  The callable keeps its latest
-    (n, delta^n) as one pair, so calls in order of n cost one product each;
-    any other order gets delta**n.  The pair is read and replaced whole, so
-    concurrent callers each compute from a consistent one; a race can only
-    replace one cached pair by another, never return a wrong power.
+    here, any positive rational is accepted.  In order of n, each call costs
+    one product; any other order gets delta**n.
     """
     delta = _exact_rational(delta)
     if delta <= 0:
         raise ValueError("geometric ratio must be positive")
-    last = (0, Fraction(1))
-
-    def phi(n: int) -> Fraction:
-        nonlocal last
-        k, power = last
-        if k != n:
-            power = power * delta if k + 1 == n else delta**n
-            last = (n, power)
-        return power
-    return phi
+    return _in_order(lambda power, n: power * delta, lambda n: delta**n)
 
 
 def phi_table(values) -> GrowthFn:

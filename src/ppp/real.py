@@ -20,8 +20,8 @@ result for every pair of enclosed points:
 Comparisons are tri-state: ``x < y`` is True when it holds for every pair
 of enclosed points, False when it fails for every pair, None otherwise.
 
-Nothing here reads or writes global state but the caches of contexts and
-constants, whose entries do not depend on the thread that fills them.
+Nothing here reads or writes global state but the cache of constants,
+whose entries do not depend on the thread that fills them.
 """
 from __future__ import annotations
 
@@ -630,13 +630,12 @@ def _constant(name: str, f: int) -> int:
 class Context:
     """Conversions, elementary functions and constants at one precision."""
 
-    __slots__ = ("prec", "_e", "_pi")
+    __slots__ = ("prec",)
 
     def __init__(self, prec: int):
         if prec < 2:
             raise ValueError("precision must be at least 2 bits")
         self.prec = prec
-        self._e = self._pi = None
 
     def num(self, q) -> Interval:
         """The enclosure of an int or Fraction, each end correctly rounded."""
@@ -650,15 +649,11 @@ class Context:
 
     @property
     def e(self) -> Interval:
-        if self._e is None:
-            self._e = self._constant_interval("e")
-        return self._e
+        return self._constant_interval("e")
 
     @property
     def pi(self) -> Interval:
-        if self._pi is None:
-            self._pi = self._constant_interval("pi")
-        return self._pi
+        return self._constant_interval("pi")
 
     def sqrt(self, x: Interval) -> Interval:
         """sqrt over an interval with lower end >= 0, each end correctly
@@ -722,17 +717,6 @@ class Context:
         return Interval(p, *lower, *upper)
 
 
-_CONTEXTS: dict[int, Context] = {}
-
-
-def context(prec: int) -> Context:
-    """The (cached) context at ``prec`` bits."""
-    ctx = _CONTEXTS.get(prec)
-    if ctx is None:
-        ctx = _CONTEXTS[prec] = Context(prec)
-    return ctx
-
-
 # ---------------------------------------------------------------------------
 # Decimal output, digit for digit as mpmath's ``to_str``
 
@@ -783,7 +767,7 @@ def _digits(q: Fraction, n: int) -> tuple[str, int]:
     prec = 2 * bitprec
     exp10 = int(top * 0.30102999566398120) - n  # first guess: q / 10^exp10 has n digits
     while True:
-        ctx = context(prec)
+        ctx = Context(prec)
         ten = ctx.num(10)
         scaled = ctx.num(q) / ten**exp10 if exp10 >= 0 else ctx.num(q) * ten**-exp10
         lo, hi = scaled.floors()

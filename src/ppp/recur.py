@@ -1,7 +1,6 @@
 """Guess, verify and apply linear recurrences with polynomial coefficients."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,7 +124,7 @@ class GuessBudget:
 def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> certify.CertReport:
     """Check the recurrence identity exactly at every prefix index.
 
-    Counterexamples carry modulus 0 and the residual; at most ``COUNTEREXAMPLE_CAP + 1`` are kept.
+    Counterexamples carry modulus 0 and the residual; ``certify.make_report`` caps them.
     """
     _require_offset_zero(a, "verify_recurrence")
     s = rec.order
@@ -135,8 +134,7 @@ def verify_recurrence(a: IntSequence, rec: PolyRecurrence) -> certify.CertReport
     residuals = (sum(_poly_eval(rec.polys[j], n) * a[n + j] for j in range(s + 1))
                  for n in range(top - s + 1))
     failures = (certify.Counterexample(n, 0, r) for n, r in enumerate(residuals) if r)
-    bad = list(itertools.islice(failures, certify.COUNTEREXAMPLE_CAP + 1))
-    return certify.make_report("recurrence", top, bad)
+    return certify.make_report("recurrence", top, failures)
 
 
 def apply_recurrence(rec: PolyRecurrence, initial: IntSequence, n_max: int) -> IntSequence:

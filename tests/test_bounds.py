@@ -123,13 +123,11 @@ def test_j_matches_brute_force(eps, cap, x0):
     assert scan.x0 == x0 and scan.J == brute_force_J(eps, cap)
 
 
-def test_j_stability_under_doubled_cap(monkeypatch):
-    # The limit gates the proof and never shortens the scan: fresh scans at
-    # cap = x0 and at 2 x0 agree, and a cached scan still refuses x0 - 1.
+def test_j_stability_under_doubled_cap():
+    # The limit gates the proof and never shortens the scan: scans at
+    # cap = x0 and at 2 x0 agree, and cap = x0 - 1 is refused.
     eps = Fraction(1, 5)
-    monkeypatch.setattr(bounds, "_J_CACHE", {})
     at_x0 = scan_J(eps, capped(771))
-    monkeypatch.setattr(bounds, "_J_CACHE", {})
     assert scan_J(eps, capped(2 * 771)) == at_x0 and at_x0.x0 == 771
     with pytest.raises(CapExceeded, match="needs x0 = 771, beyond the J limit 770 "):
         compute_J(eps, capped(770))
@@ -279,7 +277,6 @@ def test_j_enclosure_route_agrees_with_the_float_band(monkeypatch):
     eps = Fraction(3, 10)
     want = scan_J(eps, CTX)
     monkeypatch.setattr(bounds, "_LOG_ULPS", 2**52)
-    monkeypatch.setattr(bounds, "_J_CACHE", {})
     assert scan_J(eps, CTX) == want and want.x0 == 563
 
 
@@ -479,9 +476,9 @@ def test_reports_render_alike_in_threads():
 
 
 def test_reports_compute_alike_in_threads():
-    # The caches _J_CACHE, real._CONTEXTS and real._CONSTANTS fill without a lock; each
-    # key maps to a value that does not depend on the filling thread, so a
-    # race may repeat work but must not change a report.
+    # The cache real._CONSTANTS fills without a lock; each key maps to a
+    # value that does not depend on the filling thread, so a race may repeat
+    # work but must not change a report.
     texts = ["11/10", "e^1/4", "5/4", "13/10"]
     want = {t: bounds_report(1, Delta.parse(t), CTX).to_json_dict() for t in texts}
     tasks = queue.SimpleQueue()
@@ -496,8 +493,6 @@ def test_reports_compute_alike_in_threads():
                 return
             out.append((t, bounds_report(1, Delta.parse(t), CTX).to_json_dict()))
 
-    bounds._J_CACHE.clear()
-    real._CONTEXTS.clear()
     real._CONSTANTS.clear()
     done = [item for out in in_threads(compute) for item in out]
     assert len(done) == 16
@@ -860,7 +855,7 @@ def test_slope_sign_matches_a_difference_quotient(delta):
     ivc, d, step = _ivc(CTX.bits), engine.params.d, Fraction(1, 2**20)
 
     def direct(r, h):  # f_r'(log h) = r d - slope(u) <= 0, written out
-        u = engine._log_x(engine.pack, ivc.num(r), engine._log_h(ivc, h))
+        u = engine._log_x(engine.pack, ivc.num(r), ivc.log(ivc.num(h)))
         return (r * d - engine.pack.slope(u) <= 0) is True
 
     seen = set()
@@ -868,7 +863,7 @@ def test_slope_sign_matches_a_difference_quotient(delta):
         h = 2**k
         r = engine.r_of(h)
         falls = engine.falls(r, h)
-        logh = engine._log_h(ivc, h)
+        logh = ivc.log(ivc.num(h))
 
         def f(shift):  # f_r(log h + shift) for this fixed r
             L = logh + ivc.num(shift)
@@ -992,7 +987,7 @@ def test_cell_box_holds_the_heights_past_an_r_jump(delta):
                 assert engine.r_of(last) == engine.r_of(t) == k + 1
                 for h in (first, t, last):
                     assert la_mp <= mpmath.log(h) <= lb_mp
-                    logh, rh = engine._log_h(ivc, h), engine.r_of(h)
+                    logh, rh = ivc.log(ivc.num(h)), engine.r_of(h)
                     assert encloses(r, ivc.num(rh)), (k, width, h, rh)
                     assert encloses(u, engine._log_x(pk, ivc.num(rh), logh)), (k, width, h)
 

@@ -79,18 +79,27 @@ def _orders(n_max: int, seed: int) -> dict[str, list[int]]:
     }
 
 
-def test_geometric_preset_in_any_call_order():
-    delta = Fraction(2718282, 10**6)
+DELTA = Fraction(2718282, 10**6)
+# (the preset, its values at 0..200)
+PRESETS = {
+    "geometric": (lambda: phi_geometric(DELTA), [DELTA**n for n in range(201)]),
+    "primorial": (phi_primorial, primorial_table(200)),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_geometric_preset_in_any_call_order(preset):
+    make, expected = PRESETS[preset]
     for name, order in _orders(200, seed=21).items():
-        phi = phi_geometric(delta)
+        phi = make()
         for n in order:
-            assert phi(n) == delta**n, (name, n)
+            assert phi(n) == expected[n], (name, n)
 
 
-def test_geometric_preset_shared_by_threads():
-    delta = Fraction(2718282, 10**6)
-    phi = phi_geometric(delta)
-    expected = [delta**n for n in range(121)]
+@pytest.mark.parametrize("preset", PRESETS)
+def test_geometric_preset_shared_by_threads(preset):
+    make, expected = PRESETS[preset]
+    phi = make()
     wrong: list[tuple[int, int]] = []
 
     def worker(seed: int) -> None:

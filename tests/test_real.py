@@ -69,7 +69,7 @@ def iv_context(p):
 @pytest.mark.parametrize("p", PRECISIONS)
 def test_exact_operations_round_each_endpoint_correctly(p):
     rng = random.Random(f"exact:{p}")
-    ctx = real.context(p)
+    ctx = real.Context(p)
     for _ in range(60 if p < 4096 else 15):
         q, r = random_rational(rng), random_rational(rng)
         x, y = ctx.num(q), ctx.num(r)
@@ -96,7 +96,7 @@ def test_sums_far_apart_round_like_the_exact_sum():
     rng = random.Random(7)
     for _ in range(300):
         p = rng.choice(PRECISIONS[:4])
-        ctx = real.context(p)
+        ctx = real.Context(p)
         big = random_rational(rng, 60)
         tiny = random_rational(rng, 60) * Fraction(2) ** -rng.randint(p - 10, 3 * p)
         x, y = ctx.num(big), ctx.num(tiny)
@@ -107,7 +107,7 @@ def test_sums_far_apart_round_like_the_exact_sum():
 
 
 def test_comparisons_are_tri_state():
-    ctx = real.context(64)
+    ctx = real.Context(64)
     third = ctx.num(Fraction(1, 3))
     assert (third < Fraction(1, 2), third > Fraction(1, 2)) == (True, False)
     assert (third < Fraction(1, 3), third > Fraction(1, 3)) == (None, None)
@@ -117,13 +117,13 @@ def test_comparisons_are_tri_state():
 
 
 def test_division_by_an_interval_around_zero_raises():
-    ctx = real.context(64)
+    ctx = real.Context(64)
     with pytest.raises(ZeroDivisionError):
         ctx.num(1) / real.hull(ctx.num(-1), ctx.num(1))
 
 
 def test_mid_rounds_the_sum_to_nearest():
-    ctx = real.context(64)
+    ctx = real.Context(64)
     x = ctx.num(Fraction(1, 3))
     lo, hi = x.endpoints()
     ivc = iv_context(64)
@@ -170,7 +170,7 @@ def oracle_rounding(v, p: int, up: bool):
 def test_functions_enclose_the_oracle_and_round_correctly():
     differ = mp_differ = mp_wrong = total = undecided = 0
     for p, name, q_lo, q_hi in oracle_cases():
-        ctx, ivc = real.context(p), iv_context(p)
+        ctx, ivc = real.Context(p), iv_context(p)
         x = real.hull(ctx.num(q_lo), ctx.num(q_hi))
         y = getattr(ctx, name)(x)
         mp = mp_endpoints(getattr(ivc, name if name != "log" else "ln")(mp_interval(ivc, x)))
@@ -195,7 +195,7 @@ def test_functions_enclose_the_oracle_and_round_correctly():
 
 @pytest.mark.parametrize("p", PRECISIONS + [20000])
 def test_constants_enclose_the_oracle_and_match_mpmath_iv(p):
-    ctx, ivc = real.context(p), iv_context(p)
+    ctx, ivc = real.Context(p), iv_context(p)
     for name in ("e", "pi"):
         lo, hi = getattr(ctx, name).endpoints()
         with mpmath.workprec(4 * p):
@@ -204,19 +204,19 @@ def test_constants_enclose_the_oracle_and_match_mpmath_iv(p):
 
 
 def test_log_of_one_and_exp_of_zero_are_exact():
-    ctx = real.context(64)
+    ctx = real.Context(64)
     assert ctx.log(ctx.num(1)).endpoints() == (0, 0)
     assert ctx.exp(ctx.num(0)).endpoints() == (1, 1)
 
 
 def test_sqrt_of_squares_is_exact():
-    ctx = real.context(128)
+    ctx = real.Context(128)
     for n in (1, 4, 3 ** 20, 2 ** 200):
         assert ctx.sqrt(ctx.num(n * n)).endpoints() == (n, n)
 
 
 def test_domain_errors():
-    ctx = real.context(64)
+    ctx = real.Context(64)
     with pytest.raises(ValueError):
         ctx.log(ctx.num(0))
     with pytest.raises(ValueError):
