@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
+
+from ._record import Record
 
 # Sieve limits must fit in a signed 64-bit word; larger requests are an
 # explicit error, never a silent truncation.
@@ -14,8 +15,7 @@ SIEVE_LIMIT_CAP = 2**63 - 1
 _SEGMENT = 1 << 17
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(Record):
     """All primes up to ``limit``, in increasing order."""
 
     limit: int

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import real, transforms
+from ._record import Record
 from .arith import SIEVE_LIMIT_CAP, prime_segments
 
 
@@ -110,8 +110,7 @@ def _ceil(x) -> int | None:
     return -flo if flo == fhi else None
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """Two-sided rational enclosure of a real value."""
 
     lo: Fraction
@@ -157,8 +156,7 @@ class Enclosure:
 # Inputs
 
 
-@dataclass(frozen=True)
-class Delta:
+class Delta(Record):
     """The geometric growth base: an exact rational, or exp of one.
 
     The exp form exists so bases like e^(1/2) have an exact logarithm; the
@@ -217,8 +215,7 @@ class Delta:
         return ivc.log(ivc.num(self.value))
 
 
-@dataclass(frozen=True)
-class PrecisionCtx:
+class PrecisionCtx(Record):
     """Working precision and the search/scan limits.
 
     ``bits`` is the starting precision; undecidable comparisons retry with
@@ -231,6 +228,8 @@ class PrecisionCtx:
     h_cap_log2: int = 16384
 
     def __post_init__(self):
+        for name in self._fields:
+            transforms._require_int(name, getattr(self, name))
         if self.bits < 64:
             raise ValueError("working precision below 64 bits is not supported")
         if self.max_bits < self.bits:
@@ -297,8 +296,7 @@ def degree_bound_formula(delta, ctx: PrecisionCtx | None = None) -> int:
 # J(epsilon): primorial growth threshold
 
 
-@dataclass(frozen=True)
-class ChebyshevBound:
+class ChebyshevBound(Record):
     """theta(x) > x (1 - a / log(x)^k) for every real x >= start."""
 
     a: Fraction
@@ -338,8 +336,7 @@ DUSART = ChebyshevBound(
 _LOG_ULPS = 1 << 10
 
 
-@dataclass(frozen=True)
-class JScan:
+class JScan(Record):
     """J(epsilon) and the tail theorem that ends its scan at x0."""
 
     J: int
@@ -470,8 +467,7 @@ def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
 # Parameter selection
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(Record):
     """Verified working parameters for the height search."""
 
     c: Fraction
@@ -1045,8 +1041,7 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
 # Full report
 
 
-@dataclass(frozen=True)
-class EffectiveBounds:
+class EffectiveBounds(Record):
     """Everything the pipeline established for one (c, delta) input."""
 
     params: Parameters

@@ -6,10 +6,10 @@ claims anything about indices beyond N.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable
 
+from ._record import Record
 from .arith import lcm_table, primes_up_to, primorial_table
 from .transforms import IntSequence, _require_offset_zero, binomial_transform
 
@@ -26,8 +26,7 @@ def _divides(m: int, w: int) -> bool:
     return w % m == 0
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     n: int
     modulus: int
     witness: int
@@ -37,8 +36,7 @@ class Counterexample:
         return not _divides(self.modulus, self.witness)
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Record):
     certified: bool
     n: int  # top index of the inspected prefix
     counterexamples: tuple[Counterexample, ...] = ()
@@ -168,8 +166,7 @@ def certify_pseudo_hall(a: IntSequence) -> CertReport:
     return _certify_hall(a, lcm_table, "pseudo-hall")
 
 
-@dataclass(frozen=True)
-class PolyDetect:
+class PolyDetect(Record):
     """Outcome of the eventually-polynomial test on a prefix."""
 
     is_eventually_polynomial: bool
@@ -197,8 +194,7 @@ def detect_polynomial(a: IntSequence, tail: int) -> PolyDetect:
     return PolyDetect(True, m, poly)
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Record):
     """Empirical exponential-growth diagnostics, as 30-digit decimals."""
 
     last: Decimal

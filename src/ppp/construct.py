@@ -10,10 +10,10 @@ each step is integer-only: a few products and one floor division.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from ._record import Record
 from .arith import is_prime, primorial, primorial_table
 from .transforms import IntSequence
 
@@ -89,8 +89,7 @@ def ceil_div_rational(q: Fraction, m: int) -> int:
     return -(-q.numerator // (q.denominator * m))
 
 
-@dataclass(frozen=True)
-class ConstructStep:
+class ConstructStep(Record):
     """One step of the recursion, kept for auditability.
 
     c = sum_{k<n} C(n,k) B_k, with euclidean division c = u*P + v
@@ -106,8 +105,7 @@ class ConstructStep:
     a: int
 
 
-@dataclass(frozen=True)
-class ConstructTrace:
+class ConstructTrace(Record):
     steps: tuple[ConstructStep, ...]
 
 

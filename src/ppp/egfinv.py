@@ -7,18 +7,17 @@ with every prime p <= n dividing c_n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from math import comb, factorial, perm
 from operator import add, sub
 
+from ._record import Record
 from .transforms import (
     IntSequence, _require_offset_zero, binomial_transform, inverse_binomial_transform,
 )
 
 
-@dataclass(frozen=True)
-class EgfTriple:
+class EgfTriple(Record):
     b: IntSequence
     c: IntSequence
     u: IntSequence

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import certify
-from .transforms import IntSequence, _require_offset_zero, json_int
+from ._record import Record
+from .transforms import IntSequence, _require_int, _require_offset_zero, json_int
 
 # Largest prime below 2^30; used only to skip hopeless (order, degree) cells.
 # Below 2^30 every residue is a single CPython digit, so the filter's products
@@ -46,8 +46,7 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class PolyRecurrence:
+class PolyRecurrence(Record):
     """sum_j polys[j](n) * a_{n+j} = 0, with integer-coefficient polynomials.
 
     Canonical form: content 1 and a positive leading coefficient on the
@@ -100,13 +99,16 @@ class PolyRecurrence:
         return r
 
 
-@dataclass(frozen=True)
-class GuessBudget:
+class GuessBudget(Record):
     """Search limits; the margin is the tail reserved for verification."""
 
     s_max: int
     d_max: int
     verify_margin: int = 10
+
+    def __post_init__(self):
+        for name in self._fields:
+            _require_int(name, getattr(self, name))
 
     def required_length(self) -> int:
         return (self.s_max + 1) * (self.d_max + 1) + self.s_max + self.verify_margin

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 
 _BASE10 = re.compile(r"[+-]?[0-9]+")
@@ -40,8 +41,13 @@ def rational(text: str) -> Fraction:
         raise ValueError(f"not a rational NUM or NUM/DEN: {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class IntSequence:
+def _require_int(name: str, value) -> None:
+    """The json_int rule for a value in hand: an int, not a bool; nothing is truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+class IntSequence(Record):
     """A finite prefix of an integer sequence.
 
     ``terms[i]`` is the value at index ``offset + i``.  All the transform
@@ -53,9 +59,7 @@ class IntSequence:
     offset: int = 0
 
     def __post_init__(self):
-        # the json_int rule: an int, not a bool; nothing is truncated
-        if not isinstance(self.offset, int) or isinstance(self.offset, bool):
-            raise TypeError(f"offset must be an integer, got {type(self.offset).__name__}")
+        _require_int("offset", self.offset)
         if self.offset < 0:
             raise ValueError("offset must be a natural number")
         if not self.terms:
@@ -79,8 +83,7 @@ class IntSequence:
         return self.offset + len(self.terms) - 1
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """Truncated power series with exact rational coefficients."""
 
     coeffs: tuple[Fraction, ...]

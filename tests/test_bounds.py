@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -59,7 +58,7 @@ def mpf_exact(q: Fraction):
 
 def capped(j_cap):
     """CTX with the J limit ``j_cap``."""
-    return dataclasses.replace(CTX, j_cap=j_cap)
+    return CTX.replace(j_cap=j_cap)
 
 
 def json_sha256(rep):
@@ -1020,7 +1019,7 @@ def test_first_cells_of_the_prefix_are_proved(delta, rho):
     # prefix could not grow past h = 1 after its first cell fails.
     params = choose_parameters(1, delta, CTX)
     if rho is not None:
-        params = dataclasses.replace(params, rho=rho)
+        params = params.replace(rho=rho)
     engine = _HeightEngine(params, CTX)
     for k in range(13):
         width = Fraction(1, 2**k)

@@ -546,7 +546,8 @@ def test_deterministic_outputs():
 
 # --- import split -----------------------------------------------------------
 # Only ``ppp bounds`` loads real arithmetic (ppp.bounds and ppp.real), and
-# nothing loads mpmath.  Each check runs in a fresh interpreter, since this
+# nothing loads mpmath, or dataclasses and inspect (ppp's records are
+# ``_record.Record``s).  Each check runs in a fresh interpreter, since this
 # one has imported ppp.bounds already.
 
 def fresh(script, *args):
@@ -580,7 +581,7 @@ main(["egf-invert"], genuine)
 terms = main(["apply", "--recurrence", rec, "--n", "30"], "2\n5\n")
 main(["verify", "--recurrence", rec], terms)
 main(["guess", "--smax", "3", "--dmax", "2"], terms)
-print(json.dumps(sorted({"mpmath", "ppp.bounds", "ppp.real"} & set(sys.modules))))
+print(json.dumps(sorted({"dataclasses", "inspect", "mpmath", "ppp.bounds", "ppp.real"} & set(sys.modules))))
 """
 
 
@@ -595,7 +596,7 @@ from contextlib import redirect_stdout
 from ppp import cli
 with redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted({"mpmath", "ppp.bounds", "ppp.real"} & set(sys.modules))]))
+print(json.dumps([rc, sorted({"dataclasses", "inspect", "mpmath", "ppp.bounds", "ppp.real"} & set(sys.modules))]))
 import ppp.real  # the module checked for exists
 """
 
