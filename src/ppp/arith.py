@@ -28,12 +28,24 @@ def primes_up_to(n: int) -> PrimeTable:
 
 
 def prime_segments(n: int) -> Iterator[tuple[int, ...]]:
-    """Every prime <= n in increasing order, as non-empty tuples.
+    """Every prime <= n in increasing order, as non-empty tuples: the
+    windows of ``_odd_windows`` read out, with 2 in front."""
+    for lo, window in _odd_windows(n):
+        primes = tuple(itertools.compress(range(lo, lo + 2 * len(window), 2), window))
+        if lo == 1 and n >= 2:
+            primes = (2,) + primes
+        if primes:
+            yield primes
 
-    A segmented sieve of Eratosthenes over the odd numbers, ``_SEGMENT`` of
-    them per window: it holds the primes up to sqrt(n) and one window, never
-    all primes <= n.  The base primes come from ``primes_up_to(isqrt(n))``;
-    below 9 there are no odd ones, and the guard ends the recursion.
+
+def _odd_windows(n: int) -> Iterator[tuple[int, bytearray]]:
+    """(lo, window) over the odd numbers <= n: window[i] is 1 exactly when
+    lo + 2i is an odd prime.
+
+    A segmented sieve of Eratosthenes, ``_SEGMENT`` odd numbers per window:
+    it holds the primes up to sqrt(n) and one window, never all primes <= n.
+    The base primes come from ``primes_up_to(isqrt(n))``; below 9 there are
+    no odd ones, and the guard ends the recursion.
     """
     if n < 0:
         raise ValueError("limit must be a natural number")
@@ -49,11 +61,9 @@ def prime_segments(n: int) -> Iterator[tuple[int, ...]]:
             first = max(p * p, -(-lo // p) * p)
             first += p * (first % 2 == 0)  # the first odd multiple
             window[(first - lo) // 2 :: p] = bytes(len(range(first, hi, 2 * p)))
-        primes = tuple(itertools.compress(range(lo, hi, 2), window))
         if lo == 1:
-            primes = (2,) + primes[1:] if n >= 2 else ()  # 1 is not prime, 2 is
-        if primes:
-            yield primes
+            window[0] = 0  # 1 is not prime
+        yield lo, window
 
 
 def is_prime(n: int) -> bool:

@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import real, transforms
 from ._record import Record
-from .arith import SIEVE_LIMIT_CAP, prime_segments
+from .arith import SIEVE_LIMIT_CAP, _odd_windows, prime_segments
 
 
 class DomainError(ValueError):
@@ -402,12 +402,80 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None) -> int:
     return scan_J(epsilon, ctx).J
 
 
-# Candidates per block in ``_scan_to``'s one-test rejection.
+# Candidates per block in ``_scan_primes``'s one-test rejection.
 _J_BLOCK = 64
+
+# Odd numbers per run of ``_last_open`` at least; runs widen with the margin.
+_RUN_FLOOR = 64
 
 
 def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
     """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``).
+
+    Two passes: ``_last_open`` rejects runs of candidates by prime counts
+    and returns Y, the last candidate it cannot reject, and
+    ``_scan_primes`` decides each candidate up to Y.  When Y < x0 the second
+    pass ends at Y + 1, in the gap [Y, q) whose end q, the next candidate
+    (a prime or x0), was rejected: theta(Y) = theta(q-1) > q L >= (Y+1) L.
+    So Y + 1 does not qualify and no candidate past Y does.  This holds
+    only because Y is the last candidate not rejected, not merely one of them.
+    """
+    # float bounds for L, padded outward
+    lo_t, hi_t = log_base(_ivc(ctx.bits)).endpoints()
+    le_lo = math.nextafter(float(lo_t), -math.inf)
+    le_hi = math.nextafter(float(hi_t), math.inf)
+    return _scan_primes(ctx, log_base, le_lo, le_hi, min(_last_open(le_hi, x0) + 1, x0))
+
+
+def _last_open(le_hi: float, x0: int) -> int:
+    """The last candidate j <= x0, a prime or x0, that a count of primes
+    cannot reject, given le_hi >= L.
+
+    Over the sieve windows of the odd numbers below x0, theta_lo stays at
+    most theta(a-1), a the first odd number of the current run [a, b].  Each
+    candidate j in the run has theta(j-1) >= theta_lo and j <= b, so
+    theta_lo > b le_hi, rounded up, rejects the whole run.  Past the run,
+    its c primes add at least c times the log of the first of them
+    (``_plus_logs_down``).  The prime 2, left out of theta_lo, is a
+    candidate that is never rejected.
+    """
+    theta_lo, last = 0.0, 2
+    for lo, window in _odd_windows(x0 - 1):
+        i = 0
+        while i < len(window):
+            # odd numbers that take up half the margin at the run's start in
+            # j le_hi, so that theta_lo still rejects the run; at least the floor
+            k = max(_RUN_FLOOR, int((theta_lo - (lo + 2 * i) * le_hi) / (4 * le_hi)))
+            end = min(i + k, len(window))
+            b = lo + 2 * (end - 1)
+            if not theta_lo > math.nextafter(b * le_hi, math.inf):
+                top = window.rfind(1, i, end)
+                if top >= 0:
+                    last = lo + 2 * top
+            first = window.find(1, i, end)
+            if first >= 0:
+                c = window.count(1, first, end)
+                theta_lo = _plus_logs_down(theta_lo, c, math.log(lo + 2 * first))
+            i = end
+    return last if theta_lo > math.nextafter(x0 * le_hi, math.inf) else x0
+
+
+def _plus_logs_down(theta: float, c: int, log_p: float) -> float:
+    """A float at most theta + c log p, where log_p = math.log(p).
+
+    math.log errs by at most ``_LOG_ULPS`` ulps, and ulp(x) <= 2^-52 |x|,
+    so log p >= log_p / (1 + _LOG_ULPS 2^-52) > log_p (1 - _LOG_ULPS 2^-52).
+    Each float product and sum rounds to nearest, so the next float down is
+    at most the exact value.
+    """
+    low = math.nextafter(log_p * (1 - _LOG_ULPS * 2.0**-52), -math.inf)
+    return math.nextafter(theta + math.nextafter(c * low, -math.inf), -math.inf)
+
+
+def _scan_primes(ctx: PrecisionCtx, log_base: Callable, le_lo: float, le_hi: float,
+                 top: int) -> int:
+    """The largest candidate j <= top with theta(j-1) < j L, each decided in
+    floats between le_lo <= L <= le_hi or else by enclosures (see ``scan_J``).
 
     The candidates go by in blocks of at most ``_J_BLOCK`` consecutive
     primes, and a block is rejected by one float test at its worst case: the
@@ -420,11 +488,6 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
     answer False.  Blocks that are not rejected go through ``qualifies`` one
     candidate at a time, enclosure fallback included.
     """
-    # float bounds for L, padded outward
-    lo_t, hi_t = log_base(_ivc(ctx.bits)).endpoints()
-    le_lo = math.nextafter(float(lo_t), -math.inf)
-    le_hi = math.nextafter(float(hi_t), math.inf)
-
     def qualifies(theta: float, j: int, n: int) -> bool:
         band = (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
         if theta - band > j * le_hi:
@@ -440,7 +503,7 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
         return _escalate(ctx, attempt)
 
     theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
-    for segment in prime_segments(x0 - 1):
+    for segment in prime_segments(top - 1):
         for first in range(0, len(segment), _J_BLOCK):
             block = segment[first:first + _J_BLOCK]
             # thetas[i] is theta before block[i]: the same additions in the same order
@@ -452,7 +515,7 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
                     if qualifies(thetas[i], p, n + i):
                         largest = p
             theta, n = thetas[-1], n + len(block)
-    return x0 if qualifies(theta, x0, n) else largest
+    return top if qualifies(theta, top, n) else largest
 
 
 def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:

@@ -282,7 +282,8 @@ def test_j_enclosure_route_agrees_with_the_float_band(monkeypatch):
 @pytest.mark.parametrize("block", [1, 7, 10**6])
 def test_j_block_rejection_agrees_with_the_candidate_tests(monkeypatch, block):
     # Blocks of one are the per-candidate scan; 10^6 makes each sieve window
-    # one block.  The tail points x0 here are 20395 and 144798.
+    # one block.  With the count pass off, the blocks run to the tail points
+    # x0, here 20395 and 144798.
     for text in ("e^1/2", "e^3/5"):
         eps = choose_parameters(1, Delta.parse(text), CTX).epsilon
         log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
@@ -290,7 +291,69 @@ def test_j_block_rejection_agrees_with_the_candidate_tests(monkeypatch, block):
         want = bounds._scan_to(CTX, log_base, x0)
         with monkeypatch.context() as m:
             m.setattr(bounds, "_J_BLOCK", block)
+            m.setattr(bounds, "_last_open", lambda le_hi, x0: x0)
             assert bounds._scan_to(CTX, log_base, x0) == want, text
+
+
+def j_scan_inputs():
+    """(name, epsilon): the golden epsilons, e^3/5 (x0 = 144798) and the k/20 grid."""
+    named = [(text, choose_parameters(1, Delta.parse(text), CTX).epsilon)
+             for text in GOLDEN_DELTAS + ["e^3/5"]]
+    return named + [(str(eps), eps) for eps in (Fraction(k, 20) for k in range(2, 34))]
+
+
+def test_j_count_pass_agrees_with_the_full_scan(monkeypatch):
+    # A count pass that rejects nothing gives Y = x0, so the exact scan
+    # decides every candidate up to x0 itself.
+    scans = [(name, eps, scan_J(eps, CTX)) for name, eps in j_scan_inputs()]
+    monkeypatch.setattr(bounds, "_last_open", lambda le_hi, x0: x0)
+    for name, eps, scan in scans:
+        log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
+        assert bounds._scan_to(CTX, log_base, scan.x0) == scan.J, name
+
+
+@pytest.mark.parametrize("floor", [1, 2])
+def test_j_count_pass_agrees_with_runs_of_one_or_two(monkeypatch, floor):
+    # Where the margin is small the runs shrink to the floor, so run ends
+    # fall next to the close candidates, J among them.
+    for name, eps in j_scan_inputs():
+        want = scan_J(eps, CTX)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_RUN_FLOOR", floor)
+            assert scan_J(eps, CTX) == want, name
+
+
+def test_count_pass_adds_logs_rounded_down():
+    # Whatever math.log returns within _LOG_ULPS ulps, the sum stays below
+    # the exact one: checked in rationals on random floats, half of the logs
+    # just above a power of two, where the padding leaves the least room.
+    rng = random.Random(26)
+    for _ in range(5000):
+        if rng.random() < 0.5:
+            log_p = rng.uniform(0.5, 16)
+        else:
+            log_p = 2.0 ** rng.randrange(-1, 5) * (1 + rng.random() * 2**-12)
+        c = rng.choice([rng.randrange(1, 8), rng.randrange(1, 1 << 17)])
+        theta = rng.choice([rng.uniform(0, 100), rng.uniform(0, 4e6)])
+        low = Fraction(log_p) / (1 + _LOG_ULPS * Fraction(2) ** -52)  # least log p
+        got = bounds._plus_logs_down(theta, c, log_p)
+        assert Fraction(got) <= Fraction(theta) + c * low, (theta, c, log_p)
+
+
+def test_j_scan_for_three_halves_logs_few_primes(monkeypatch):
+    # The count pass rejects the candidates of 3/2 past about 15k by runs,
+    # one math.log each; a scan that logs every prime up to x0 makes 256k calls.
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return math.log(x)
+
+    monkeypatch.setattr(bounds, "math", types.SimpleNamespace(**{**vars(math), "log": counted}))
+    scan = scan_J(choose_parameters(1, Fraction(3, 2), CTX).epsilon, CTX)
+    assert (scan.J, scan.x0, scan.tail) == (3527, 3_594_641, DUSART)
+    assert calls < 20_000, calls
 
 
 # --- parameter selection ----------------------------------------------------
