@@ -11,7 +11,6 @@ direction.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -41,11 +40,6 @@ class CapExceeded(ArithmeticError):
 # Interval plumbing
 
 
-# The interval context at a precision; ``ivc.num(q)`` encloses an int or a
-# Fraction, each endpoint rounded outward.
-_ivc = real.Context
-
-
 def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
     """Run ``fn`` on interval contexts of increasing precision until it
     returns a value, not None.
@@ -58,7 +52,7 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
     bits = ctx.bits
     while True:
         try:
-            value = fn(_ivc(bits))
+            value = fn(real.Context(bits))
         except ZeroDivisionError:
             value = None
         if value is not None:
@@ -402,9 +396,6 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None) -> int:
     return scan_J(epsilon, ctx).J
 
 
-# Candidates per block in ``_scan_primes``'s one-test rejection.
-_J_BLOCK = 64
-
 # Odd numbers per run of ``_last_open`` at least; runs widen with the margin.
 _RUN_FLOOR = 64
 
@@ -413,18 +404,40 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
     """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``).
 
     Two passes: ``_last_open`` rejects runs of candidates by prime counts
-    and returns Y, the last candidate it cannot reject, and
-    ``_scan_primes`` decides each candidate up to Y.  When Y < x0 the second
-    pass ends at Y + 1, in the gap [Y, q) whose end q, the next candidate
-    (a prime or x0), was rejected: theta(Y) = theta(q-1) > q L >= (Y+1) L.
-    So Y + 1 does not qualify and no candidate past Y does.  This holds
-    only because Y is the last candidate not rejected, not merely one of them.
+    and returns top, the last candidate it cannot reject; then each
+    candidate up to top is decided in floats between le_lo <= L <= le_hi
+    or else by enclosures.  Every candidate past top was rejected, so none
+    qualifies.  This holds only because top is the last candidate not
+    rejected, not merely one of them.
     """
     # float bounds for L, padded outward
-    lo_t, hi_t = log_base(_ivc(ctx.bits)).endpoints()
+    lo_t, hi_t = log_base(real.Context(ctx.bits)).endpoints()
     le_lo = math.nextafter(float(lo_t), -math.inf)
     le_hi = math.nextafter(float(hi_t), math.inf)
-    return _scan_primes(ctx, log_base, le_lo, le_hi, min(_last_open(le_hi, x0) + 1, x0))
+
+    def qualifies(theta: float, j: int, n: int) -> bool:
+        band = (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
+        if theta - band > j * le_hi:
+            return False
+        if theta + band < j * le_lo:
+            return True
+        def attempt(c):  # exact re-check: theta(j-1) < j L
+            exact = c.num(0)
+            for primes in prime_segments(j - 1):
+                for p in primes:
+                    exact += c.log(c.num(p))
+            return exact < j * log_base(c)
+        return _escalate(ctx, attempt)
+
+    top = _last_open(le_hi, x0)
+    theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
+    for segment in prime_segments(top - 1):
+        for p in segment:
+            if qualifies(theta, p, n):
+                largest = p
+            theta += math.log(p)
+            n += 1
+    return top if qualifies(theta, top, n) else largest
 
 
 def _last_open(le_hi: float, x0: int) -> int:
@@ -470,52 +483,6 @@ def _plus_logs_down(theta: float, c: int, log_p: float) -> float:
     """
     low = math.nextafter(log_p * (1 - _LOG_ULPS * 2.0**-52), -math.inf)
     return math.nextafter(theta + math.nextafter(c * low, -math.inf), -math.inf)
-
-
-def _scan_primes(ctx: PrecisionCtx, log_base: Callable, le_lo: float, le_hi: float,
-                 top: int) -> int:
-    """The largest candidate j <= top with theta(j-1) < j L, each decided in
-    floats between le_lo <= L <= le_hi or else by enclosures (see ``scan_J``).
-
-    The candidates go by in blocks of at most ``_J_BLOCK`` consecutive
-    primes, and a block is rejected by one float test at its worst case: the
-    band of its last candidate (the largest n, theta and j) against the
-    first theta and the last j L.  Along a block theta, n and j only grow, and every float
-    operation rounds monotonically, so each candidate's computed band is at
-    most the worst one, theta - band at least first theta - worst band, and
-    j le_hi (le_hi > 0) at most the last j le_hi.  The block test therefore
-    rejects only when each candidate's own first test in ``qualifies`` would
-    answer False.  Blocks that are not rejected go through ``qualifies`` one
-    candidate at a time, enclosure fallback included.
-    """
-    def qualifies(theta: float, j: int, n: int) -> bool:
-        band = (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
-        if theta - band > j * le_hi:
-            return False
-        if theta + band < j * le_lo:
-            return True
-        def attempt(c):  # exact re-check: theta(j-1) < j L
-            exact = c.num(0)
-            for primes in prime_segments(j - 1):
-                for p in primes:
-                    exact += c.log(c.num(p))
-            return exact < j * log_base(c)
-        return _escalate(ctx, attempt)
-
-    theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
-    for segment in prime_segments(top - 1):
-        for first in range(0, len(segment), _J_BLOCK):
-            block = segment[first:first + _J_BLOCK]
-            # thetas[i] is theta before block[i]: the same additions in the same order
-            thetas = list(itertools.accumulate(map(math.log, block), initial=theta))
-            last = len(block) - 1
-            band = (n + last + _LOG_ULPS) * 2.0**-52 * (thetas[last] + block[last])
-            if thetas[0] - band <= block[last] * le_hi:  # not rejected as a block
-                for i, p in enumerate(block):
-                    if qualifies(thetas[i], p, n + i):
-                        largest = p
-            theta, n = thetas[-1], n + len(block)
-    return top if qualifies(theta, top, n) else largest
 
 
 def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
@@ -594,7 +561,7 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
 
     formula_d = max(1, _in_ell(ctx, delta, lambda l: 4 * l / (1 - l), _ceil))
 
-    ivc = _ivc(ctx.bits)
+    ivc = real.Context(ctx.bits)
     l = delta.iv_ell(ivc)
     d = formula_d
     for _ in range(64):
@@ -755,7 +722,7 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
             "bound requires x * j0^D >= 1 (the tail estimate is only valid there)"
         )
 
-    ivc = _ivc(ctx.bits)
+    ivc = real.Context(ctx.bits)
     majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0, math.factorial(J))
     return Enclosure.from_iv(ivc.exp(majorant.log_phi(ivc.log(ivc.num(x)))))
 
@@ -779,7 +746,7 @@ class _HeightEngine:
         self._j_fact = math.factorial(self.J)  # exact, shared by every precision level
         self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
-        self.pack = self._pack(_ivc(ctx.bits))  # at the working precision
+        self.pack = self._pack(real.Context(ctx.bits))  # at the working precision
 
     def _pack(self, ivc) -> _Majorant:
         """The majorant of Phi(d, x) in the context ``ivc``, plus log(2cd) and rho."""

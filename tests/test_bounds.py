@@ -23,7 +23,6 @@ from ppp.bounds import (
     _HeightEngine,
     _Verdicts,
     _decide_floor,
-    _ivc,
     _search_height,
     CapExceeded,
     Delta,
@@ -143,9 +142,8 @@ def test_scan_takes_x0_as_its_last_candidate():
 
 # log(e - eps) sits 100 u theta(p-1) / p off theta(p-1) / p, on the far side
 # from the skew of a math.log that errs by 600 ulps (u = 2^-53), inside the
-# band's _LOG_ULPS.  Without that term in the candidate's band, the 347 case
-# lets p qualify; without it in either band, the 313 case loses p (313 is a
-# block of its own: the 65th prime).
+# band's _LOG_ULPS.  Without that term in the band, the 347 case lets p
+# qualify and the 313 case loses p.
 @pytest.mark.parametrize("p, x0, skew, J", [(347, 547, 1, 229), (313, 317, -1, 313)])
 def test_j_band_covers_a_math_log_off_by_600_ulps(p, x0, skew, J, monkeypatch):
     with mpmath.workdps(60):
@@ -277,22 +275,6 @@ def test_j_enclosure_route_agrees_with_the_float_band(monkeypatch):
     want = scan_J(eps, CTX)
     monkeypatch.setattr(bounds, "_LOG_ULPS", 2**52)
     assert scan_J(eps, CTX) == want and want.x0 == 563
-
-
-@pytest.mark.parametrize("block", [1, 7, 10**6])
-def test_j_block_rejection_agrees_with_the_candidate_tests(monkeypatch, block):
-    # Blocks of one are the per-candidate scan; 10^6 makes each sieve window
-    # one block.  With the count pass off, the blocks run to the tail points
-    # x0, here 20395 and 144798.
-    for text in ("e^1/2", "e^3/5"):
-        eps = choose_parameters(1, Delta.parse(text), CTX).epsilon
-        log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
-        x0 = scan_J(eps, CTX).x0
-        want = bounds._scan_to(CTX, log_base, x0)
-        with monkeypatch.context() as m:
-            m.setattr(bounds, "_J_BLOCK", block)
-            m.setattr(bounds, "_last_open", lambda le_hi, x0: x0)
-            assert bounds._scan_to(CTX, log_base, x0) == want, text
 
 
 def j_scan_inputs():
@@ -612,7 +594,7 @@ def test_r_threshold_matches_floor_route():
     _search_height(engine)
     assert 679 in engine._thresholds
     k, t = 679, engine._thresholds[679]
-    ivc = _ivc(2 * t.bit_length())
+    ivc = real.Context(2 * t.bit_length())
     jump = ivc.exp(ivc.num(Fraction(k) / params.rho))
     assert (ivc.num(t - 1) < jump) is True
     assert (jump < ivc.num(t)) is True
@@ -885,7 +867,7 @@ def test_majorant_levels_share_one_factorial(monkeypatch):
 
     monkeypatch.setattr(bounds.math, "factorial", counted)
     engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
-    low, high = engine._pack(_ivc(256)), engine._pack(_ivc(512))
+    low, high = engine._pack(real.Context(256)), engine._pack(real.Context(512))
     assert low is not high and low.ivc.prec == 256 and high.ivc.prec == 512
     assert calls == [engine.J]
 
@@ -914,7 +896,7 @@ def test_falls_stays_false_where_the_slope_is_undecided():
 def test_slope_sign_matches_a_difference_quotient(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
     h_found = _search_height(engine)
-    ivc, d, step = _ivc(CTX.bits), engine.params.d, Fraction(1, 2**20)
+    ivc, d, step = real.Context(CTX.bits), engine.params.d, Fraction(1, 2**20)
 
     def direct(r, h):  # f_r'(log h) = r d - slope(u) <= 0, written out
         u = engine._log_x(engine.pack, ivc.num(r), ivc.log(ivc.num(h)))
@@ -978,7 +960,7 @@ def two_part_log_x(pk, R, L):
 @pytest.mark.parametrize("bits", [64, 256, 4096])
 def test_log_x_matches_the_two_part_route(bits):
     engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
-    pk = engine._pack(_ivc(bits))
+    pk = engine._pack(real.Context(bits))
     for r in range(1, 601):
         R, L = pk.ivc.num(r), pk.ivc.num(Fraction(11 * r, 10))
         assert engine._log_x(pk, R, L).endpoints() == two_part_log_x(pk, R, L).endpoints(), r
@@ -990,7 +972,7 @@ def test_cell_partials_match_the_derivatives_of_log_lhs(delta):
     # log x terms at a real r, differentiated numerically at 200 bits,
     # against the enclosures of Phi_L and Phi_r that cell_false uses.
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
-    d, rho, fine, log_x = engine.params.d, engine.params.rho, _ivc(512), engine._log_x
+    d, rho, fine, log_x = engine.params.d, engine.params.rho, real.Context(512), engine._log_x
 
     def Phi(L, r):
         pk, R, Lv = engine._pack(fine), fine.num(fraction_of(r)), fine.num(fraction_of(L))
@@ -1132,7 +1114,7 @@ def test_height_one_fails(c):
     # log LHS(1) > 0 = r d log 1: every term of log LHS(1) is positive.
     for text in NINE_DELTAS:
         engine = _HeightEngine(choose_parameters(c, Delta.parse(text), CTX), CTX)
-        lo, _ = engine.log_lhs(_ivc(CTX.bits), 1, 0).endpoints()
+        lo, _ = engine.log_lhs(real.Context(CTX.bits), 1, 0).endpoints()
         assert lo > 0, text
 
 
