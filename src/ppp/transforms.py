@@ -103,7 +103,9 @@ def _require_offset_zero(s: IntSequence, what: str) -> None:
 
 
 # Rows of the difference triangle that one left-to-right pass over the
-# row applies; each term is read and written once per band
+# row applies; each term is read and written once per band.  The kernels
+# _forward_band and _inverse_band keep a band in one local per row,
+# p0 .. p31, so a new value means rewriting them.
 _BAND = 32
 
 
@@ -121,23 +123,66 @@ def binomial_transform(a: IntSequence) -> IntSequence:
     t = list(a.terms)
     n = len(t)
     for low in range(0, n - 1, _BAND):
-        rows = min(_BAND, n - 1 - low)  # rows low+1 .. low+rows
-        # column j < low + rows takes only its first j - low rows, which
+        # column j < low + _BAND takes only its first j - low rows of the
+        # band (a short last band's last column takes all of them), which
         # leave it final; that value enters the band as prev[j - low]
         prev = [t[low]]
-        for j in range(low + 1, low + rows):
+        for j in range(low + 1, min(low + _BAND, n)):
             cur = t[j]
             for k in range(j - low):
                 prev[k], cur = cur, cur - prev[k]
             prev.append(cur)
             t[j] = cur
-        ks = range(rows)
-        for j in range(low + rows, n):
-            cur = t[j]
-            for k in ks:
-                prev[k], cur = cur, cur - prev[k]
-            t[j] = cur
+        if low + _BAND < n:
+            _forward_band(t, prev, low + _BAND)
     return IntSequence(tuple(t))
+
+
+def _forward_band(t: list, prev: list, start: int) -> None:
+    """Apply a full band of rows to the columns of ``t`` from ``start`` on.
+
+    ``prev[k]``, column ``start - 1`` after the band's first k rows, runs in
+    the local ``pk``, and each term in ``c``: row k is ``pk, c = c, c - pk``.
+    """
+    (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15,
+     p16, p17, p18, p19, p20, p21, p22, p23, p24, p25, p26, p27, p28, p29,
+     p30, p31) = prev
+    prev.clear()  # each value of the band is held once, in its local
+    for j in range(start, len(t)):
+        c = t[j]
+        p0, c = c, c - p0
+        p1, c = c, c - p1
+        p2, c = c, c - p2
+        p3, c = c, c - p3
+        p4, c = c, c - p4
+        p5, c = c, c - p5
+        p6, c = c, c - p6
+        p7, c = c, c - p7
+        p8, c = c, c - p8
+        p9, c = c, c - p9
+        p10, c = c, c - p10
+        p11, c = c, c - p11
+        p12, c = c, c - p12
+        p13, c = c, c - p13
+        p14, c = c, c - p14
+        p15, c = c, c - p15
+        p16, c = c, c - p16
+        p17, c = c, c - p17
+        p18, c = c, c - p18
+        p19, c = c, c - p19
+        p20, c = c, c - p20
+        p21, c = c, c - p21
+        p22, c = c, c - p22
+        p23, c = c, c - p23
+        p24, c = c, c - p24
+        p25, c = c, c - p25
+        p26, c = c, c - p26
+        p27, c = c, c - p27
+        p28, c = c, c - p28
+        p29, c = c, c - p29
+        p30, c = c, c - p30
+        p31, c = c, c - p31
+        t[j] = c
 
 
 def inverse_binomial_transform(b: IntSequence) -> IntSequence:
@@ -163,24 +208,67 @@ def _inverse_in_place(t: list) -> None:
     """
     n = len(t)
     for low in reversed(range(0, n - 1, _BAND)):
-        rows = min(_BAND, n - 1 - low)  # rows low+rows .. low+1
-        # column j < low + rows has only the band's first j - low rows
-        # applied and skips the others; its value enters as prev[j - low]
+        # column j < low + _BAND has only the band's first j - low rows
+        # applied (a short last band's last column has all of them) and
+        # skips the others; its value enters as prev[j - low]
         prev = [t[low]]
-        for j in range(low + 1, low + rows):
+        for j in range(low + 1, min(low + _BAND, n)):
             cur = t[j]
             prev.append(cur)
             for k in range(j - low - 1, -1, -1):
                 cur += prev[k]
                 prev[k] = cur
             t[j] = cur
-        ks = range(rows - 1, -1, -1)
-        for j in range(low + rows, n):
-            cur = t[j]
-            for k in ks:
-                cur += prev[k]
-                prev[k] = cur
-            t[j] = cur
+        if low + _BAND < n:
+            _inverse_band(t, prev, low + _BAND)
+
+
+def _inverse_band(t: list, prev: list, start: int) -> None:
+    """Undo a full band of rows on the columns of ``t`` from ``start`` on.
+
+    ``prev[k]``, column ``start - 1`` with the band's first k rows still
+    applied, runs in the local ``pk``, and each term in ``c``: row k is
+    undone, last row first, by ``pk = c = c + pk``.
+    """
+    (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15,
+     p16, p17, p18, p19, p20, p21, p22, p23, p24, p25, p26, p27, p28, p29,
+     p30, p31) = prev
+    prev.clear()  # each value of the band is held once, in its local
+    for j in range(start, len(t)):
+        c = t[j]
+        p31 = c = c + p31
+        p30 = c = c + p30
+        p29 = c = c + p29
+        p28 = c = c + p28
+        p27 = c = c + p27
+        p26 = c = c + p26
+        p25 = c = c + p25
+        p24 = c = c + p24
+        p23 = c = c + p23
+        p22 = c = c + p22
+        p21 = c = c + p21
+        p20 = c = c + p20
+        p19 = c = c + p19
+        p18 = c = c + p18
+        p17 = c = c + p17
+        p16 = c = c + p16
+        p15 = c = c + p15
+        p14 = c = c + p14
+        p13 = c = c + p13
+        p12 = c = c + p12
+        p11 = c = c + p11
+        p10 = c = c + p10
+        p9 = c = c + p9
+        p8 = c = c + p8
+        p7 = c = c + p7
+        p6 = c = c + p6
+        p5 = c = c + p5
+        p4 = c = c + p4
+        p3 = c = c + p3
+        p2 = c = c + p2
+        p1 = c = c + p1
+        p0 = c = c + p0
+        t[j] = c
 
 
 def ogf_of(s: IntSequence) -> RationalSeries:

@@ -1,3 +1,4 @@
+import decimal
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from conftest import direct_inverse, direct_transform, random_prefix
 from ppp.arith import primorial_table
 from ppp.certify import certify_primary_direct, certify_primary_hall, certify_pseudo_hall
+from ppp.cli import _EXACT
 from ppp.egfinv import egf_reciprocal, egf_triple
 from ppp.recur import (
     GuessBudget, PolyRecurrence, apply_recurrence, guess_recurrence, verify_recurrence,
@@ -14,6 +16,7 @@ from ppp.recur import (
 from ppp.transforms import (
     _BAND,
     IntSequence,
+    _inverse_in_place,
     binomial_transform,
     inverse_binomial_transform,
     ogf_of,
@@ -48,18 +51,35 @@ def test_roundtrip_both_ways(rng):
         assert binomial_transform(inverse_binomial_transform(a)).terms == a.terms
 
 
-@pytest.mark.parametrize("length", [
-    1, 2, _BAND - 1, _BAND, _BAND + 1, _BAND + 2, 2 * _BAND + 1, 3 * _BAND + 2, 200,
-])
+# Length L takes L - 1 rows of the triangle: none, one, a short first
+# band, exactly one or two full bands, one row into the next band, and
+# many bands with a short last one
+BAND_EDGES = [1, 2, _BAND - 1, _BAND, _BAND + 1, _BAND + 2, 2 * _BAND + 1, 3 * _BAND + 2, 200]
+
+
+def band_edge_terms(rng, length):
+    return [rng.getrandbits(rng.randint(1, 2000)) * rng.choice((1, -1))
+            for _ in range(length)]
+
+
+@pytest.mark.parametrize("length", BAND_EDGES)
 def test_bands_match_direct_formula(rng, length):
-    # length L takes L - 1 rows of the triangle: none, one, a short first
-    # band, exactly one or two full bands, one row into the next band, and
-    # many bands with a short last one
-    terms = [rng.getrandbits(rng.randint(1, 2000)) * rng.choice((1, -1))
-             for _ in range(length)]
+    terms = band_edge_terms(rng, length)
     a = IntSequence.of(terms)
     assert list(binomial_transform(a).terms) == direct_transform(terms)
     assert list(inverse_binomial_transform(a).terms) == direct_inverse(terms)
+
+
+@pytest.mark.parametrize("length", BAND_EDGES)
+def test_inverse_in_place_on_exact_decimals(rng, length):
+    # egf-invert runs the inverse on decimal integers, under a context that
+    # traps any rounding; they must come out as the int results
+    terms = band_edge_terms(rng, length)
+    t = [decimal.Decimal(x) for x in terms]
+    with decimal.localcontext(_EXACT):
+        _inverse_in_place(t)
+    assert all(type(x) is decimal.Decimal for x in t)
+    assert [int(x) for x in t] == direct_inverse(terms)
 
 
 @pytest.mark.parametrize("transform", [binomial_transform, inverse_binomial_transform])
