@@ -746,7 +746,10 @@ class _HeightEngine:
         self._j_fact = math.factorial(self.J)  # exact, shared by every precision level
         self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
-        self.pack = self._pack(real.Context(ctx.bits))  # at the working precision
+        self.pack = pk = self._pack(real.Context(ctx.bits))  # at the working precision
+        # the pack's constants as floats, for ``_cell_estimate``
+        self._floats = tuple(float(x.mid()) for x in (
+            pk.log_k, pk.lam, pk.ell, pk.d_log_j0, pk.log_2cd, pk.rho))
 
     def _pack(self, ivc) -> _Majorant:
         """The majorant of Phi(d, x) in the context ``ivc``, plus log(2cd) and rho."""
@@ -858,6 +861,45 @@ class _HeightEngine:
         low = psi_c - abs(psi_L) * ivc.num((lb - la) / 2) - abs(phi_r) * ivc.num(t_c)
         return (low > 0) is True
 
+    def _cell_estimate(self, la: Fraction, lb: Fraction) -> float | None:
+        """``cell_false``'s lower bound ``low`` on [la, lb], estimated in
+        floats and divided by the sum of the magnitudes of its terms; None
+        when a float operation fails (``exp(-u)`` overflows, say).
+
+        A heuristic, not a proof: it retraces ``cell_false`` step for step,
+        with the same centre and corners and the partials as (lo, hi) pairs,
+        hulled and taken in magnitude as the enclosures are, so it misses
+        the enclosed ``low`` by rounding alone.  Only ``cell_false`` proves a
+        cell.
+        """
+        log_k, lam, ell, d_log_j0, log_2cd, rho = self._floats
+        d, F = self.params.d, self.params.floor_j0
+        jf = self.J + F
+        try:
+            a, b = float(la), float(lb)
+            m = (a + b) / 2
+            t_c = max(0.5, 1 - rho * m)
+            r_c, r_lo, r_hi = rho * m + t_c, max(1.0, rho * a), rho * b + 1
+            u_c = log_2cd + math.log(r_c) + m + (r_c - 1) * ell
+            u_lo = log_2cd + math.log(r_lo) + a + (r_lo - 1) * ell
+            u_hi = log_2cd + math.log(r_hi) + b + (r_hi - 1) * ell
+            # log(1 + e^u) = max(u, 0) + log(1 + e^-|u|)
+            log_phi = (log_k + jf * (max(u_c, 0) + math.log1p(math.exp(-abs(u_c))))
+                       + F * (math.log(2) + d_log_j0) + (u_c + d_log_j0) ** 2 / lam)
+            # the slope rises with u; Phi_L = slope - d r, Phi_r = slope (1/r + ell) - d L
+            s_lo = jf / (1 + math.exp(-u_lo)) + 2 * (u_lo + d_log_j0) / lam
+            s_hi = jf / (1 + math.exp(-u_hi)) + 2 * (u_hi + d_log_j0) / lam
+            w_lo, w_hi = 1 / r_hi + ell, 1 / r_lo + ell
+            corners = (s_lo * w_lo, s_lo * w_hi, s_hi * w_lo, s_hi * w_hi)
+            phi_r_lo, phi_r_hi = min(corners) - d * b, max(corners) - d * a
+            psi_L = max(abs(s_lo - d * r_hi + rho * phi_r_lo),
+                        abs(s_hi - d * r_lo + rho * phi_r_hi))  # |psi_L|, psi_L = Phi_L + rho Phi_r
+            terms = (log_phi, d * r_c * m, psi_L * (b - a) / 2,
+                     max(abs(phi_r_lo), abs(phi_r_hi)) * t_c)  # each >= 0
+            return (terms[0] - terms[1] - terms[2] - terms[3]) / sum(terms)
+        except (OverflowError, ValueError):
+            return None
+
     def floor_exp(self, L: Fraction) -> int:
         """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
         ivc = self.pack.ivc
@@ -872,24 +914,36 @@ class _HeightEngine:
         return _escalate(self.ctx, attempt)
 
 
-# Smallest cell the false prefix tries, as a power of two: 2^-12 in log h.
-_CELL_FLOOR = -12
+# The first and the smallest cell width the false prefix tries, as powers
+# of two in log h: 2^8, which the estimate narrows (to 2^6 on e^2/7, 2^-2
+# on e^1/40), and 2^-12.
+_CELL_START, _CELL_FLOOR = 8, -12
+# ``_HeightEngine._cell_estimate`` values within this of 0 are too close to call.
+_ESTIMATE_TOL = 2.0**-40
 
 
 class _Verdicts:
     """Exact predicate values for one height search, from proved facts when
     they apply and from ``_HeightEngine.predicate`` otherwise.
 
-    * False prefix.  Every height in [1, false_to] fails, proved by cells
-      (``_HeightEngine.cell_false``): on a cell [la, lb] of log h the
-      heights have (log h, r(h) - rho log h) in a convex set on which a
-      mean-value form, centred in that set near the strip
-      r = rho log h + 1/2, keeps the majorant's log above r d log h.  It starts at h = 1: there the right
-      side r d log 1 is 0 while every term of log LHS(1) is positive, since
-      log c0 = 4 zeta(2)/lam > 0 and j0 = 2d/lam > 2.  A query past the
-      prefix first grows it by cells, doubling the width in log h after two
-      successes in a row and halving it after a failure, until a cell of the
-      floor width fails.
+    * False prefix.  Every height with log h <= ``_log_false_to`` fails,
+      proved by cells (``_HeightEngine.cell_false``): on a cell [la, lb] of
+      log h the heights have (log h, r(h) - rho log h) in a convex set on
+      which a mean-value form, centred in that set near the strip
+      r = rho log h + 1/2, keeps the majorant's log above r d log h.  It
+      starts at h = 1: there the right side r d log 1 is 0 while every term
+      of log LHS(1) is positive, since log c0 = 4 zeta(2)/lam > 0 and
+      j0 = 2d/lam > 2.  A query past the prefix first grows it by cells.
+      The first cell tries the width 2^_CELL_START in log h, and each cell
+      after a proved one twice its width; a float estimate of the cell's
+      bound (``_HeightEngine._cell_estimate``) halves that while it is
+      clearly negative, and then ``cell_false`` runs once.  A failure
+      halves the width below the one tried, and a failure at the floor
+      width ends the prefix.  The estimate only chooses widths: once
+      ``cell_false`` contradicts its sign, the widths are chosen without
+      it.  ``false_to`` is read off an enclosure of exp(``_log_false_to``),
+      so a height just past it is placed by comparing log h with
+      ``_log_false_to`` exactly.
     * Query order.  The doubling rises until its first true height;
       bisection moves lo up on a false answer and hi down on a true one.  So
       every later question lies above each height found false and below
@@ -906,32 +960,34 @@ class _Verdicts:
       holds, or where f_r provably falls (``_HeightEngine.falls``), makes
       [h, T_r - 1] false, and later questions lie above h: past_to = T_r - 1.
       So does a T_{r-1} that fails where f_r falls.  A true T_{r-1} alone
-      says nothing about the heights after it.
+      says nothing about the heights after it.  Both are set only once the
+      prefix has stopped growing.
     """
 
     def __init__(self, engine: _HeightEngine):
         self.engine = engine
         self.false_to = 1  # every height <= false_to fails
         self._log_false_to = Fraction(0)  # ... and so does every h with log h <= this
-        self._width = 0  # log2 of the next cell's width in log h
-        self._grown = False  # one cell of this width succeeded, the next doubles
+        self._width = _CELL_START  # log2 of the next cell's width in log h
+        self._estimate = True  # the float estimate still chooses the widths
         self._stuck = False
         self.past_to = 0  # every later question <= past_to fails
         self.true_from = math.inf  # every later question >= true_from holds
         self._starts: dict[int, bool] = {}  # r -> the predicate at T_{r-1}
 
     def __call__(self, h: int) -> bool:
-        self._grow_prefix(h)
-        if h <= self.false_to or h <= self.past_to:
+        if h <= self.past_to:
             return False
         if h >= self.true_from:
             return True
+        if self._in_prefix(h):
+            return False
         engine = self.engine
         r = engine.r_of(h)
         start = engine.threshold(r - 1) if r > 1 else 1
         start_holds = self._starts.get(r)
         if start_holds is None:
-            start_holds = start > self.false_to and engine.predicate(start)
+            start_holds = not self._in_prefix(start) and engine.predicate(start)
             self._starts[r] = start_holds
             if not start_holds and engine.falls(r, start):
                 self.past_to = engine.threshold(r) - 1  # the whole run fails
@@ -945,20 +1001,42 @@ class _Verdicts:
             self.past_to = engine.threshold(r) - 1
         return holds
 
-    def _grow_prefix(self, target: int) -> None:
-        while self.false_to < target and not self._stuck:
-            la = self._log_false_to
-            lb = la + Fraction(2) ** self._width
-            if self.engine.cell_false(la, lb):
-                self._log_false_to, self.false_to = lb, self.engine.floor_exp(lb)
-                if self._grown:
-                    self._width += 1
-                self._grown = not self._grown
-            elif self._width > _CELL_FLOOR:
+    def _in_prefix(self, h: int) -> bool:
+        """Whether log h <= ``_log_false_to``, once the prefix has grown by
+        cells until that holds or the prefix ends.  Past ``false_to`` the
+        comparison is exact, unless the float log of h, good to a few ulps,
+        lies clearly above."""
+        while h > self.false_to:
+            lb = self._log_false_to
+            if (math.log(h) <= float(lb) * (1 + 2**-40)
+                    and _escalate(self.engine.ctx, lambda ivc: ivc.log(ivc.num(h)) <= lb)):
+                return True
+            if self._stuck:
+                return False
+            self._add_cell()
+        return True
+
+    def _add_cell(self) -> None:
+        """Run ``cell_false`` once on the next cell, at the width the
+        estimate leaves, and set the width of the cell after it."""
+        engine, la = self.engine, self._log_false_to
+        lb, guess = la + Fraction(2) ** self._width, None
+        if self._estimate:
+            guess = engine._cell_estimate(la, lb)
+            while guess is not None and guess < -_ESTIMATE_TOL and self._width > _CELL_FLOOR:
                 self._width -= 1
-                self._grown = False
-            else:
-                self._stuck = True
+                lb = la + Fraction(2) ** self._width
+                guess = engine._cell_estimate(la, lb)
+        proved = engine.cell_false(la, lb)
+        if guess is not None and abs(guess) > _ESTIMATE_TOL and (guess > 0) != proved:
+            self._estimate = False
+        if proved:
+            self._log_false_to, self.false_to = lb, engine.floor_exp(lb)
+            self._width += 1
+        elif self._width > _CELL_FLOOR:
+            self._width -= 1
+        else:
+            self._stuck = True
 
 
 def _search_height(engine: _HeightEngine,

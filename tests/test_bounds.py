@@ -644,19 +644,18 @@ def test_height_cap_below_one_rejected():
 
 class RecordedSearch:
     """One ``_search_height`` run that records every exact predicate call,
-    the number of cell checks, every cell (in log h) proved false and every
+    every cell (in log h) checked and every one proved false, and every
     ``(h, verdict)`` used."""
 
     def __init__(self, delta, ctx=CTX):
         self.engine = _HeightEngine(choose_parameters(1, delta, ctx), ctx)
         self.predicate, cell_false = self.engine.predicate, self.engine.cell_false
-        self.evaluated, self.cells, self.used = [], [], []
-        self.cell_checks = 0
+        self.evaluated, self.checked, self.cells, self.used = [], [], [], []
         self.engine.predicate = lambda h: self.evaluated.append(h) or self.predicate(h)
 
         def record_cell(la, lb):
-            self.cell_checks += 1
             false = cell_false(la, lb)
+            self.checked.append((la, lb, false))
             if false:
                 self.cells.append((la, lb))
             return false
@@ -668,6 +667,10 @@ class RecordedSearch:
         verdict = self.verdicts(h)
         self.used.append((h, verdict))
         return verdict
+
+    @property
+    def cell_checks(self):
+        return len(self.checked)
 
     def run(self):
         return _search_height(self.engine, self.holds)
@@ -707,13 +710,17 @@ def test_every_verdict_the_search_used_is_exact(delta):
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10)])
 def test_heights_in_excluded_cells_fail(delta):
     # Every proved cell, from log h = 0 to past false_to: its first and last
-    # height and three drawn between them fail.
+    # height and three drawn between them fail.  A second ``_Verdicts`` asked
+    # each cell's last height answers False from the proved cells alone: it
+    # checks the search's cells up to its last proved one and no further, and
+    # evaluates no predicate, also where false_to, read off an enclosure of
+    # exp(lb), falls short of the last cell's last height (13/10).
     search = RecordedSearch(delta)
     search.run()
     cells, false_to = search.cells, search.verdicts.false_to
     assert cells[0][0] == 0 and all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
     rng = random.Random(11)
-    checked = 0
+    checked, lasts = 0, []
     with mpmath.workprec(false_to.bit_length() + 64):
         for la, lb in cells:
             # cell ends are dyadic, so these mpf are exact
@@ -721,12 +728,21 @@ def test_heights_in_excluded_cells_fail(delta):
             first, last = int(mpmath.ceil(mpmath.exp(la_mp))), int(mpmath.floor(mpmath.exp(lb_mp)))
             assert first == 1 or mpmath.log(first - 1) < la_mp <= mpmath.log(first)
             assert mpmath.log(last) <= lb_mp < mpmath.log(last + 1)
+            lasts.append(last)
             if first > last:
                 continue  # no integer height in this cell
             for h in {first, last, *(rng.randint(first, last) for _ in range(3))}:
                 assert search.predicate(h) is False, h
                 checked += 1
     assert false_to <= last and checked > 2 * len(cells)
+    search_checks, evaluated = list(search.checked), len(search.evaluated)
+    search.checked.clear()
+    verdicts = _Verdicts(search.engine)
+    for last in lasts:
+        assert verdicts(last) is False, last
+    proved_checks = max(i for i, (_, _, false) in enumerate(search_checks) if false) + 1
+    assert search.checked == search_checks[:proved_checks]
+    assert len(search.evaluated) == evaluated
 
 
 class FakeEngine:
@@ -779,6 +795,9 @@ class FakeEngine:
     def falls(self, r, h):
         assert r == self.r_of(h)
         return h >= self.falls_from[r]
+
+    def _cell_estimate(self, la, lb):
+        return 1.0 if self.cell_false(la, lb) else -1.0
 
     def cell_false(self, la, lb):
         # Widened by one height on each side, so float rounding stays safe.
@@ -1077,7 +1096,70 @@ def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     assert h.bit_length() == 3845
     assert len(search.evaluated) <= 8  # the bisection alone asks 7689 heights
     assert len(search.used) == 7689
-    assert search.cell_checks <= 80  # failed checks included
+    assert search.cell_checks <= 25  # failed checks included
+
+
+def boundary_of_estimate(engine):
+    """A log h near where the estimate on a floor-width cell turns negative,
+    bisected in floats alone."""
+    width = Fraction(2) ** bounds._CELL_FLOOR
+    lo, hi = Fraction(0), Fraction(2**16)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        guess = engine._cell_estimate(mid, mid + width)
+        if guess is not None and guess > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("text", GOLDEN_DELTAS)
+def test_cell_estimate_has_the_sign_of_cell_false(text):
+    # Outside its tolerance band, the float estimate has the sign of the
+    # bound that cell_false encloses: on cells of every width the prefix
+    # tries, from log h = 1/16 to far past the prefix and around its end.
+    engine = _HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX)
+    rng = random.Random(29)
+    end = boundary_of_estimate(engine)
+    signs = set()
+    for k in range(48):
+        if k % 2:
+            la = Fraction(round(2 ** rng.uniform(-4, 16) * 4096), 4096)
+            lb = la + Fraction(2) ** rng.randint(bounds._CELL_FLOOR, 10)
+        else:  # starting 2^-12 to 16 below the end
+            la = max(0, end - Fraction(round(2 ** rng.uniform(4, 20)), 2**16))
+            lb = la + Fraction(2) ** rng.randint(bounds._CELL_FLOOR, 2)
+        guess = engine._cell_estimate(la, lb)
+        if guess is None or abs(guess) <= bounds._ESTIMATE_TOL:
+            continue
+        assert (guess > 0) is engine.cell_false(la, lb), (la, lb, guess)
+        signs.add(guess > 0)
+    assert signs == {False, True}
+
+
+@pytest.mark.parametrize("lie", ["accept", "reject", "random"])
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(5, 4), Fraction(13, 10)])
+def test_a_lying_estimate_changes_no_height(delta, lie, monkeypatch):
+    # The estimate only chooses widths.  One that accepts every cell, rejects
+    # every cell or answers at random (in the band and with no estimate too)
+    # leaves H as it is, and the prefix ends only where cell_false fails at
+    # the floor width.
+    expected = compute_H(1, delta, ctx=CTX)
+    rng = random.Random(29)
+    answer = {
+        "accept": lambda: 1.0,
+        "reject": lambda: -1.0,
+        "random": lambda: rng.choice([1.0, -1.0, 0.0, None, rng.uniform(-1, 1)]),
+    }[lie]
+    monkeypatch.setattr(_HeightEngine, "_cell_estimate", lambda self, la, lb: answer())
+    search = RecordedSearch(delta)
+    assert search.run() == expected
+    la, lb, false = search.checked[-1]
+    assert search.verdicts._stuck
+    assert false is False and lb - la == Fraction(2) ** bounds._CELL_FLOOR
+    assert all(false or lb - la > Fraction(2) ** bounds._CELL_FLOOR
+               for la, lb, false in search.checked[:-1])
 
 
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Delta.exp(Fraction(2, 7))])
