@@ -642,20 +642,22 @@ class _Majorant:
     log_phi(log x) = log_k + (J+F) log(1+x) + F (log 2 + D log j0)
     + (log y)^2 / lam, with lam = log(1/omega), j0 = 2D/lam (``_j0``),
     F = floor(j0), y = x j0^D and log_k = log c0 + J log 2 + D log J!
-    + J^2 log(delta), c0 = exp(4 zeta(2) / lam).  The caller passes F and
-    the exact ``j_fact`` = J!, which are the same at every precision.
+    + J^2 log(delta), c0 = exp(4 zeta(2) / lam).  J! is enclosed as a
+    product of exact blocks of 256 factors, rounded outward at each step.
     """
 
-    def __init__(self, ivc, delta: Delta, epsilon: Fraction, D: int, J: int, F: int,
-                 j_fact: int):
+    def __init__(self, ivc, delta: Delta, epsilon: Fraction, D: int, J: int, F: int):
         self.ivc, self.J, self.F = ivc, J, F
         self.ell = delta.iv_ell(ivc)
         self.lam = _lam(ivc, delta, epsilon)
         self.log2 = ivc.log(ivc.num(2))
         self.d_log_j0 = D * ivc.log(_j0(ivc, delta, epsilon, D))
-        log_jfact = ivc.log(ivc.num(j_fact)) if J > 0 else ivc.num(0)
+        self.j_fact = ivc.num(1)
+        for lo in range(1, J + 1, 256):
+            self.j_fact *= math.prod(range(lo, min(lo + 256, J + 1)))
+        self.log_jfact = ivc.log(self.j_fact)
         log_c0 = 4 * (ivc.pi**2 / 6) / self.lam
-        self.log_k = log_c0 + J * self.log2 + D * log_jfact + (J * J) * self.ell
+        self.log_k = log_c0 + J * self.log2 + D * self.log_jfact + (J * J) * self.ell
 
     def log_phi(self, logx, logy=None):
         """log_phi at u = log x; ``logy`` replaces u + D log j0 in the last
@@ -723,7 +725,7 @@ def phi_upper_bound(D: int, x, delta, epsilon, ctx: PrecisionCtx | None = None) 
         )
 
     ivc = real.Context(ctx.bits)
-    majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0, math.factorial(J))
+    majorant = _Majorant(ivc, delta, epsilon, D, J, floor_j0)
     return Enclosure.from_iv(ivc.exp(majorant.log_phi(ivc.log(ivc.num(x)))))
 
 
@@ -743,7 +745,6 @@ class _HeightEngine:
         self.ctx = ctx
         self.j_scan = scan_J(params.epsilon, ctx)
         self.J = self.j_scan.J
-        self._j_fact = math.factorial(self.J)  # exact, shared by every precision level
         self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
         self.pack = pk = self._pack(real.Context(ctx.bits))  # at the working precision
@@ -756,7 +757,7 @@ class _HeightEngine:
         pk = self._packs.get(ivc.prec)
         if pk is None:
             p = self.params
-            pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0, self._j_fact)
+            pk = _Majorant(ivc, p.delta, p.epsilon, p.d, self.J, p.floor_j0)
             pk.log_2cd = ivc.log(ivc.num(2 * p.c * p.d))
             pk.rho = ivc.num(p.rho)
             self._packs[ivc.prec] = pk
@@ -922,28 +923,56 @@ _CELL_START, _CELL_FLOOR = 8, -12
 _ESTIMATE_TOL = 2.0**-40
 
 
+def _false_prefix(engine: _HeightEngine) -> tuple[Fraction, int]:
+    """(L, F): every height with log h <= L fails, and so does every h <= F,
+    read off an enclosure of exp(L).
+
+    Proved by cells of log h (``_HeightEngine.cell_false``) from h = 1,
+    where r d log 1 = 0 lies below log LHS(1), every term of which is
+    positive: log c0 = 4 zeta(2)/lam > 0 and j0 = 2d/lam > 2.  On a cell
+    [la, lb] the heights have (log h, r(h) - rho log h) in a convex set on
+    which a mean-value form, centred in that set near the strip
+    r = rho log h + 1/2, keeps the majorant's log above r d log h.  The
+    first cell tries the width 2^_CELL_START, and each cell after a proved
+    one twice its width; a float estimate of its bound
+    (``_HeightEngine._cell_estimate``) halves that while it is clearly
+    negative, and then ``cell_false`` runs once.  A failure halves the
+    width below the one tried.  The prefix ends at a failure at the floor
+    width, or once F reaches 2^h_cap_log2.  Once ``cell_false`` contradicts
+    the estimate's sign, the widths are chosen without it.
+    """
+    cap = 1 << engine.ctx.h_cap_log2
+    la, false_to = Fraction(0), 1
+    width, estimate = _CELL_START, True  # log2 of the next cell's width in log h
+    while false_to < cap:
+        lb, guess = la + Fraction(2) ** width, None
+        if estimate:
+            guess = engine._cell_estimate(la, lb)
+            while guess is not None and guess < -_ESTIMATE_TOL and width > _CELL_FLOOR:
+                width -= 1
+                lb = la + Fraction(2) ** width
+                guess = engine._cell_estimate(la, lb)
+        proved = engine.cell_false(la, lb)
+        if guess is not None and abs(guess) > _ESTIMATE_TOL and (guess > 0) != proved:
+            estimate = False
+        if proved:
+            la, false_to = lb, engine.floor_exp(lb)
+            width += 1
+        elif width > _CELL_FLOOR:
+            width -= 1
+        else:
+            break
+    return la, false_to
+
+
 class _Verdicts:
     """Exact predicate values for one height search, from proved facts when
     they apply and from ``_HeightEngine.predicate`` otherwise.
 
-    * False prefix.  Every height with log h <= ``_log_false_to`` fails,
-      proved by cells (``_HeightEngine.cell_false``): on a cell [la, lb] of
-      log h the heights have (log h, r(h) - rho log h) in a convex set on
-      which a mean-value form, centred in that set near the strip
-      r = rho log h + 1/2, keeps the majorant's log above r d log h.  It
-      starts at h = 1: there the right side r d log 1 is 0 while every term
-      of log LHS(1) is positive, since log c0 = 4 zeta(2)/lam > 0 and
-      j0 = 2d/lam > 2.  A query past the prefix first grows it by cells.
-      The first cell tries the width 2^_CELL_START in log h, and each cell
-      after a proved one twice its width; a float estimate of the cell's
-      bound (``_HeightEngine._cell_estimate``) halves that while it is
-      clearly negative, and then ``cell_false`` runs once.  A failure
-      halves the width below the one tried, and a failure at the floor
-      width ends the prefix.  The estimate only chooses widths: once
-      ``cell_false`` contradicts its sign, the widths are chosen without
-      it.  ``false_to`` is read off an enclosure of exp(``_log_false_to``),
-      so a height just past it is placed by comparing log h with
-      ``_log_false_to`` exactly.
+    * False prefix.  Every height with log h <= ``_log_false_to`` fails, and
+      so does every h <= ``false_to`` (``_false_prefix``, proved before the
+      first question).  A height just past ``false_to`` is placed by
+      comparing log h with ``_log_false_to`` exactly.
     * Query order.  The doubling rises until its first true height;
       bisection moves lo up on a false answer and hi down on a true one.  So
       every later question lies above each height found false and below
@@ -960,17 +989,12 @@ class _Verdicts:
       holds, or where f_r provably falls (``_HeightEngine.falls``), makes
       [h, T_r - 1] false, and later questions lie above h: past_to = T_r - 1.
       So does a T_{r-1} that fails where f_r falls.  A true T_{r-1} alone
-      says nothing about the heights after it.  Both are set only once the
-      prefix has stopped growing.
+      says nothing about the heights after it.
     """
 
     def __init__(self, engine: _HeightEngine):
         self.engine = engine
-        self.false_to = 1  # every height <= false_to fails
-        self._log_false_to = Fraction(0)  # ... and so does every h with log h <= this
-        self._width = _CELL_START  # log2 of the next cell's width in log h
-        self._estimate = True  # the float estimate still chooses the widths
-        self._stuck = False
+        self._log_false_to, self.false_to = _false_prefix(engine)
         self.past_to = 0  # every later question <= past_to fails
         self.true_from = math.inf  # every later question >= true_from holds
         self._starts: dict[int, bool] = {}  # r -> the predicate at T_{r-1}
@@ -1002,55 +1026,28 @@ class _Verdicts:
         return holds
 
     def _in_prefix(self, h: int) -> bool:
-        """Whether log h <= ``_log_false_to``, once the prefix has grown by
-        cells until that holds or the prefix ends.  Past ``false_to`` the
+        """Whether log h <= ``_log_false_to``.  Past ``false_to`` the
         comparison is exact, unless the float log of h, good to a few ulps,
         lies clearly above."""
-        while h > self.false_to:
-            lb = self._log_false_to
-            if (math.log(h) <= float(lb) * (1 + 2**-40)
-                    and _escalate(self.engine.ctx, lambda ivc: ivc.log(ivc.num(h)) <= lb)):
-                return True
-            if self._stuck:
-                return False
-            self._add_cell()
-        return True
-
-    def _add_cell(self) -> None:
-        """Run ``cell_false`` once on the next cell, at the width the
-        estimate leaves, and set the width of the cell after it."""
-        engine, la = self.engine, self._log_false_to
-        lb, guess = la + Fraction(2) ** self._width, None
-        if self._estimate:
-            guess = engine._cell_estimate(la, lb)
-            while guess is not None and guess < -_ESTIMATE_TOL and self._width > _CELL_FLOOR:
-                self._width -= 1
-                lb = la + Fraction(2) ** self._width
-                guess = engine._cell_estimate(la, lb)
-        proved = engine.cell_false(la, lb)
-        if guess is not None and abs(guess) > _ESTIMATE_TOL and (guess > 0) != proved:
-            self._estimate = False
-        if proved:
-            self._log_false_to, self.false_to = lb, engine.floor_exp(lb)
-            self._width += 1
-        elif self._width > _CELL_FLOOR:
-            self._width -= 1
-        else:
-            self._stuck = True
+        lb = self._log_false_to
+        return h <= self.false_to or (
+            math.log(h) <= float(lb) * (1 + 2**-40)
+            and _escalate(self.engine.ctx, lambda ivc: ivc.log(ivc.num(h)) <= lb))
 
 
-def _search_height(engine: _HeightEngine,
+def _search_height(verdicts: _Verdicts,
                    holds: Callable[[int], bool] | None = None) -> int:
-    """The height found by doubling over powers of two, then bisecting
-    (``_first_true`` on [2, 2^h_cap_log2]).
-
-    ``holds(h)`` is the exact predicate value, by default from a fresh
-    ``_Verdicts``.  The search ends with the predicate false at h-1: the
-    only minimality it certifies.  h = 1 fails (see ``_Verdicts``), so the
-    doubling starts at 2.
+    """The height found by ``_first_true`` on [2^k, 2^h_cap_log2]: doubling
+    over powers of two, then bisecting.  2^k is the last power of two the
+    false prefix covers, at least 2 (h = 1 fails) and at most the cap, so
+    doubling from 2 would find every power below it false and reach the
+    same pair.  ``holds(h)`` is the exact predicate value, by default
+    ``verdicts``.  The search ends with the predicate false at h-1: the
+    only minimality it certifies.
     """
-    cap = engine.ctx.h_cap_log2
-    h = _first_true(holds or _Verdicts(engine), 2, 1 << cap)
+    cap = verdicts.engine.ctx.h_cap_log2
+    start = 1 << min(max(1, verdicts.false_to.bit_length() - 1), cap)
+    h = _first_true(holds or verdicts, start, 1 << cap)
     if h is None:
         raise SearchExceeded(
             f"no power of two h = 2^k with k <= {cap} satisfies "
@@ -1068,7 +1065,7 @@ def compute_H(c, delta, params: Parameters | None = None,
     ctx = ctx or PrecisionCtx()
     if params is None:
         params = choose_parameters(c, delta, ctx)
-    return _search_height(_HeightEngine(params, ctx))
+    return _search_height(_Verdicts(_HeightEngine(params, ctx)))
 
 
 def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
@@ -1224,7 +1221,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
     delta = Delta.coerce(delta)
     params = choose_parameters(Fraction(c), delta, ctx)
     engine = _HeightEngine(params, ctx)
-    h = _search_height(engine)
+    h = _search_height(_Verdicts(engine))
 
     # invariants, re-checked at adverse rounding
     if not _rho2_holds_strictly(delta, params.d, params.rho, ctx):

@@ -23,6 +23,7 @@ from ppp.bounds import (
     _HeightEngine,
     _Verdicts,
     _decide_floor,
+    _first_true,
     _search_height,
     CapExceeded,
     Delta,
@@ -591,7 +592,7 @@ def test_r_threshold_matches_floor_route():
     # The 5/4 search crosses the r jump at k = 679; the 11/10 search none.
     params = choose_parameters(1, Fraction(5, 4), CTX)
     engine = _HeightEngine(params, CTX)
-    _search_height(engine)
+    _search_height(_Verdicts(engine))
     assert 679 in engine._thresholds
     k, t = 679, engine._thresholds[679]
     ivc = real.Context(2 * t.bit_length())
@@ -673,7 +674,7 @@ class RecordedSearch:
         return len(self.checked)
 
     def run(self):
-        return _search_height(self.engine, self.holds)
+        return _search_height(self.verdicts, self.holds)
 
 
 def test_search_cap_message_names_only_powers_of_two():
@@ -681,7 +682,10 @@ def test_search_cap_message_names_only_powers_of_two():
     search = RecordedSearch(Fraction(11, 10), tiny_cap)
     with pytest.raises(SearchExceeded) as err:
         search.run()
-    assert search.used == [(2**k, False) for k in range(1, 17)]
+    # The questions run from the last power of two in the false prefix.
+    first = search.used[0][0]
+    assert search.used == [(2**k, False) for k in range(first.bit_length() - 1, 17)]
+    assert first // 2 <= search.verdicts.false_to
     assert not any(search.predicate(2**k) for k in range(1, 17))
     assert str(err.value).startswith(
         "no power of two h = 2^k with k <= 16 satisfies the inequality"
@@ -702,7 +706,7 @@ def test_search_evaluates_each_height_once(delta):
 def test_every_verdict_the_search_used_is_exact(delta):
     search = RecordedSearch(delta)
     search.run()
-    assert len(search.used) > 100
+    assert len(search.used) > 50
     for h, verdict in search.used:
         assert search.predicate(h) is verdict, h
 
@@ -710,11 +714,12 @@ def test_every_verdict_the_search_used_is_exact(delta):
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10)])
 def test_heights_in_excluded_cells_fail(delta):
     # Every proved cell, from log h = 0 to past false_to: its first and last
-    # height and three drawn between them fail.  A second ``_Verdicts`` asked
-    # each cell's last height answers False from the proved cells alone: it
-    # checks the search's cells up to its last proved one and no further, and
-    # evaluates no predicate, also where false_to, read off an enclosure of
-    # exp(lb), falls short of the last cell's last height (13/10).
+    # height and three drawn between them fail.  A second ``_Verdicts``
+    # repeats exactly the search's cell checks, failed ones included, and
+    # asked each cell's last height answers False from the proved cells
+    # alone: it checks no further cell and evaluates no predicate, also where
+    # false_to, read off an enclosure of exp(lb), falls short of the last
+    # cell's last height (13/10).
     search = RecordedSearch(delta)
     search.run()
     cells, false_to = search.cells, search.verdicts.false_to
@@ -738,10 +743,10 @@ def test_heights_in_excluded_cells_fail(delta):
     search_checks, evaluated = list(search.checked), len(search.evaluated)
     search.checked.clear()
     verdicts = _Verdicts(search.engine)
+    assert search.checked == search_checks
     for last in lasts:
         assert verdicts(last) is False, last
-    proved_checks = max(i for i, (_, _, false) in enumerate(search_checks) if false) + 1
-    assert search.checked == search_checks[:proved_checks]
+    assert search.checked == search_checks
     assert len(search.evaluated) == evaluated
 
 
@@ -848,16 +853,14 @@ def test_false_height_placed_by_the_slope_sign():
 
 def test_verdicts_match_plain_search_on_random_runs():
     # A reference for the verdict layer: on 300 random arrangements of runs
-    # and true intervals, the search answered from facts finds the height
-    # that plain doubling and bisection on the predicate finds, and every
-    # verdict it used is exact.
+    # and true intervals, the search answered from facts, from the false
+    # prefix's last power of two on, finds the height that plain doubling
+    # from 2 and bisection on the predicate finds, and every verdict it used
+    # is exact.
     outcomes = set()
     for seed in range(300):
         engine = FakeEngine.random(seed)
-        try:
-            expected = _search_height(engine, engine.holds)
-        except SearchExceeded:
-            expected = None
+        expected = _first_true(engine.holds, 2, 1 << engine.ctx.h_cap_log2)
         verdicts, used = _Verdicts(engine), []
 
         def holds(h):
@@ -865,7 +868,7 @@ def test_verdicts_match_plain_search_on_random_runs():
             return used[-1][1]
 
         try:
-            found = _search_height(engine, holds)
+            found = _search_height(verdicts, holds)
         except SearchExceeded:
             found = None
         assert found == expected, seed
@@ -874,21 +877,23 @@ def test_verdicts_match_plain_search_on_random_runs():
     assert outcomes == {False, True}
 
 
-def test_majorant_levels_share_one_factorial(monkeypatch):
-    # J! is exact, so building the majorant at a second precision must not
-    # compute it again: for e^9/10 that one call takes seconds.
-    calls = []
-    factorial = math.factorial
-
-    def counted(n):
-        calls.append(n)
-        return factorial(n)
-
-    monkeypatch.setattr(bounds.math, "factorial", counted)
-    engine = _HeightEngine(choose_parameters(1, Fraction(11, 10), CTX), CTX)
-    low, high = engine._pack(real.Context(256)), engine._pack(real.Context(512))
-    assert low is not high and low.ivc.prec == 256 and high.ivc.prec == 512
-    assert calls == [engine.J]
+def test_majorant_encloses_log_j_factorial():
+    # J! is enclosed block by block of 256 factors, never computed exactly
+    # (for e^9/10 the exact J! takes seconds): that enclosure contains J!,
+    # and its log contains the log of the exact J! enclosed 64 bits finer,
+    # at every precision, at the block ends and at J = 0.
+    rng = random.Random(30)
+    js = [0, 1, 2, 255, 256, 257, 599, 3527, *(rng.randint(3, 10**4) for _ in range(12))]
+    delta = Delta.rational(Fraction(11, 10))
+    for bits in (64, 65, 128, 256, 1024, 4096):
+        ivc, fine = real.Context(bits), real.Context(bits + 64)
+        for J in js:
+            pk = bounds._Majorant(ivc, delta, Fraction(1, 10), 1, J, 0)
+            lo, hi = pk.j_fact.endpoints()
+            assert lo <= math.factorial(J) <= hi, (bits, J)
+            lo, hi = pk.log_jfact.endpoints()
+            exact_lo, exact_hi = fine.log(fine.num(math.factorial(J))).endpoints()
+            assert lo <= exact_lo and exact_hi <= hi, (bits, J)
 
 
 def test_falls_stays_false_where_the_slope_is_undecided():
@@ -914,7 +919,7 @@ def test_falls_stays_false_where_the_slope_is_undecided():
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Delta.exp(Fraction(2, 7))])
 def test_slope_sign_matches_a_difference_quotient(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
-    h_found = _search_height(engine)
+    h_found = _search_height(_Verdicts(engine))
     ivc, d, step = real.Context(CTX.bits), engine.params.d, Fraction(1, 2**20)
 
     def direct(r, h):  # f_r'(log h) = r d - slope(u) <= 0, written out
@@ -1058,7 +1063,7 @@ def test_cell_box_holds_the_heights_past_an_r_jump(delta):
 @pytest.mark.parametrize("delta", [Fraction(13, 10), Fraction(5, 4)])
 def test_no_cell_around_a_true_height_is_excluded(delta):
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
-    h = _search_height(engine)
+    h = _search_height(_Verdicts(engine))
     true_heights = [h, h + 1, engine.threshold(engine.r_of(h) - 2)]
     with mpmath.workprec(h.bit_length() + 64):
         for t in true_heights:
@@ -1094,8 +1099,8 @@ def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     search = RecordedSearch(Delta.exp(Fraction(2, 7)))
     h = search.run()
     assert h.bit_length() == 3845
-    assert len(search.evaluated) <= 8  # the bisection alone asks 7689 heights
-    assert len(search.used) == 7689
+    assert len(search.evaluated) <= 8  # of the 3847 heights the search asks
+    assert len(search.used) == 3847
     assert search.cell_checks <= 25  # failed checks included
 
 
@@ -1156,7 +1161,6 @@ def test_a_lying_estimate_changes_no_height(delta, lie, monkeypatch):
     search = RecordedSearch(delta)
     assert search.run() == expected
     la, lb, false = search.checked[-1]
-    assert search.verdicts._stuck
     assert false is False and lb - la == Fraction(2) ** bounds._CELL_FLOOR
     assert all(false or lb - la > Fraction(2) ** bounds._CELL_FLOOR
                for la, lb, false in search.checked[:-1])
@@ -1166,7 +1170,7 @@ def test_a_lying_estimate_changes_no_height(delta, lie, monkeypatch):
 def test_height_is_not_the_smallest_true_height(delta):
     # The inequality is not monotone: it already holds at T_{r(H)-2} < H.
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
-    h = _search_height(engine)
+    h = _search_height(_Verdicts(engine))
     earlier = engine.threshold(engine.r_of(h) - 2)
     assert earlier < h and engine.predicate(earlier)
 
