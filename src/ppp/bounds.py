@@ -923,9 +923,10 @@ _CELL_START, _CELL_FLOOR = 8, -12
 _ESTIMATE_TOL = 2.0**-40
 
 
-def _false_prefix(engine: _HeightEngine) -> tuple[Fraction, int]:
-    """(L, F): every height with log h <= L fails, and so does every h <= F,
-    read off an enclosure of exp(L).
+def _false_prefix(engine: _HeightEngine) -> int:
+    """F: the predicate fails at every h <= F.  F is the floor of the lower
+    end of an enclosure of exp(L), L the last proved cell's end (F = 1
+    before the first); the heights in (F, exp(L)] fail too.
 
     Proved by cells of log h (``_HeightEngine.cell_false``) from h = 1,
     where r d log 1 = 0 lies below log LHS(1), every term of which is
@@ -962,17 +963,17 @@ def _false_prefix(engine: _HeightEngine) -> tuple[Fraction, int]:
             width -= 1
         else:
             break
-    return la, false_to
+    return false_to
 
 
 class _Verdicts:
     """Exact predicate values for one height search, from proved facts when
     they apply and from ``_HeightEngine.predicate`` otherwise.
 
-    * False prefix.  Every height with log h <= ``_log_false_to`` fails, and
-      so does every h <= ``false_to`` (``_false_prefix``, proved before the
-      first question).  A height just past ``false_to`` is placed by
-      comparing log h with ``_log_false_to`` exactly.
+    * False prefix.  Every h <= ``false_to`` fails (``_false_prefix``,
+      proved before the first question).  This is the first ``past_to``
+      fact below, and a run start T_{r-1} <= ``false_to`` fails without an
+      evaluation.
     * Query order.  The doubling rises until its first true height;
       bisection moves lo up on a false answer and hi down on a true one.  So
       every later question lies above each height found false and below
@@ -981,7 +982,8 @@ class _Verdicts:
       u = log(2cd) + log r + L + (r-1) ell is concave in L = log h, because
       log(1 + e^u) and (u + d log j0)^2 are convex.  So on [T_{r-1}, T_r - 1]
       the predicate holds on one run of consecutive heights.  The first
-      question in a run evaluates T_{r-1}, and ``_starts`` keeps the verdict.
+      question in a run decides T_{r-1}, evaluated only past ``false_to``,
+      and ``_starts`` keeps the verdict.
     * Two heights.  Every later question at or below ``past_to`` fails, and
       every later question at or above ``true_from`` holds.  A true answer
       at h where T_{r-1} holds makes [T_{r-1}, h] true, and later questions
@@ -994,8 +996,7 @@ class _Verdicts:
 
     def __init__(self, engine: _HeightEngine):
         self.engine = engine
-        self._log_false_to, self.false_to = _false_prefix(engine)
-        self.past_to = 0  # every later question <= past_to fails
+        self.false_to = self.past_to = _false_prefix(engine)  # later questions <= past_to fail
         self.true_from = math.inf  # every later question >= true_from holds
         self._starts: dict[int, bool] = {}  # r -> the predicate at T_{r-1}
 
@@ -1004,14 +1005,12 @@ class _Verdicts:
             return False
         if h >= self.true_from:
             return True
-        if self._in_prefix(h):
-            return False
         engine = self.engine
         r = engine.r_of(h)
         start = engine.threshold(r - 1) if r > 1 else 1
         start_holds = self._starts.get(r)
         if start_holds is None:
-            start_holds = not self._in_prefix(start) and engine.predicate(start)
+            start_holds = start > self.false_to and engine.predicate(start)
             self._starts[r] = start_holds
             if not start_holds and engine.falls(r, start):
                 self.past_to = engine.threshold(r) - 1  # the whole run fails
@@ -1025,29 +1024,18 @@ class _Verdicts:
             self.past_to = engine.threshold(r) - 1
         return holds
 
-    def _in_prefix(self, h: int) -> bool:
-        """Whether log h <= ``_log_false_to``.  Past ``false_to`` the
-        comparison is exact, unless the float log of h, good to a few ulps,
-        lies clearly above."""
-        lb = self._log_false_to
-        return h <= self.false_to or (
-            math.log(h) <= float(lb) * (1 + 2**-40)
-            and _escalate(self.engine.ctx, lambda ivc: ivc.log(ivc.num(h)) <= lb))
 
-
-def _search_height(verdicts: _Verdicts,
-                   holds: Callable[[int], bool] | None = None) -> int:
+def _search_height(verdicts: _Verdicts) -> int:
     """The height found by ``_first_true`` on [2^k, 2^h_cap_log2]: doubling
     over powers of two, then bisecting.  2^k is the last power of two the
     false prefix covers, at least 2 (h = 1 fails) and at most the cap, so
     doubling from 2 would find every power below it false and reach the
-    same pair.  ``holds(h)`` is the exact predicate value, by default
-    ``verdicts``.  The search ends with the predicate false at h-1: the
-    only minimality it certifies.
+    same pair.  The search ends with the predicate false at h-1: the only
+    minimality it certifies.
     """
     cap = verdicts.engine.ctx.h_cap_log2
     start = 1 << min(max(1, verdicts.false_to.bit_length() - 1), cap)
-    h = _first_true(holds or verdicts, start, 1 << cap)
+    h = _first_true(verdicts, start, 1 << cap)
     if h is None:
         raise SearchExceeded(
             f"no power of two h = 2^k with k <= {cap} satisfies "

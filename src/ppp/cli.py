@@ -127,8 +127,7 @@ def _canonical_json(obj) -> str:
 
 def cmd_sieve(args) -> int:
     table = primorial_table(args.n) if args.kind == "primorial" else lcm_table(args.n)
-    for v in table:
-        print(v)
+    emit_sequence(IntSequence(table), sys.stdout)
     return EXIT_OK
 
 

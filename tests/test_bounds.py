@@ -643,6 +643,19 @@ def test_height_cap_below_one_rejected():
     assert PrecisionCtx(h_cap_log2=1).h_cap_log2 == 1
 
 
+class RecordingVerdicts(_Verdicts):
+    """``_Verdicts`` that records every ``(h, verdict)`` it answers."""
+
+    def __init__(self, engine):
+        self.used = []
+        super().__init__(engine)
+
+    def __call__(self, h):
+        verdict = super().__call__(h)
+        self.used.append((h, verdict))
+        return verdict
+
+
 class RecordedSearch:
     """One ``_search_height`` run that records every exact predicate call,
     every cell (in log h) checked and every one proved false, and every
@@ -651,7 +664,7 @@ class RecordedSearch:
     def __init__(self, delta, ctx=CTX):
         self.engine = _HeightEngine(choose_parameters(1, delta, ctx), ctx)
         self.predicate, cell_false = self.engine.predicate, self.engine.cell_false
-        self.evaluated, self.checked, self.cells, self.used = [], [], [], []
+        self.evaluated, self.checked, self.cells = [], [], []
         self.engine.predicate = lambda h: self.evaluated.append(h) or self.predicate(h)
 
         def record_cell(la, lb):
@@ -662,19 +675,18 @@ class RecordedSearch:
             return false
 
         self.engine.cell_false = record_cell
-        self.verdicts = _Verdicts(self.engine)
+        self.verdicts = RecordingVerdicts(self.engine)
 
-    def holds(self, h):
-        verdict = self.verdicts(h)
-        self.used.append((h, verdict))
-        return verdict
+    @property
+    def used(self):
+        return self.verdicts.used
 
     @property
     def cell_checks(self):
         return len(self.checked)
 
     def run(self):
-        return _search_height(self.verdicts, self.holds)
+        return _search_height(self.verdicts)
 
 
 def test_search_cap_message_names_only_powers_of_two():
@@ -716,10 +728,11 @@ def test_heights_in_excluded_cells_fail(delta):
     # Every proved cell, from log h = 0 to past false_to: its first and last
     # height and three drawn between them fail.  A second ``_Verdicts``
     # repeats exactly the search's cell checks, failed ones included, and
-    # asked each cell's last height answers False from the proved cells
-    # alone: it checks no further cell and evaluates no predicate, also where
-    # false_to, read off an enclosure of exp(lb), falls short of the last
-    # cell's last height (13/10).
+    # asked each cell's last height answers False with no further cell
+    # check and no predicate.  Up to false_to the prefix answers.  On 13/10,
+    # where false_to, read off an enclosure of exp(lb), falls short of the
+    # last cell's last height, that height's run starts in the prefix and
+    # f_r falls there, so the whole run fails unevaluated.
     search = RecordedSearch(delta)
     search.run()
     cells, false_to = search.cells, search.verdicts.false_to
@@ -824,7 +837,7 @@ def small_engine(true, falls_from=201):
 def test_run_facts_place_false_heights_around_the_true_run():
     verdicts = _Verdicts(small_engine((100, 150)))
     assert verdicts(150) is True  # T_{r-1} = 100 holds, so [100, 150] holds
-    assert (verdicts.true_from, verdicts.past_to) == (100, 0)
+    assert (verdicts.true_from, verdicts.past_to) == (100, verdicts.false_to)
     assert verdicts.engine.evaluated == [100, 150]
     verdicts = _Verdicts(small_engine((100, 150)))
     assert verdicts(180) is False  # ... and the true heights end below 180
@@ -832,10 +845,10 @@ def test_run_facts_place_false_heights_around_the_true_run():
     # Where T_{r-1} fails, neither answer proves anything about other heights.
     verdicts = _Verdicts(small_engine((120, 150)))
     assert verdicts(150) is True and verdicts(130) is True
-    assert (verdicts.true_from, verdicts.past_to) == (math.inf, 0)
+    assert (verdicts.true_from, verdicts.past_to) == (math.inf, verdicts.false_to)
     verdicts = _Verdicts(small_engine((120, 150)))
     assert verdicts(180) is False
-    assert (verdicts.true_from, verdicts.past_to) == (math.inf, 0)
+    assert (verdicts.true_from, verdicts.past_to) == (math.inf, verdicts.false_to)
 
 
 def test_false_height_placed_by_the_slope_sign():
@@ -844,7 +857,7 @@ def test_false_height_placed_by_the_slope_sign():
     for falls_from in (160, 181):
         verdicts = _Verdicts(small_engine((120, 150), falls_from))
         assert verdicts(180) is False
-        assert verdicts.past_to == (200 if falls_from <= 180 else 0)
+        assert verdicts.past_to == (200 if falls_from <= 180 else verdicts.false_to)
     # A T_{r-1} that fails where f_r falls decides the whole run unevaluated.
     verdicts = _Verdicts(small_engine((2, 1), falls_from=100))
     assert verdicts(180) is False and verdicts.past_to == 200
@@ -855,24 +868,22 @@ def test_verdicts_match_plain_search_on_random_runs():
     # A reference for the verdict layer: on 300 random arrangements of runs
     # and true intervals, the search answered from facts, from the false
     # prefix's last power of two on, finds the height that plain doubling
-    # from 2 and bisection on the predicate finds, and every verdict it used
-    # is exact.
+    # from 2 and bisection on the predicate finds, every verdict it used is
+    # exact, and it evaluates each height at most once and none in the
+    # false prefix.
     outcomes = set()
     for seed in range(300):
         engine = FakeEngine.random(seed)
         expected = _first_true(engine.holds, 2, 1 << engine.ctx.h_cap_log2)
-        verdicts, used = _Verdicts(engine), []
-
-        def holds(h):
-            used.append((h, verdicts(h)))
-            return used[-1][1]
-
+        verdicts = RecordingVerdicts(engine)
         try:
-            found = _search_height(verdicts, holds)
+            found = _search_height(verdicts)
         except SearchExceeded:
             found = None
         assert found == expected, seed
-        assert all(engine.holds(h) is verdict for h, verdict in used), seed
+        assert all(engine.holds(h) is verdict for h, verdict in verdicts.used), seed
+        assert all(h > verdicts.false_to for h in engine.evaluated), seed
+        assert len(engine.evaluated) == len(set(engine.evaluated)), seed
         outcomes.add(expected is None)
     assert outcomes == {False, True}
 
@@ -1102,6 +1113,29 @@ def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     assert len(search.evaluated) <= 8  # of the 3847 heights the search asks
     assert len(search.used) == 3847
     assert search.cell_checks <= 25  # failed checks included
+
+
+@pytest.mark.parametrize("text, sha, counts", [
+    ("e^3/40", "4b0d27924e5775a90c142158cc05ec96b94cc83f40a1af00aae36b6b7d92bcb5", (39, 22, 21)),
+    ("108/100", "caedfbbc6621af1c88d2efbace5e76749b0b8d1516b1821460aad1a41fb53bf0", (42, 26, 21)),
+])
+def test_run_start_in_the_prefix_is_decided_once(text, sha, counts):
+    # Here a run starts at a T_{r-1} inside the false prefix, where f_r
+    # rises: the start fails unevaluated and does not decide the run, and
+    # the 19 later questions in that run reuse its stored verdict
+    # (``_starts``) instead of asking falls at T_{r-1} again.
+    search = RecordedSearch(Delta.parse(text))
+    engine, fell = search.engine, []
+    falls = engine.falls
+    engine.falls = lambda r, h: fell.append(h) or falls(r, h)
+    h = search.run()
+    assert hashlib.sha256(str(h).encode()).hexdigest() == sha
+    assert (len(search.used), len(search.evaluated), len(fell)) == counts
+    false_to, starts = search.verdicts.false_to, search.verdicts._starts
+    runs = {r for r in starts if 1 < r and engine.threshold(r - 1) <= false_to}
+    assert len(runs) == 1 and not any(starts[r] for r in runs)
+    asked = [h for h, _ in search.used if h > false_to and engine.r_of(h) in runs]
+    assert len(asked) == 1 + 19
 
 
 def boundary_of_estimate(engine):
