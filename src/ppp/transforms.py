@@ -103,9 +103,9 @@ def _require_offset_zero(s: IntSequence, what: str) -> None:
 
 
 # Rows of the difference triangle that one left-to-right pass over the
-# row applies; each term is read and written once per band.  The kernels
-# _forward_band and _inverse_band keep a band in one local per row,
-# p0 .. p31, so a new value means rewriting them.
+# row applies; each term is read and written once per band.  The kernel
+# _forward_band keeps a band in one local per row, p0 .. p31, so a new
+# value means rewriting it.
 _BAND = 32
 
 
@@ -113,14 +113,24 @@ def binomial_transform(a: IntSequence) -> IntSequence:
     """b_n = sum_k (-1)^(n-k) C(n,k) a_k, i.e. the n-th forward difference at 0.
 
     Computed with the difference triangle in place: O(N^2) additions and no
-    multiplications, in memory of one row plus ``_BAND`` terms.  Row r of
-    the triangle is ``t[j] -= t[j-1]`` for j >= r, from the right; one pass
-    over ``t`` applies a band of ``_BAND`` rows.  Each term runs down the
-    band in a local, and ``prev[k]`` holds the column before it after the
-    band's first k rows.
+    multiplications, in memory of one row plus ``_BAND`` terms (see
+    :func:`_forward_in_place`).
     """
     _require_offset_zero(a, "binomial_transform")
     t = list(a.terms)
+    _forward_in_place(t)
+    return IntSequence(tuple(t))
+
+
+def _forward_in_place(t: list) -> None:
+    """Replace the terms of ``t`` by their binomial transform.
+
+    The loop only subtracts, so the terms may be ints or exact decimal
+    integers alike.  Row r of the triangle is ``t[j] -= t[j-1]`` for
+    j >= r, from the right; one pass over ``t`` applies a band of ``_BAND``
+    rows.  Each term runs down the band in a local, and ``prev[k]`` holds
+    the column before it after the band's first k rows.
+    """
     n = len(t)
     for low in range(0, n - 1, _BAND):
         # column j < low + _BAND takes only its first j - low rows of the
@@ -135,7 +145,6 @@ def binomial_transform(a: IntSequence) -> IntSequence:
             t[j] = cur
         if low + _BAND < n:
             _forward_band(t, prev, low + _BAND)
-    return IntSequence(tuple(t))
 
 
 def _forward_band(t: list, prev: list, start: int) -> None:
@@ -188,9 +197,8 @@ def _forward_band(t: list, prev: list, start: int) -> None:
 def inverse_binomial_transform(b: IntSequence) -> IntSequence:
     """a_n = sum_k C(n,k) b_k, the inverse of :func:`binomial_transform`.
 
-    Undoes the rows of :func:`binomial_transform` in place, last row first
-    and each with ``t[j] += t[j-1]`` from the left: O(N^2) additions in
-    memory of one row plus ``_BAND`` terms (see :func:`_inverse_in_place`).
+    O(N^2) additions in memory of one row plus ``_BAND`` terms (see
+    :func:`_inverse_in_place`).
     """
     _require_offset_zero(b, "inverse_binomial_transform")
     t = list(b.terms)
@@ -201,74 +209,17 @@ def inverse_binomial_transform(b: IntSequence) -> IntSequence:
 def _inverse_in_place(t: list) -> None:
     """Replace the terms of ``t`` by their inverse binomial transform.
 
-    The loop uses only additions, so the terms may be ints or exact decimal
-    integers alike.  One pass over ``t`` undoes a band of ``_BAND`` rows
-    from the top, and ``prev[k]`` holds the column before it with the
-    band's first k rows still applied.
+    Binomial inversion: ``sum_k C(n,k) b_k`` is ``(-1)^n`` times the
+    forward transform of ``(-1)^k b_k``, so the forward kernel runs between
+    two sign flips of the odd-indexed terms.  Each flip rewrites one term
+    at a time, so no second half-row is held; unary minus (not
+    ``copy_negate``) keeps an exact decimal zero unsigned.
     """
-    n = len(t)
-    for low in reversed(range(0, n - 1, _BAND)):
-        # column j < low + _BAND has only the band's first j - low rows
-        # applied (a short last band's last column has all of them) and
-        # skips the others; its value enters as prev[j - low]
-        prev = [t[low]]
-        for j in range(low + 1, min(low + _BAND, n)):
-            cur = t[j]
-            prev.append(cur)
-            for k in range(j - low - 1, -1, -1):
-                cur += prev[k]
-                prev[k] = cur
-            t[j] = cur
-        if low + _BAND < n:
-            _inverse_band(t, prev, low + _BAND)
-
-
-def _inverse_band(t: list, prev: list, start: int) -> None:
-    """Undo a full band of rows on the columns of ``t`` from ``start`` on.
-
-    ``prev[k]``, column ``start - 1`` with the band's first k rows still
-    applied, runs in the local ``pk``, and each term in ``c``: row k is
-    undone, last row first, by ``pk = c = c + pk``.
-    """
-    (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15,
-     p16, p17, p18, p19, p20, p21, p22, p23, p24, p25, p26, p27, p28, p29,
-     p30, p31) = prev
-    prev.clear()  # each value of the band is held once, in its local
-    for j in range(start, len(t)):
-        c = t[j]
-        p31 = c = c + p31
-        p30 = c = c + p30
-        p29 = c = c + p29
-        p28 = c = c + p28
-        p27 = c = c + p27
-        p26 = c = c + p26
-        p25 = c = c + p25
-        p24 = c = c + p24
-        p23 = c = c + p23
-        p22 = c = c + p22
-        p21 = c = c + p21
-        p20 = c = c + p20
-        p19 = c = c + p19
-        p18 = c = c + p18
-        p17 = c = c + p17
-        p16 = c = c + p16
-        p15 = c = c + p15
-        p14 = c = c + p14
-        p13 = c = c + p13
-        p12 = c = c + p12
-        p11 = c = c + p11
-        p10 = c = c + p10
-        p9 = c = c + p9
-        p8 = c = c + p8
-        p7 = c = c + p7
-        p6 = c = c + p6
-        p5 = c = c + p5
-        p4 = c = c + p4
-        p3 = c = c + p3
-        p2 = c = c + p2
-        p1 = c = c + p1
-        p0 = c = c + p0
-        t[j] = c
+    for i in range(1, len(t), 2):
+        t[i] = -t[i]
+    _forward_in_place(t)
+    for i in range(1, len(t), 2):
+        t[i] = -t[i]
 
 
 def ogf_of(s: IntSequence) -> RationalSeries:

@@ -78,7 +78,23 @@ def test_inverse_in_place_on_exact_decimals(rng, length):
     t = [decimal.Decimal(x) for x in terms]
     with decimal.localcontext(_EXACT):
         _inverse_in_place(t)
-    assert all(type(x) is decimal.Decimal for x in t)
+    assert all(type(x) is decimal.Decimal and str(x) == str(int(x)) for x in t)
+    assert [int(x) for x in t] == direct_inverse(terms)
+
+
+@pytest.mark.parametrize("terms", [
+    [1, -1, 1, -1, 1, -1],
+    [0] * (_BAND + 2),
+    [(-1) ** n for n in range(_BAND + 2)],
+], ids=["alternating-6", f"zeros-{_BAND + 2}", f"alternating-{_BAND + 2}"])
+def test_inverse_in_place_prints_decimal_zeros_unsigned(terms):
+    # the inverse runs the forward kernel between two sign flips of the
+    # odd-indexed terms; egf-invert prints its decimals, so a zero among
+    # them must come out as "0", never "-0"
+    t = [decimal.Decimal(x) for x in terms]
+    with decimal.localcontext(_EXACT):
+        _inverse_in_place(t)
+    assert all(str(x) == str(int(x)) for x in t), [str(x) for x in t]
     assert [int(x) for x in t] == direct_inverse(terms)
 
 
