@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import heapq
 from decimal import Decimal
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .arith import lcm_table, primes_up_to, primorial_table
@@ -146,24 +146,29 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
     return make_report("primary-direct", top, bad)
 
 
-def _certify_hall(a: IntSequence, table_fn, subject: str) -> CertReport:
-    """Check that ``table_fn(N)[n]`` divides each binomial-transform term."""
+def _certify_hall(a: IntSequence, subject: str) -> CertReport:
     _require_offset_zero(a, subject)
-    top = len(a) - 1
-    b = binomial_transform(a)
-    mods = table_fn(top)
+    return _hall_report(binomial_transform(a).terms, subject)
+
+
+def _hall_report(b: Sequence[int], subject: str) -> CertReport:
+    """The ``subject`` report on the binomial transform ``b`` of a prefix:
+    "primary-hall" checks that the primorial divides each ``b[n]``,
+    "pseudo-hall" that lcm{1..n} does."""
+    top = len(b) - 1
+    mods = (primorial_table if subject == "primary-hall" else lcm_table)(top)
     failures = (Counterexample(n, mods[n], b[n]) for n in range(top + 1) if b[n] % mods[n] != 0)
     return make_report(subject, top, failures)
 
 
 def certify_primary_hall(a: IntSequence) -> CertReport:
     """Check that the primorial divides each binomial-transform term."""
-    return _certify_hall(a, primorial_table, "primary-hall")
+    return _certify_hall(a, "primary-hall")
 
 
 def certify_pseudo_hall(a: IntSequence) -> CertReport:
     """Check that lcm{1..n} divides each binomial-transform term."""
-    return _certify_hall(a, lcm_table, "pseudo-hall")
+    return _certify_hall(a, "pseudo-hall")
 
 
 class PolyDetect(Record):

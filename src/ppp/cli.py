@@ -17,12 +17,7 @@ import json
 import sys
 
 from .arith import lcm_table, primorial_table
-from .certify import (
-    CertReport,
-    certify_primary_direct,
-    certify_primary_hall,
-    certify_pseudo_hall,
-)
+from .certify import CertReport, _hall_report, certify_primary_direct
 from .construct import construct_genuine, phi_geometric, phi_primorial, phi_table
 from .egfinv import _require_unit_start, egf_reciprocal
 from .recur import (
@@ -34,10 +29,11 @@ from .recur import (
 )
 from .transforms import (
     IntSequence,
+    _forward_in_place,
     _inverse_in_place,
+    _require_offset_zero,
     binomial_transform,
     integer,
-    inverse_binomial_transform,
     json_int,
     rational,
 )
@@ -110,11 +106,22 @@ def parse_sequence(source) -> IntSequence:
 
 def emit_sequence(seq: IntSequence, out) -> None:
     if seq.offset != 0:
-        out.write(_canonical_json({"offset": seq.offset, "terms": [str(t) for t in seq.terms]})
-                  + "\n")
+        # the canonical JSON of {"offset": ..., "terms": [str(t), ...]}
+        out.write(f'{{"offset":{seq.offset},"terms":')
+        _write_json_terms(seq.terms, out)
+        out.write("}\n")
         return
     for t in seq.terms:
         out.write(f"{t}\n")
+
+
+def _write_json_terms(terms, out) -> None:
+    """Write the JSON list of the terms' decimal strings, one term at a time:
+    the whole document would hold every digit string at once."""
+    out.write("[")
+    for j, t in enumerate(terms):
+        out.write(f',"{t}"' if j else f'"{t}"')
+    out.write("]")
 
 
 def _canonical_json(obj) -> str:
@@ -132,8 +139,14 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    # the library transform with the parsed row as its only row: the kernel
+    # overwrites the terms in place
     seq = parse_sequence(sys.stdin)
-    emit_sequence(args.transform(seq), sys.stdout)
+    _require_offset_zero(seq, args.what)
+    terms = list(seq.terms)
+    del seq
+    args.kernel(terms)
+    emit_sequence(IntSequence.of(terms), sys.stdout)
     return EXIT_OK
 
 
@@ -148,10 +161,15 @@ def cmd_certify(args) -> int:
     reports: list[CertReport] = []
     if args.mode in ("primary-direct", "both"):
         reports.append(certify_primary_direct(seq))
-    if args.mode in ("primary-hall", "both"):
-        reports.append(certify_primary_hall(seq))
-    if args.mode == "pseudo-hall":
-        reports.append(certify_pseudo_hall(seq))
+    if args.mode != "primary-direct":
+        # certify_primary_hall or certify_pseudo_hall, with the parsed row
+        # transformed in place as the only row
+        subject = "pseudo-hall" if args.mode == "pseudo-hall" else "primary-hall"
+        _require_offset_zero(seq, subject)
+        terms = list(seq.terms)
+        del seq
+        _forward_in_place(terms)
+        reports.append(_hall_report(terms, subject))
     if args.json:
         print(_canonical_json([r.to_json_dict() for r in reports]))
     else:
@@ -205,14 +223,11 @@ def cmd_egf_invert(args) -> int:
             c[i] = decimal.Decimal(str(t))
         u = c.copy()
         _inverse_in_place(u)
-    # The canonical JSON of EgfTriple.to_json_dict(), written one term at a
-    # time: the whole document would hold every digit string at once.
+    # the canonical JSON of EgfTriple.to_json_dict()
     sep = "{"
     for key, terms in (("b", b.terms), ("c", c), ("u", u)):
-        sys.stdout.write(f'{sep}"{key}":[')
-        for j, t in enumerate(terms):
-            sys.stdout.write(f',"{t}"' if j else f'"{t}"')
-        sys.stdout.write("]")
+        sys.stdout.write(f'{sep}"{key}":')
+        _write_json_terms(terms, sys.stdout)
         sep = ","
     sys.stdout.write("}\n")
     return EXIT_OK
@@ -289,10 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sieve)
 
     p = sub.add_parser("transform", help="binomial transform (stdin -> stdout)")
-    p.set_defaults(fn=cmd_transform, transform=binomial_transform)
+    p.set_defaults(fn=cmd_transform, kernel=_forward_in_place, what="binomial_transform")
 
     p = sub.add_parser("inverse-transform", help="inverse binomial transform")
-    p.set_defaults(fn=cmd_transform, transform=inverse_binomial_transform)
+    p.set_defaults(fn=cmd_transform, kernel=_inverse_in_place,
+                   what="inverse_binomial_transform")
 
     p = sub.add_parser("reindex", help="relabel a sequence's starting index")
     p.add_argument("--to", type=integer, default=0)

@@ -9,10 +9,11 @@ import tracemalloc
 
 import pytest
 
-from ppp import bounds, cli
+from ppp import bounds, certify, cli
+from ppp.arith import primorial_table
 from ppp.egfinv import egf_triple
 from ppp.recur import PolyRecurrence, apply_recurrence
-from ppp.transforms import _BAND, IntSequence
+from ppp.transforms import _BAND, IntSequence, inverse_binomial_transform
 
 CMD = [sys.executable, "-m", "ppp.cli"]
 
@@ -96,6 +97,36 @@ def test_certify_refuses_a_nonzero_offset():
     r = run(["certify", "--mode", "both"], json.dumps({"offset": 1, "terms": ["1", "1", "1"]}))
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "error: primary-direct requires offset 0 (got 1); re-index first\n"
+
+
+@pytest.mark.parametrize("args, what", [
+    (["transform"], "binomial_transform"),
+    (["inverse-transform"], "inverse_binomial_transform"),
+    (["certify", "--mode", "primary-direct"], "primary-direct"),
+    (["certify", "--mode", "primary-hall"], "primary-hall"),
+    (["certify", "--mode", "pseudo-hall"], "pseudo-hall"),
+])
+def test_offset_refusals_keep_their_text(in_process, args, what):
+    # each command checks the offset before it touches the terms
+    text = json.dumps({"offset": 1, "terms": ["1", "1", "1"]})
+    message = f"error: {what} requires offset 0 (got 1); re-index first\n"
+    assert in_process(args, text) == (2, "", message)
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], "primary-direct: certified-up-to-3 (property checked on indices 0..3 only)\n"
+         "primary-hall: refuted with 1 counterexample(s): (n=0, modulus=2, witness=1)\n"),
+    (["--json"], '[{"N":"3","counterexamples":[],"subject":"primary-direct","truncated":false,'
+                 '"verdict":"certified-up-to-3"},{"N":"3","counterexamples":[{"modulus":"2",'
+                 '"n":"0","witness":"1"}],"subject":"primary-hall","truncated":false,'
+                 '"verdict":"refuted"}]\n'),
+])
+def test_certify_both_reports_a_disagreement(in_process, monkeypatch, flags, expected):
+    # a primorial table of 2s makes the Hall side refute what the direct side certifies
+    monkeypatch.setattr(certify, "primorial_table", lambda n: [2] * (n + 1))
+    rc, out, err = in_process(["certify", "--mode", "both", *flags], "1\n1\n1\n1\n")
+    assert (rc, out) == (3, expected)
+    assert err == "internal error: direct and transform certifiers disagree\n"
 
 
 def test_certify_primary_vs_pseudo():
@@ -269,6 +300,73 @@ def test_streamed_parse_holds_one_line_at_a_time(tmp_path, no_digit_limit):
     int_size = sum(sys.getsizeof(t) for t in seq.terms)
     assert len(seq) == 2000
     assert peak < int_size + text_size // 10, (peak, int_size, text_size)
+
+
+@pytest.fixture(scope="module")
+def long_rows():
+    """A genuine prefix ``a`` of 1500 terms and its transform ``b``.
+
+    ``b_n = w_n P_n`` with 8192-bit multipliers ``w_n``, so that a row of
+    big terms outweighs the per-term scratch that does not grow with them
+    (``primary-direct`` keeps a 256-bit residue of each term)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(1500)
+        b = [p * (rng.getrandbits(8192) if n else 1)
+             for n, p in enumerate(primorial_table(1499))]
+        a = list(inverse_binomial_transform(IntSequence.of(b)).terms)
+        return {"a": "".join(f"{t}\n" for t in a), "b": "".join(f"{t}\n" for t in b),
+                "row": max(sum(sys.getsizeof(t) for t in row) for row in (a, b))}
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("args, source, target, code", [
+    (["transform"], "a", "b", 0),
+    (["inverse-transform"], "b", "a", 0),
+    (["certify", "--mode", "primary-hall"], "a", None, 0),
+    (["certify", "--mode", "pseudo-hall"], "a", None, 1),
+    (["certify", "--mode", "both"], "a", None, 0),
+], ids=["transform", "inverse-transform", "primary-hall", "pseudo-hall", "both"])
+def test_transform_and_hall_commands_hold_one_row(monkeypatch, tmp_path, long_rows,
+                                                   args, source, target, code):
+    # The peak above a one-term run's, in rows (the larger of a and b):
+    # the parsed row and a transformed copy of it read about 2, the parsed
+    # row overwritten in place about 1.
+    def peak(text):
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        with monkeypatch.context() as m, open(path, encoding="utf-8") as f, \
+                open(tmp_path / "out.txt", "w", encoding="utf-8") as out:
+            m.setattr(sys, "stdin", f)
+            m.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                rc = cli.main(args)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return rc, top
+
+    peak("1\n")  # warm up
+    _, base = peak("1\n")
+    rc, top = peak(long_rows[source])
+    assert rc == code
+    if target is not None:
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == long_rows[target]
+    rows = (top - base) / long_rows["row"]
+    assert rows < 1.3, rows
+
+
+@pytest.mark.parametrize("to", [1, 12345])
+@pytest.mark.parametrize("terms", [[5], [0, -7, 3**9000, -(5**7000), 1]],
+                         ids=["one-term", "past-digit-limit"])
+def test_offset_output_is_the_canonical_json(in_process, no_digit_limit, to, terms):
+    # written term by term, also past the 4300-digit int/str limit
+    expected = cli._canonical_json({"offset": to, "terms": [str(t) for t in terms]}) + "\n"
+    stdin = "".join(f"{t}\n" for t in terms)
+    assert in_process(["reindex", "--to", str(to)], stdin) == (0, expected, "")
 
 
 def test_json_sequence_accepts_integers_and_base10_strings():
