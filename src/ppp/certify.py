@@ -126,8 +126,10 @@ def certify_primary_direct(a: IntSequence) -> CertReport:
     terms = a.terms
     bad: list[Counterexample] = []
     for product, group in _prime_groups(primes_up_to(top).primes):
+        small = residues = None  # the last group's scratch goes before this one's is built
         small = [t % product for t in terms]
         for p in group:
+            residues = None
             residues = [t % p for t in small]
             if residues[p:] == residues[: top - p + 1]:
                 continue

@@ -223,6 +223,46 @@ def test_math_log_meets_the_band_assumption():
     assert worst <= _LOG_ULPS
 
 
+class RecordingMath(types.SimpleNamespace):
+    """The math module, recording the arguments of exp and log1p."""
+
+    def __init__(self):
+        super().__init__(args={"exp": [], "log1p": []})
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.args["exp"].append(x)
+        return math.exp(x)
+
+    def log1p(self, x):
+        self.args["log1p"].append(x)
+        return math.log1p(x)
+
+
+def test_math_exp_and_log1p_meet_the_band_assumption(monkeypatch):
+    # The cell tier's band assumes math.exp and math.log1p err by at most
+    # _LOG_ULPS ulps: checked on every argument the golden prefixes pass,
+    # and on grids over the range those span.
+    recorder = RecordingMath()
+    monkeypatch.setattr(bounds, "math", recorder)
+    for text in GOLDEN_DELTAS:
+        bounds._false_prefix(_HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX))
+    monkeypatch.undo()
+    exp_args, log1p_args = recorder.args["exp"], recorder.args["log1p"]
+    assert len(exp_args) > 2000 and len(log1p_args) > 500
+    lo, hi = min(exp_args), max(exp_args)
+    exp_args += [lo + (hi - lo) * k / 4000 for k in range(4001)]
+    tiny = min(x for x in log1p_args if x > 0)
+    log1p_args += [tiny * (max(log1p_args) / tiny) ** (k / 4000) for k in range(4001)]
+    with mpmath.workprec(120):
+        for f, exact, args in ((math.exp, mpmath.exp, exp_args),
+                               (math.log1p, mpmath.log1p, log1p_args)):
+            worst = max(abs(mpmath.mpf(f(x)) - exact(x)) / math.ulp(f(x)) for x in args)
+            assert worst <= _LOG_ULPS, f
+
+
 REFERENCE_CAP = 10**6  # not a prime: the last gap ends at the cap
 
 
@@ -1039,13 +1079,15 @@ def encloses(outer, inner) -> bool:
 
 
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Delta.exp(Fraction(2, 7))])
-def test_cell_box_holds_the_heights_past_an_r_jump(delta):
+def test_cell_box_holds_the_heights_past_an_r_jump(delta, monkeypatch):
     # A cell [la, lb] that ends 2^-20 past log T_k: its last heights have
     # r(h) = k + 1, about rho lb + 1, the top of the box B over which
     # cell_false bounds the partials.  (r(h), log h) and u(r(h), log h) of
     # the cell's first height, of T_k and of its last height must lie in the
     # enclosures that cell_false hands to partials.  (log h itself can sit
-    # closer to la than the working precision resolves.)
+    # closer to la than the working precision resolves.)  The band is
+    # infinite, so every cell reaches the enclosure tier, which calls partials.
+    monkeypatch.setattr(bounds, "_CELL_BAND", math.inf)
     engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
     pk, ivc = engine.pack, engine.pack.ivc
     boxes = []
@@ -1155,9 +1197,9 @@ def boundary_of_estimate(engine):
 
 @pytest.mark.parametrize("text", GOLDEN_DELTAS)
 def test_cell_estimate_has_the_sign_of_cell_false(text):
-    # Outside its tolerance band, the float estimate has the sign of the
-    # bound that cell_false encloses: on cells of every width the prefix
-    # tries, from log h = 1/16 to far past the prefix and around its end.
+    # Outside the band, the float value has the sign of the bound that the
+    # enclosure tier encloses: on cells of every width the prefix tries, from
+    # log h = 1/16 to far past the prefix and around its end.
     engine = _HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX)
     rng = random.Random(29)
     end = boundary_of_estimate(engine)
@@ -1170,30 +1212,73 @@ def test_cell_estimate_has_the_sign_of_cell_false(text):
             la = max(0, end - Fraction(round(2 ** rng.uniform(4, 20)), 2**16))
             lb = la + Fraction(2) ** rng.randint(bounds._CELL_FLOOR, 2)
         guess = engine._cell_estimate(la, lb)
-        if guess is None or abs(guess) <= bounds._ESTIMATE_TOL:
+        if guess is None or abs(guess) <= bounds._CELL_BAND:
             continue
-        assert (guess > 0) is engine.cell_false(la, lb), (la, lb, guess)
+        assert (guess > 0) is ((engine._cell_low(la, lb) > 0) is True), (la, lb, guess)
         signs.add(guess > 0)
     assert signs == {False, True}
 
 
+def test_cell_band_covers_the_derived_float_error():
+    # _cell_floats derives |low_float - low| <= (5M + 7) u mu, so low / mu,
+    # rounded, lies within (5M + 8) u (1 + 2^-14) of the exact low over the
+    # same mu, where _CELL_BAND keeps 2^4 of headroom.  Checked against low
+    # at 1024 bits, the lower end of _cell_low's enclosure there, on random
+    # cells of every golden delta.
+    bound = (5 * _LOG_ULPS + 8) * 2.0**-53 * (1 + 2.0**-14)
+    assert bounds._CELL_BAND >= 16 * bound
+    fine_ctx = PrecisionCtx(bits=1024)
+    rng, worst = random.Random(34), 0
+    for text in GOLDEN_DELTAS:
+        params = choose_parameters(1, Delta.parse(text), CTX)
+        engine, fine = _HeightEngine(params, CTX), _HeightEngine(params, fine_ctx)
+        end = boundary_of_estimate(engine)
+        for k in range(24):
+            if k % 2:
+                la = Fraction(round(2 ** rng.uniform(-4, 16) * 4096), 4096)
+            else:
+                la = max(0, end - Fraction(round(2 ** rng.uniform(4, 20)), 2**16))
+            lb = la + Fraction(2) ** rng.randint(bounds._CELL_FLOOR, 8)
+            low, mu = engine._cell_floats(la, lb)
+            exact, _ = fine._cell_low(la, lb).endpoints()
+            error = abs(Fraction(low / mu) - exact / Fraction(mu))
+            assert error <= bound, (text, la, lb, float(error))
+            worst = max(worst, error / Fraction(bound))
+    assert worst > 0  # about 3e-4 with a C library that rounds within an ulp
+
+
 @pytest.mark.parametrize("lie", ["accept", "reject", "random"])
-@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(5, 4), Fraction(13, 10)])
+@pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(5, 4), Fraction(13, 10),
+                                   Delta.exp(Fraction(2, 7))])
 def test_a_lying_estimate_changes_no_height(delta, lie, monkeypatch):
-    # The estimate only chooses widths.  One that accepts every cell, rejects
-    # every cell or answers at random (in the band and with no estimate too)
-    # leaves H as it is, and the prefix ends only where cell_false fails at
-    # the floor width.
+    # With the band infinite, every cell goes to the enclosure tier and the
+    # estimate picks no width, so one that accepts every cell, rejects every
+    # cell or answers at random (and with no estimate too) changes nothing.
+    # The search still proves the default run's cells and finds its H: its
+    # cell checks are the default run's, with a failed check in place of each
+    # cell the float tier halved past.  The prefix ends only where cell_false
+    # fails at the floor width.
     expected = compute_H(1, delta, ctx=CTX)
+    default = RecordedSearch(delta)
+    assert default.run() == expected
     rng = random.Random(29)
     answer = {
         "accept": lambda: 1.0,
         "reject": lambda: -1.0,
         "random": lambda: rng.choice([1.0, -1.0, 0.0, None, rng.uniform(-1, 1)]),
     }[lie]
+    monkeypatch.setattr(bounds, "_CELL_BAND", math.inf)
     monkeypatch.setattr(_HeightEngine, "_cell_estimate", lambda self, la, lb: answer())
     search = RecordedSearch(delta)
     assert search.run() == expected
+    assert search.cells == default.cells
+    assert search.verdicts.false_to == default.verdicts.false_to
+    rest = search.checked
+    for check in default.checked:  # in order, with only failures between
+        i = rest.index(check)
+        assert not any(false for _, _, false in rest[:i]), check
+        rest = rest[i + 1:]
+    assert not any(false for _, _, false in rest)
     la, lb, false = search.checked[-1]
     assert false is False and lb - la == Fraction(2) ** bounds._CELL_FLOOR
     assert all(false or lb - la > Fraction(2) ** bounds._CELL_FLOOR

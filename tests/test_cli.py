@@ -359,6 +359,50 @@ def test_transform_and_hall_commands_hold_one_row(monkeypatch, tmp_path, long_ro
     assert rows < 1.3, rows
 
 
+def test_primary_direct_releases_each_group_and_prime_scratch(monkeypatch, tmp_path):
+    # A genuine prefix of 1500 terms with 20-bit multipliers: a 256-bit
+    # residue per term is then about a third of a row.  With each group's
+    # residues built while the last group's were still held, and each
+    # prime's residues likewise, the peak read 1.76 rows above a one-term
+    # run; with the scratch released before it is rebuilt, 1.48.  The
+    # parsed row, one group's residues and one prime's residues remain.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(1501)
+        b = [p * (rng.getrandbits(20) if n else 1) for n, p in enumerate(primorial_table(1499))]
+        a = inverse_binomial_transform(IntSequence.of(b)).terms
+        path = tmp_path / "a.txt"
+        path.write_text("".join(f"{t}\n" for t in a), encoding="utf-8")
+    finally:
+        sys.set_int_max_str_digits(old)
+    row = sum(sys.getsizeof(t) for t in a)
+
+    def peak(source):
+        with monkeypatch.context() as m, open(source, encoding="utf-8") as f, \
+                open(tmp_path / "out.txt", "w", encoding="utf-8") as out:
+            m.setattr(sys, "stdin", f)
+            m.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                rc = cli.main(["certify", "--mode", "primary-direct"])
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return rc, top
+
+    one = tmp_path / "one.txt"
+    one.write_text("1\n", encoding="utf-8")
+    peak(one)  # warm up
+    _, base = peak(one)
+    rc, top = peak(path)
+    assert rc == 0
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8").startswith(
+        "primary-direct: certified-up-to-1499 ")
+    rows = (top - base) / row
+    assert rows < 1.6, rows
+
+
 @pytest.mark.parametrize("to", [1, 12345])
 @pytest.mark.parametrize("terms", [[5], [0, -7, 3**9000, -(5**7000), 1]],
                          ids=["one-term", "past-digit-limit"])
