@@ -213,22 +213,24 @@ def cmd_egf_invert(args) -> int:
     seq = parse_sequence(sys.stdin)
     _require_unit_start(seq)
     b = binomial_transform(seq)
-    del seq  # u reuses its memory
+    del seq  # c reuses its memory
     with decimal.localcontext(_EXACT):
         # egf_triple with u in decimal.  Each c_n is converted once by str()
         # and read back in linear time, in place, so that c is never held
-        # whole both as ints and as decimals.
+        # whole both as ints and as decimals.  c is printed before the
+        # inverse transform overwrites it with u, so one row is held: a
+        # failure there leaves b and c on stdout, without u.
         c = list(egf_reciprocal(b).terms)
         for i, t in enumerate(c):
             c[i] = decimal.Decimal(str(t))
-        u = c.copy()
-        _inverse_in_place(u)
-    # the canonical JSON of EgfTriple.to_json_dict()
-    sep = "{"
-    for key, terms in (("b", b.terms), ("c", c), ("u", u)):
-        sys.stdout.write(f'{sep}"{key}":')
-        _write_json_terms(terms, sys.stdout)
-        sep = ","
+        # the canonical JSON of EgfTriple.to_json_dict()
+        sys.stdout.write('{"b":')
+        _write_json_terms(b.terms, sys.stdout)
+        sys.stdout.write(',"c":')
+        _write_json_terms(c, sys.stdout)
+        _inverse_in_place(c)
+        sys.stdout.write(',"u":')
+        _write_json_terms(c, sys.stdout)
     sys.stdout.write("}\n")
     return EXIT_OK
 

@@ -6,7 +6,9 @@ nonzero multiples of primorial(n).
 
 The recursion keeps one anti-diagonal of the difference table of A, so the
 whole run costs O(N^2) big-integer additions.  Apart from reading phi(n),
-each step is integer-only: a few products and one floor division.
+each step is integer-only: a few products and one floor division.  The
+trace of each step is derived from (A_n, B_n, P_n) after the recursion,
+once the anti-diagonal is freed.
 """
 from __future__ import annotations
 
@@ -125,6 +127,11 @@ def construct_genuine(
     running sum carried in a local turns diag into the next anti-diagonal,
     with diag[0] = A_n.  The update is in place: a rebuilt copy raises the
     peak memory of a long run.
+
+    The loop keeps only A, B and diag.  Once diag is freed, each step of the
+    trace is derived from (A_n, B_n, P_n): c = A_n - B_n, (u, v) =
+    divmod(c, P_n) and w = B_n // P_n, exact since B_n = w P_n.  So the
+    trace is never held beside the anti-diagonal.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
@@ -133,7 +140,6 @@ def construct_genuine(
         raise ValueError(f"growth function must satisfy phi(0) = 1, got {phi0}")
     prim = primorial_table(n_max)
     bs: list[int] = []
-    steps: list[ConstructStep] = []
     a_terms: list[int] = []
     diag: list[int] = []
     for n in range(n_max + 1):
@@ -152,7 +158,12 @@ def construct_genuine(
             diag[j] = a
         bs.append(b)
         a_terms.append(a)
-        steps.append(ConstructStep(n, c, u, v, w, b, a))
+    del diag
+    steps: list[ConstructStep] = []
+    for n, (a, b, p) in enumerate(zip(a_terms, bs, prim)):
+        c = a - b
+        u, v = divmod(c, p)
+        steps.append(ConstructStep(n, c, u, v, b // p, b, a))
     return (
         IntSequence(tuple(a_terms)),
         IntSequence(tuple(bs)),

@@ -403,6 +403,45 @@ def test_primary_direct_releases_each_group_and_prime_scratch(monkeypatch, tmp_p
     assert rows < 1.6, rows
 
 
+def test_egf_invert_holds_one_row_of_c(monkeypatch, tmp_path, no_digit_limit):
+    # A genuine prefix of 500 terms with 20-bit multipliers, as in the
+    # seq-build benchmark.  The peak above a one-term run's, in rows of c's
+    # decimals: 2.20 while a copy of c was inverted into u, 1.64 with c
+    # printed and then overwritten by u; the reciprocal's own scratch is the
+    # rest.
+    rng = random.Random(500)
+    b = [p * (rng.getrandbits(20) if n else 1) for n, p in enumerate(primorial_table(499))]
+    a = inverse_binomial_transform(IntSequence.of(b)).terms
+    triple = egf_triple(IntSequence.of(a))
+    row = sum(sys.getsizeof(decimal.Decimal(str(t))) for t in triple.c.terms)
+    path = tmp_path / "a.txt"
+    path.write_text("".join(f"{t}\n" for t in a), encoding="utf-8")
+
+    def peak(source):
+        with monkeypatch.context() as m, open(source, encoding="utf-8") as f, \
+                open(tmp_path / "out.txt", "w", encoding="utf-8") as out:
+            m.setattr(sys, "stdin", f)
+            m.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                rc = cli.main(["egf-invert"])
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return rc, top
+
+    one = tmp_path / "one.txt"
+    one.write_text("1\n", encoding="utf-8")
+    peak(one)  # warm up
+    _, base = peak(one)
+    rc, top = peak(path)
+    assert rc == 0
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == \
+        cli._canonical_json(triple.to_json_dict()) + "\n"
+    rows = (top - base) / row
+    assert rows < 1.95, rows
+
+
 @pytest.mark.parametrize("to", [1, 12345])
 @pytest.mark.parametrize("terms", [[5], [0, -7, 3**9000, -(5**7000), 1]],
                          ids=["one-term", "past-digit-limit"])
@@ -543,12 +582,31 @@ def test_egf_invert_refusals_keep_their_text(in_process, text, message):
     (["egf-invert"], "1\n123456789\n-987654321\n"),
 ])
 def test_a_trapped_decimal_operation_is_a_bug(in_process, monkeypatch, tmp_path, args, stdin):
-    # any DecimalException is an ArithmeticError, which alone would exit 2
+    # any DecimalException is an ArithmeticError, which alone would exit 2.
+    # apply prints nothing before its last term; egf-invert has printed b
+    # and c when the inverse transform that turns c into u traps.
     rec = tmp_path / "e.json"
     rec.write_text(json.dumps({"order": 2, "polys": [["2", "1"], ["-4", "-1"], ["1"]]}))
     monkeypatch.setattr(cli, "_EXACT", decimal.Context(prec=5, traps=[decimal.Inexact]))
     rc, out, err = in_process([a.replace("{rec}", str(rec)) for a in args], stdin)
-    assert (rc, out, err) == (3, "", "error: internal: decimal arithmetic was not exact (Inexact)\n")
+    printed = _egf_b_and_c(stdin) if args == ["egf-invert"] else ""
+    assert (rc, out, err) == (3, printed,
+                              "error: internal: decimal arithmetic was not exact (Inexact)\n")
+
+
+def _egf_b_and_c(text):
+    """egf-invert's stdout for ``text`` up to where u would start."""
+    triple = egf_triple(cli.parse_sequence(text))
+    return cli._canonical_json(triple.to_json_dict()).split(',"u":')[0]
+
+
+def test_egf_invert_out_of_memory_in_u_leaves_b_and_c(in_process, monkeypatch):
+    def exhausted(t):
+        raise MemoryError
+    monkeypatch.setattr(cli, "_inverse_in_place", exhausted)
+    stdin = "1\n123456789\n-987654321\n"
+    assert in_process(["egf-invert"], stdin) == (
+        4, _egf_b_and_c(stdin), "error: out of memory: undecided within resource limits\n")
 
 
 def test_main_restores_caller_digit_limit(capsys):
