@@ -18,7 +18,7 @@ import sys
 
 from .arith import lcm_table, primorial_table
 from .certify import CertReport, _hall_report, certify_primary_direct
-from .construct import construct_genuine, phi_geometric, phi_primorial, phi_table
+from .construct import _construct, construct_genuine, phi_geometric, phi_primorial, phi_table
 from .egfinv import _require_unit_start, egf_reciprocal
 from .recur import (
     GuessBudget,
@@ -181,7 +181,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK if all(r.certified for r in reports) else EXIT_REFUTED
 
 
-def _parse_phi(preset: str):
+def _parse_phi(preset: str, n: int):
     if preset == "primorial":
         return phi_primorial()
     if preset.startswith("geometric:"):
@@ -194,18 +194,23 @@ def _parse_phi(preset: str):
             values = [rational(line) for line in lines if line and not line.startswith("#")]
         except OSError as exc:
             raise InputError(f"cannot read growth table: {exc}") from exc
+        if len(values) <= n:  # refused before the first term is printed
+            raise InputError(f"growth table has no value at index {len(values)}")
         return phi_table(values)
     raise InputError(f"unknown growth preset: {preset!r}")
 
 
 def cmd_construct(args) -> int:
-    phi = _parse_phi(args.phi)
-    a, b, trace = construct_genuine(phi, args.n)
-    if args.trace:
+    phi = _parse_phi(args.phi, args.n)
+    if args.trace:  # the trace lines come first, so the run is collected
+        a, b, trace = construct_genuine(phi, args.n)
         print("#     n  c  u  v  w  b  a")
         for st in trace.steps:
             print(f"# {st.n} {st.c} {st.u} {st.v} {st.w} {st.b} {st.a}")
-    emit_sequence(b if args.emit == "b" else a, sys.stdout)
+        emit_sequence(b if args.emit == "b" else a, sys.stdout)
+    else:
+        for _, a, b, _ in _construct(phi, args.n):
+            sys.stdout.write(f"{b if args.emit == 'b' else a}\n")
     return EXIT_OK
 
 

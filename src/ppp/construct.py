@@ -6,9 +6,8 @@ nonzero multiples of primorial(n).
 
 The recursion keeps one anti-diagonal of the difference table of A, so the
 whole run costs O(N^2) big-integer additions.  Apart from reading phi(n),
-each step is integer-only: a few products and one floor division.  The
-trace of each step is derived from (A_n, B_n, P_n) after the recursion,
-once the anti-diagonal is freed.
+each step is integer-only: a few products and one floor division.  It
+yields each A_n as its step ends.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ._record import Record
-from .arith import is_prime, primorial, primorial_table
+from .arith import is_prime, primorial
 from .transforms import IntSequence
 
 GrowthFn = Callable[[int], Fraction]
@@ -111,10 +110,8 @@ class ConstructTrace(Record):
     steps: tuple[ConstructStep, ...]
 
 
-def construct_genuine(
-    phi: GrowthFn, n_max: int
-) -> tuple[IntSequence, IntSequence, ConstructTrace]:
-    """Run the recursion up to index n_max; returns (A, B, trace).
+def _construct(phi: GrowthFn, n_max: int):
+    """Yield (n, A_n, B_n, P_n) for n = 0, ..., n_max; P_n = primorial(n).
 
     At each step the multiplier w is the ceiling correction
     ceil((phi(n)-v)/P) - u when that is nonzero, else 1, which pins A_n into
@@ -127,24 +124,17 @@ def construct_genuine(
     running sum carried in a local turns diag into the next anti-diagonal,
     with diag[0] = A_n.  The update is in place: a rebuilt copy raises the
     peak memory of a long run.
-
-    The loop keeps only A, B and diag.  Once diag is freed, each step of the
-    trace is derived from (A_n, B_n, P_n): c = A_n - B_n, (u, v) =
-    divmod(c, P_n) and w = B_n // P_n, exact since B_n = w P_n.  So the
-    trace is never held beside the anti-diagonal.
     """
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
     phi0 = _exact_rational(phi(0))
     if phi0 != 1:
         raise ValueError(f"growth function must satisfy phi(0) = 1, got {phi0}")
-    prim = primorial_table(n_max)
-    bs: list[int] = []
-    a_terms: list[int] = []
     diag: list[int] = []
+    p = 1
     for n in range(n_max + 1):
+        p = p * n if is_prime(n) else p
         c = sum(diag)
-        p = prim[n]
         u, v = divmod(c, p)
         q = _exact_rational(phi(n))
         den = q.denominator
@@ -156,16 +146,21 @@ def construct_genuine(
         for j in range(n - 1, -1, -1):
             a += diag[j]
             diag[j] = a
-        bs.append(b)
-        a_terms.append(a)
-    del diag
+        yield n, a, b, p
+
+
+def construct_genuine(phi: GrowthFn,
+                      n_max: int) -> tuple[IntSequence, IntSequence, ConstructTrace]:
+    """Run the recursion up to index n_max; returns (A, B, trace).
+
+    The trace is derived once the recursion ends, so it is never held beside
+    the anti-diagonal: c = A_n - B_n, (u, v) = divmod(c, P_n) and
+    w = B_n // P_n, exact since B_n = w P_n.
+    """
+    ns, a_terms, bs, prim = zip(*_construct(phi, n_max))
     steps: list[ConstructStep] = []
-    for n, (a, b, p) in enumerate(zip(a_terms, bs, prim)):
+    for n, a, b, p in zip(ns, a_terms, bs, prim):
         c = a - b
         u, v = divmod(c, p)
         steps.append(ConstructStep(n, c, u, v, b // p, b, a))
-    return (
-        IntSequence(tuple(a_terms)),
-        IntSequence(tuple(bs)),
-        ConstructTrace(tuple(steps)),
-    )
+    return IntSequence(a_terms), IntSequence(bs), ConstructTrace(tuple(steps))

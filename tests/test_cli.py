@@ -11,6 +11,7 @@ import pytest
 
 from ppp import bounds, certify, cli
 from ppp.arith import primorial_table
+from ppp.construct import construct_genuine, phi_primorial
 from ppp.egfinv import egf_triple
 from ppp.recur import PolyRecurrence, apply_recurrence
 from ppp.transforms import _BAND, IntSequence, inverse_binomial_transform
@@ -169,6 +170,15 @@ def test_construct_phi_file_skips_indented_comments(tmp_path):
     b = run(["construct", "--phi", f"file:{indented}", "--n", "5"])
     assert a.returncode == b.returncode == 0
     assert b.stdout == a.stdout != ""
+
+
+def test_construct_refuses_a_short_phi_file_before_printing(tmp_path):
+    # the length is checked first: a stream would print A_0 to A_2, then fail
+    table = tmp_path / "phi.txt"
+    table.write_text("1\n2\n4\n")
+    r = run(["construct", "--phi", f"file:{table}", "--n", "5"])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: growth table has no value at index 3\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -440,6 +450,34 @@ def test_egf_invert_holds_one_row_of_c(monkeypatch, tmp_path, no_digit_limit):
         cli._canonical_json(triple.to_json_dict()) + "\n"
     rows = (top - base) / row
     assert rows < 1.95, rows
+
+
+def test_construct_holds_one_anti_diagonal(monkeypatch, tmp_path):
+    # The peak above a one-term run's, in rows of A: 8.4 while A, B, the
+    # primorial table and the unread trace were all built before printing,
+    # about 2.5 with each A_n printed as its step ends.
+    a = construct_genuine(phi_primorial(), 600)[0].terms
+    row = sum(sys.getsizeof(t) for t in a)
+
+    def peak(n):
+        with monkeypatch.context() as m, \
+                open(tmp_path / "out.txt", "w", encoding="utf-8") as out:
+            m.setattr(sys, "stdout", out)
+            tracemalloc.start()
+            try:
+                rc = cli.main(["construct", "--phi", "primorial", "--n", str(n)])
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return rc, top
+
+    peak(0)  # warm up
+    _, base = peak(0)
+    rc, top = peak(600)
+    assert rc == 0
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "".join(f"{t}\n" for t in a)
+    rows = (top - base) / row
+    assert rows < 3.5, rows
 
 
 @pytest.mark.parametrize("to", [1, 12345])
