@@ -73,9 +73,17 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        shown = ", ".join(f"{f}={_shown(v)}" for f, v in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({shown})"
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, checked as a new record is."""
         return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+def _shown(v) -> str:
+    """``repr(v)``, with ints, also inside tuples, written by ``decimal_text``."""
+    from .transforms import decimal_text  # transforms imports this module
+    if type(v) is tuple:
+        return f"({', '.join(map(_shown, v))}{',' if len(v) == 1 else ''})"
+    return decimal_text(v) if type(v) is int else repr(v)

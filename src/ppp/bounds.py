@@ -150,6 +150,11 @@ class Enclosure(Record):
 # Inputs
 
 
+def _ratio(q: Fraction) -> str:  # str(q) at any size
+    num, den = map(transforms.decimal_text, (q.numerator, q.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
 class Delta(Record):
     """The geometric growth base: an exact rational, or exp of one.
 
@@ -164,14 +169,14 @@ class Delta(Record):
     def rational(q) -> "Delta":
         q = Fraction(q)
         if q <= 1:
-            raise DomainError(f"delta must exceed 1, got {q}")
+            raise DomainError(f"delta must exceed 1, got {_ratio(q)}")
         return Delta("rational", q)
 
     @staticmethod
     def exp(q) -> "Delta":
         q = Fraction(q)
         if not (0 < q < 1):
-            raise DomainError(f"exp-form delta needs exponent in (0, 1), got {q}")
+            raise DomainError(f"exp-form delta needs exponent in (0, 1), got {_ratio(q)}")
         return Delta("exp", q)
 
     @staticmethod
@@ -191,7 +196,7 @@ class Delta(Record):
         return Delta.rational(transforms.rational(text))
 
     def label(self) -> str:
-        return f"e^{self.value}" if self.kind == "exp" else str(self.value)
+        return f"e^{_ratio(self.value)}" if self.kind == "exp" else _ratio(self.value)
 
     @property
     def ell_fraction(self) -> Fraction | None:
@@ -493,7 +498,7 @@ def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
         raise DomainError("epsilon must be positive")
     # epsilon < e - 1 so that e - epsilon > 1 and the comparison makes sense
     if not _escalate(ctx, lambda ivc: ivc.num(epsilon) < ivc.e - 1):
-        raise DomainError(f"epsilon must be below e - 1, got {epsilon}")
+        raise DomainError(f"epsilon must be below e - 1, got {_ratio(epsilon)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1228,9 +1233,7 @@ class EffectiveBounds(Record):
             return e.to_json_dict() if e is not None else "unavailable"
 
         def exact(q: Fraction):
-            d = Enclosure.point(q).to_json_dict()
-            d["exact"] = str(q)
-            return d
+            return {**Enclosure.point(q).to_json_dict(), "exact": _ratio(q)}
 
         p, h = self.params, self.H
         note = ""
@@ -1241,7 +1244,7 @@ class EffectiveBounds(Record):
             )
         return {
             "input": {
-                "c": str(p.c),
+                "c": _ratio(p.c),
                 "delta": p.delta.label(),
                 "precision_bits": str(self.ctx.bits),
             },
@@ -1261,8 +1264,8 @@ class EffectiveBounds(Record):
             "rho": exact(p.rho),
             "rho_interval": [enc(p.rho_interval[0]), enc(p.rho_interval[1])],
             "gamma": enc(self.gamma),
-            "H": str(h),
-            "H_predicate_false_at": str(h - 1),
+            "H": transforms.decimal_text(h),
+            "H_predicate_false_at": transforms.decimal_text(h - 1),
             "H_lower": enc(self.H_lower),
             "degree_bound_formula": str(self.deg_bound_formula),
             "degree_bound_construction": str(p.d - 1),

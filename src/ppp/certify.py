@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 from .arith import lcm_table, primes_up_to, primorial_table
-from .transforms import IntSequence, _require_offset_zero, binomial_transform
+from .transforms import IntSequence, _require_offset_zero, binomial_transform, decimal_text
 
 COUNTEREXAMPLE_CAP = 100
 # Bit budget of one prime group's product in certify_primary_direct.
@@ -56,7 +56,7 @@ class CertReport(Record):
         if self.certified:
             return head + f" (property checked on indices 0..{self.n} only)"
         shown = ", ".join(
-            f"(n={c.n}, modulus={c.modulus}, witness={c.witness})"
+            f"(n={c.n}, modulus={decimal_text(c.modulus)}, witness={decimal_text(c.witness)})"
             for c in self.counterexamples[:5]
         )
         more = " ..." if len(self.counterexamples) > 5 else ""
@@ -70,7 +70,8 @@ class CertReport(Record):
             "subject": self.subject,
             "truncated": self.truncated,
             "counterexamples": [
-                {"n": str(c.n), "modulus": str(c.modulus), "witness": str(c.witness)}
+                {"n": str(c.n), "modulus": decimal_text(c.modulus),
+                 "witness": decimal_text(c.witness)}
                 for c in self.counterexamples
             ],
         }

@@ -33,6 +33,7 @@ from .transforms import (
     _inverse_in_place,
     _require_offset_zero,
     binomial_transform,
+    decimal_text,
     integer,
     json_int,
     rational,
@@ -82,7 +83,7 @@ def parse_sequence(source) -> IntSequence:
     if "".join(head).lstrip().startswith("{"):
         text = "".join(itertools.chain(head, chunks))
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=json_int)
             if not isinstance(obj["terms"], list):
                 raise ValueError("terms must be a JSON list")
             terms = [json_int(t) for t in obj["terms"]]
@@ -112,7 +113,7 @@ def emit_sequence(seq: IntSequence, out) -> None:
         out.write("}\n")
         return
     for t in seq.terms:
-        out.write(f"{t}\n")
+        out.write(f"{decimal_text(t)}\n")
 
 
 def _write_json_terms(terms, out) -> None:
@@ -120,7 +121,7 @@ def _write_json_terms(terms, out) -> None:
     the whole document would hold every digit string at once."""
     out.write("[")
     for j, t in enumerate(terms):
-        out.write(f',"{t}"' if j else f'"{t}"')
+        out.write(f',"{decimal_text(t)}"' if j else f'"{decimal_text(t)}"')
     out.write("]")
 
 
@@ -206,11 +207,11 @@ def cmd_construct(args) -> int:
         a, b, trace = construct_genuine(phi, args.n)
         print("#     n  c  u  v  w  b  a")
         for st in trace.steps:
-            print(f"# {st.n} {st.c} {st.u} {st.v} {st.w} {st.b} {st.a}")
+            print("#", *map(decimal_text, (st.n, st.c, st.u, st.v, st.w, st.b, st.a)))
         emit_sequence(b if args.emit == "b" else a, sys.stdout)
     else:
         for _, a, b, _ in _construct(phi, args.n):
-            sys.stdout.write(f"{b if args.emit == 'b' else a}\n")
+            sys.stdout.write(f"{decimal_text(b if args.emit == 'b' else a)}\n")
     return EXIT_OK
 
 
@@ -220,14 +221,13 @@ def cmd_egf_invert(args) -> int:
     b = binomial_transform(seq)
     del seq  # c reuses its memory
     with decimal.localcontext(_EXACT):
-        # egf_triple with u in decimal.  Each c_n is converted once by str()
-        # and read back in linear time, in place, so that c is never held
-        # whole both as ints and as decimals.  c is printed before the
-        # inverse transform overwrites it with u, so one row is held: a
-        # failure there leaves b and c on stdout, without u.
+        # egf_triple with u in decimal.  Each c_n is converted once, in
+        # place, so that c is never held whole both as ints and as decimals.
+        # c is printed before the inverse transform overwrites it with u, so
+        # one row is held: a failure there leaves b and c on stdout, without u.
         c = list(egf_reciprocal(b).terms)
         for i, t in enumerate(c):
-            c[i] = decimal.Decimal(str(t))
+            c[i] = decimal.Decimal(t)
         # the canonical JSON of EgfTriple.to_json_dict()
         sys.stdout.write('{"b":')
         _write_json_terms(b.terms, sys.stdout)
@@ -243,7 +243,7 @@ def cmd_egf_invert(args) -> int:
 def _load_recurrence(path: str) -> PolyRecurrence:
     try:
         with open(path, encoding="utf-8") as f:
-            return PolyRecurrence.from_json_dict(json.load(f))
+            return PolyRecurrence.from_json_dict(json.load(f, parse_int=json_int))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load recurrence: {exc}") from exc
 
@@ -367,10 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Terms outgrow CPython's 4300-digit int/str conversion limit; lift it for
-    # this call only, so that a program embedding ppp keeps its own setting.
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except decimal.DecimalException as exc:  # an ArithmeticError, but trapped by _EXACT
@@ -388,8 +384,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory: undecided within resource limits", file=sys.stderr)
         return EXIT_UNDECIDED
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

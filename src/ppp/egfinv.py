@@ -13,7 +13,7 @@ from operator import add, sub
 
 from ._record import Record
 from .transforms import (
-    IntSequence, _require_offset_zero, binomial_transform, inverse_binomial_transform,
+    IntSequence, _require_offset_zero, binomial_transform, decimal_text, inverse_binomial_transform,
 )
 
 
@@ -24,9 +24,9 @@ class EgfTriple(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "b": [str(t) for t in self.b.terms],
-            "c": [str(t) for t in self.c.terms],
-            "u": [str(t) for t in self.u.terms],
+            "b": [decimal_text(t) for t in self.b.terms],
+            "c": [decimal_text(t) for t in self.c.terms],
+            "u": [decimal_text(t) for t in self.u.terms],
         }
 
 
@@ -100,7 +100,7 @@ def egf_reciprocal(b: IntSequence) -> IntSequence:
     """
     _require_offset_zero(b, "egf_reciprocal")
     if b[0] != 1:
-        raise ValueError(f"reciprocal requires b_0 = 1, got {b[0]}")
+        raise ValueError(f"reciprocal requires b_0 = 1, got {decimal_text(b[0])}")
     size, s = len(b), _BLOCK
     bs = list(b.terms) + [0] * s  # tiles of the last block read up to b_{n0+S-1}
     cs = [1]
@@ -129,7 +129,7 @@ def _require_unit_start(a: IntSequence) -> None:
     _require_offset_zero(a, "egf_triple")
     if a[0] != 1:
         raise ValueError(
-            f"construction requires a_0 = 1, got {a[0]}; rescaling is refused "
+            f"construction requires a_0 = 1, got {decimal_text(a[0])}; rescaling is refused "
             "because it changes the divisibility structure"
         )
 

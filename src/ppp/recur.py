@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import certify
 from ._record import Record
-from .transforms import IntSequence, _require_int, _require_offset_zero, json_int
+from .transforms import IntSequence, _require_int, _require_offset_zero, decimal_text, json_int
 
 # Largest prime below 2^30; used only to skip hopeless (order, degree) cells.
 # Below 2^30 every residue is a single CPython digit, so the filter's products
@@ -85,7 +85,7 @@ class PolyRecurrence(Record):
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
-            "polys": [[str(c) for c in p] for p in self.polys],
+            "polys": [[decimal_text(c) for c in p] for p in self.polys],
         }
 
     @staticmethod

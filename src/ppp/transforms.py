@@ -20,8 +20,22 @@ def json_int(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _BASE10.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past the int/str digit limit, as decimal_text
+            from decimal import Decimal
+            return int(Decimal(value))
     raise ValueError(f"not an exact integer: {value!r}")
+
+
+def decimal_text(x) -> str:
+    """``str(x)`` of an integer, also past CPython's int/str digit limit: there
+    ``str`` of a ``Decimal`` gives the same digits.  No process setting changes."""
+    try:
+        return str(x)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(x))
 
 
 def integer(text: str) -> int:

@@ -1,10 +1,12 @@
 import decimal
+import hashlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -14,7 +16,7 @@ from ppp.arith import primorial_table
 from ppp.construct import construct_genuine, phi_primorial
 from ppp.egfinv import egf_triple
 from ppp.recur import PolyRecurrence, apply_recurrence
-from ppp.transforms import _BAND, IntSequence, inverse_binomial_transform
+from ppp.transforms import _BAND, IntSequence, decimal_text, inverse_binomial_transform
 
 CMD = [sys.executable, "-m", "ppp.cli"]
 
@@ -293,7 +295,7 @@ def test_string_parse_lines_and_messages():
     assert outcomes[""] == "InputError: empty sequence input"
 
 
-def test_streamed_parse_holds_one_line_at_a_time(tmp_path, no_digit_limit):
+def test_streamed_parse_holds_one_line_at_a_time(tmp_path):
     # 2000 terms of 1000 digits: the text is 2 MB and the ints about 0.9 MB.
     # A parser holding the text (or its lines) peaks above their sum.
     rng = random.Random(7)
@@ -319,17 +321,12 @@ def long_rows():
     ``b_n = w_n P_n`` with 8192-bit multipliers ``w_n``, so that a row of
     big terms outweighs the per-term scratch that does not grow with them
     (``primary-direct`` keeps a 256-bit residue of each term)."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        rng = random.Random(1500)
-        b = [p * (rng.getrandbits(8192) if n else 1)
-             for n, p in enumerate(primorial_table(1499))]
-        a = list(inverse_binomial_transform(IntSequence.of(b)).terms)
-        return {"a": "".join(f"{t}\n" for t in a), "b": "".join(f"{t}\n" for t in b),
-                "row": max(sum(sys.getsizeof(t) for t in row) for row in (a, b))}
-    finally:
-        sys.set_int_max_str_digits(old)
+    rng = random.Random(1500)
+    b = [p * (rng.getrandbits(8192) if n else 1) for n, p in enumerate(primorial_table(1499))]
+    a = list(inverse_binomial_transform(IntSequence.of(b)).terms)
+    return {"a": "".join(f"{decimal_text(t)}\n" for t in a),
+            "b": "".join(f"{decimal_text(t)}\n" for t in b),
+            "row": max(sum(sys.getsizeof(t) for t in row) for row in (a, b))}
 
 
 @pytest.mark.parametrize("args, source, target, code", [
@@ -376,16 +373,11 @@ def test_primary_direct_releases_each_group_and_prime_scratch(monkeypatch, tmp_p
     # prime's residues likewise, the peak read 1.76 rows above a one-term
     # run; with the scratch released before it is rebuilt, 1.48.  The
     # parsed row, one group's residues and one prime's residues remain.
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        rng = random.Random(1501)
-        b = [p * (rng.getrandbits(20) if n else 1) for n, p in enumerate(primorial_table(1499))]
-        a = inverse_binomial_transform(IntSequence.of(b)).terms
-        path = tmp_path / "a.txt"
-        path.write_text("".join(f"{t}\n" for t in a), encoding="utf-8")
-    finally:
-        sys.set_int_max_str_digits(old)
+    rng = random.Random(1501)
+    b = [p * (rng.getrandbits(20) if n else 1) for n, p in enumerate(primorial_table(1499))]
+    a = inverse_binomial_transform(IntSequence.of(b)).terms
+    path = tmp_path / "a.txt"
+    path.write_text("".join(f"{decimal_text(t)}\n" for t in a), encoding="utf-8")
     row = sum(sys.getsizeof(t) for t in a)
 
     def peak(source):
@@ -413,7 +405,7 @@ def test_primary_direct_releases_each_group_and_prime_scratch(monkeypatch, tmp_p
     assert rows < 1.6, rows
 
 
-def test_egf_invert_holds_one_row_of_c(monkeypatch, tmp_path, no_digit_limit):
+def test_egf_invert_holds_one_row_of_c(monkeypatch, tmp_path):
     # A genuine prefix of 500 terms with 20-bit multipliers, as in the
     # seq-build benchmark.  The peak above a one-term run's, in rows of c's
     # decimals: 2.20 while a copy of c was inverted into u, 1.64 with c
@@ -423,9 +415,9 @@ def test_egf_invert_holds_one_row_of_c(monkeypatch, tmp_path, no_digit_limit):
     b = [p * (rng.getrandbits(20) if n else 1) for n, p in enumerate(primorial_table(499))]
     a = inverse_binomial_transform(IntSequence.of(b)).terms
     triple = egf_triple(IntSequence.of(a))
-    row = sum(sys.getsizeof(decimal.Decimal(str(t))) for t in triple.c.terms)
+    row = sum(sys.getsizeof(decimal.Decimal(t)) for t in triple.c.terms)
     path = tmp_path / "a.txt"
-    path.write_text("".join(f"{t}\n" for t in a), encoding="utf-8")
+    path.write_text("".join(f"{decimal_text(t)}\n" for t in a), encoding="utf-8")
 
     def peak(source):
         with monkeypatch.context() as m, open(source, encoding="utf-8") as f, \
@@ -483,10 +475,11 @@ def test_construct_holds_one_anti_diagonal(monkeypatch, tmp_path):
 @pytest.mark.parametrize("to", [1, 12345])
 @pytest.mark.parametrize("terms", [[5], [0, -7, 3**9000, -(5**7000), 1]],
                          ids=["one-term", "past-digit-limit"])
-def test_offset_output_is_the_canonical_json(in_process, no_digit_limit, to, terms):
+def test_offset_output_is_the_canonical_json(in_process, to, terms):
     # written term by term, also past the 4300-digit int/str limit
-    expected = cli._canonical_json({"offset": to, "terms": [str(t) for t in terms]}) + "\n"
-    stdin = "".join(f"{t}\n" for t in terms)
+    texts = [decimal_text(t) for t in terms]
+    expected = cli._canonical_json({"offset": to, "terms": texts}) + "\n"
+    stdin = "".join(f"{t}\n" for t in texts)
     assert in_process(["reindex", "--to", str(to)], stdin) == (0, expected, "")
 
 
@@ -511,22 +504,13 @@ def test_recurrence_json_needs_exact_integers(tmp_path, rec):
     assert r.stderr.startswith("error: cannot load recurrence")
 
 
-@pytest.fixture
-def no_digit_limit():
-    """Lift the int/str conversion limit in this process, to build expectations."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 def test_egf_invert():
     r = run(["egf-invert"], "1\n2\n3\n4\n5\n")
     d = json.loads(r.stdout)
     assert d["u"] == ["1", "0", "1", "-2", "9"]
 
 
-def test_egf_invert_streams_canonical_json_past_digit_limit(no_digit_limit):
+def test_egf_invert_streams_canonical_json_past_digit_limit():
     text = "".join(f"{t}\n" for t in (1, 3**4000, -(7**3000), 5**4000))
     r = run(["egf-invert"], text)
     assert r.returncode == 0, r.stderr
@@ -535,7 +519,7 @@ def test_egf_invert_streams_canonical_json_past_digit_limit(no_digit_limit):
     assert r.stdout == cli._canonical_json(triple.to_json_dict()) + "\n"
 
 
-def test_apply_past_digit_limit(tmp_path, no_digit_limit):
+def test_apply_past_digit_limit(tmp_path):
     # a_n = sum C(n+1,k) k!; a_2000 has about 5700 digits
     rec_path = tmp_path / "e.json"
     rec_path.write_text(json.dumps({"order": 2, "polys": [["2", "1"], ["-4", "-1"], ["1"]]}))
@@ -544,7 +528,7 @@ def test_apply_past_digit_limit(tmp_path, no_digit_limit):
     a = [2, 5]
     for n in range(1999):
         a.append((n + 4) * a[n + 1] - (n + 2) * a[n])
-    assert r.stdout == "".join(f"{t}\n" for t in a)
+    assert r.stdout == "".join(f"{decimal_text(t)}\n" for t in a)
 
 
 def apply_cases():
@@ -599,7 +583,7 @@ def test_apply_cases_reach_both_outcomes():
 
 
 @pytest.mark.parametrize("length", [1, 2, _BAND, _BAND + 1, 2 * _BAND + 1, 151])
-def test_egf_invert_prints_egf_triple(in_process, no_digit_limit, length):
+def test_egf_invert_prints_egf_triple(in_process, length):
     rng = random.Random(length)
     a = [1] + [rng.randint(-10**30, 10**30) for _ in range(length - 1)]
     expected = cli._canonical_json(egf_triple(IntSequence.of(a)).to_json_dict()) + "\n"
@@ -610,6 +594,9 @@ def test_egf_invert_prints_egf_triple(in_process, no_digit_limit, length):
     ('{"offset": 1, "terms": [1, 2]}', "egf_triple requires offset 0 (got 1); re-index first"),
     ("2\n1\n", "construction requires a_0 = 1, got 2; rescaling is refused "
                 "because it changes the divisibility structure"),
+    pytest.param(f"1{'0' * 5000}\n", f"construction requires a_0 = 1, got 1{'0' * 5000}; "
+                 "rescaling is refused because it changes the divisibility structure",
+                 id="a0-past-digit-limit"),
 ])
 def test_egf_invert_refusals_keep_their_text(in_process, text, message):
     assert in_process(["egf-invert"], text) == (2, "", f"error: {message}\n")
@@ -660,6 +647,83 @@ def test_main_restores_caller_digit_limit(capsys):
         sys.set_int_max_str_digits(old)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12001 and len(lines[-1]) > 5000
+
+
+def test_overlapping_calls_leave_the_digit_limit_alone(monkeypatch, capsys):
+    # Two calls in threads, made deterministic: a short call enters its
+    # command, then a long one, and the short one returns while the long one
+    # waits.  A limit lifted and restored per call is back in force when the
+    # long call prints.
+    start = sys.get_int_max_str_digits()
+    table = cli.primorial_table
+    entered = {n: threading.Event() for n in (1, 12000)}
+    release = {n: threading.Event() for n in (1, 12000)}
+    codes = {}
+
+    def held(n):
+        entered[n].set()
+        release[n].wait(60)
+        return table(n)
+
+    def call(n):
+        codes[n] = cli.main(["sieve", "--kind", "primorial", "--n", str(n)])
+
+    monkeypatch.setattr(cli, "primorial_table", held)
+    threads = {n: threading.Thread(target=call, args=(n,)) for n in (1, 12000)}
+    try:
+        for n in (1, 12000):
+            threads[n].start()
+            assert entered[n].wait(60)
+            assert sys.get_int_max_str_digits() == start
+        release[1].set()
+        threads[1].join(60)
+        assert codes == {1: 0} and sys.get_int_max_str_digits() == start
+    finally:
+        for n in (1, 12000):
+            release[n].set()
+            if threads[n].is_alive():
+                threads[n].join(60)
+    assert codes == {1: 0, 12000: 0} and sys.get_int_max_str_digits() == start
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["1", "1"] and len(lines) == 2 + 12001 and len(lines[-1]) == 5143
+
+
+def test_a_report_past_the_digit_limit_renders_as_the_cli_prints_it():
+    # At 16384 bits the exact rho and epsilon have numerators of about 4900
+    # digits.  The CLI runs in a second process meanwhile; neither lifts the
+    # default limit, and the bytes are pinned.
+    assert 0 < sys.get_int_max_str_digits() < 4900
+    args = ["bounds", "--c", "1", "--delta", "11/10", "--precision", "16384"]
+    with subprocess.Popen(CMD + args, stdout=subprocess.PIPE, text=True) as proc:
+        report = bounds.bounds_report(1, bounds.Delta.parse("11/10"), bounds.PrecisionCtx(16384))
+        text = cli._canonical_json(report.to_json_dict()) + "\n"
+        out, _ = proc.communicate(timeout=300)
+    assert proc.returncode == 0 and out == text
+    assert len(json.loads(text)["rho"]["exact"].split("/")[0]) > 4300
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "44c9d5d0f8a3b192c2565ca3acc04c04ecb32dfc7bec40df899f6815aeb5f8a8"
+
+
+BIG = 7**9000  # 7606 digits, past the default int/str limit
+
+
+@pytest.mark.parametrize("template", ["{}\n", '{{"terms": ["{}"]}}', '{{"terms": [{}]}}'],
+                         ids=["line", "json-string", "json-integer"])
+def test_terms_past_the_digit_limit_parse_in_process(template):
+    assert cli.parse_sequence(template.format(decimal_text(-BIG))).terms == (-BIG,)
+
+
+def test_a_delta_past_the_digit_limit_is_refused_with_its_value(in_process):
+    text = "1/1" + "0" * 5000
+    assert in_process(["bounds", "--c", "1", "--delta", text]) == (
+        2, "", f"error: delta must exceed 1, got {text}\n")
+
+
+def test_recurrence_coefficients_past_the_digit_limit_load(tmp_path):
+    # one coefficient a JSON integer, one a base-10 string; their gcd is 1
+    path = tmp_path / "rec.json"
+    path.write_text(f'{{"order": 1, "polys": [[{decimal_text(BIG)}], ["{decimal_text(BIG + 1)}"]]}}')
+    assert cli._load_recurrence(str(path)).polys == ((BIG,), (BIG + 1,))
 
 
 def test_guess_verify_apply_cycle(tmp_path):

@@ -173,3 +173,11 @@ def test_integer_fields_keep_their_range_checks():
     budget = ppp.GuessBudget(-1, 1)  # a budget is range-checked against a prefix
     with pytest.raises(ValueError, match="natural numbers"):
         budget.check(100)
+
+
+def test_repr_writes_ints_past_the_digit_limit():
+    # repr(int) raises past CPython's default 4300-digit limit
+    big, digits = 10**5000, "1" + "0" * 5000
+    assert repr(ppp.IntSequence((big,))) == f"IntSequence(terms=({digits},), offset=0)"
+    assert repr(ppp.PolyRecurrence(((1, -big), (big + 1,)))) == \
+        f"PolyRecurrence(polys=((1, -{digits}), ({digits[:-1]}1,)))"
