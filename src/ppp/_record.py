@@ -82,8 +82,12 @@ class Record:
 
 
 def _shown(v) -> str:
-    """``repr(v)``, with ints, also inside tuples, written by ``decimal_text``."""
+    """``repr(v)``, with ints and Fractions, also inside tuples, written by
+    ``decimal_text``."""
+    from fractions import Fraction
     from .transforms import decimal_text  # transforms imports this module
     if type(v) is tuple:
         return f"({', '.join(map(_shown, v))}{',' if len(v) == 1 else ''})"
+    if type(v) is Fraction:
+        return f"Fraction({decimal_text(v.numerator)}, {decimal_text(v.denominator)})"
     return decimal_text(v) if type(v) is int else repr(v)

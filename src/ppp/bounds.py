@@ -11,6 +11,7 @@ direction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -329,13 +330,6 @@ DUSART = ChebyshevBound(
     "Dusart 2010 (arXiv:1002.0442): |theta(x) - x| < 0.2 x/log^2 x for x >= 3594641",
 )
 
-# CPython's math.log, math.exp and math.log1p are the C library's, which no
-# standard bounds.  The float bands of ``scan_J`` and of
-# ``_HeightEngine._cell_floats`` assume that each errs by at most this many
-# units in the last place (glibc and musl stay within one, and tests check
-# the running ones).
-_LOG_ULPS = 1 << 10
-
 
 class JScan(Record):
     """J(epsilon) and the tail theorem that ends its scan at x0."""
@@ -363,27 +357,12 @@ def scan_J(epsilon, ctx: PrecisionCtx | None = None) -> JScan:
     Write L = log(e - epsilon) and theta(x) = log primorial(x).  j qualifies
     when theta(j-1) < j L.  The tail theorem closes at x0 (``_tail_point``):
     theta(x) >= (x+1) L for every x >= x0, so no j > x0 qualifies.  The scan
-    covers j <= x0, and raises CapExceeded when x0 exceeds ``ctx.j_cap``, a
-    resource limit.
+    (``_scan_to``) covers j <= x0, and raises CapExceeded when x0 exceeds
+    ``ctx.j_cap``, a resource limit.
 
     Only the ends of prime gaps are candidates: for j-1 in a gap [p, q),
     theta(j-1) stays theta(p) while j L grows, so a qualifying j in the gap
     makes its end j = q (or j = x0 in the last gap) qualify too.
-
-    Each candidate is decided in floats when a band shows the verdict, else
-    by enclosures.  Let u = 2^-53 and m = ``_LOG_ULPS``.  math.log(p) errs
-    by at most m ulps (the assumption stated at ``_LOG_ULPS``), and
-    ulp(x) <= 2u|x|, so by at most 2 m u log p; over n terms that is
-    2 m u theta.  Recursive summation of the n rounded logs
-    adds at most gamma_(n-1) (1 + 2 m u) theta, gamma_k = k u / (1 - k u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, §4.2).  For
-    (n + m) u <= 2^-20, that is n below 2^32, the float theta thus errs by
-    at most (n - 1 + 2m) u theta + 2^-18 (n - 1) u theta.  Since L < 1, the
-    rounded j L, theta +- band and the band itself add at most 2u (theta + j)
-    more.  The band 2 (n + m) u (theta + j) exceeds (n - 1 + 2m) u theta by
-    (n + 1) u theta + 2 (n + m) u j, which covers the rest: n + 1 >= 2 +
-    2^-18 (n - 1) for n >= 1, and theta = 0 for n = 0.  So the factor 2 on
-    m pays for ulp <= 2u|x|, and the factor 2 on n for the roundings.
     """
     ctx = ctx or PrecisionCtx()
     epsilon = Fraction(epsilon)
@@ -406,91 +385,127 @@ def compute_J(epsilon, ctx: PrecisionCtx | None = None) -> int:
 
 # Odd numbers per run of ``_last_open`` at least; runs widen with the margin.
 _RUN_FLOOR = 64
+# Primes per block of ``_largest_open``, each one exact product and one log.
+_BLOCK = 256
+# The scan's cheap tests compare integers scaled by 2^_FIX; log(q) 2^_FIX
+# exceeds ``_log_floor(q)`` by less than _LOG_GAP.
+_FIX, _LOG_GAP = 64, 1 << (64 - 9)
 
 
 def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
-    """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``).
-
-    Two passes: ``_last_open`` rejects runs of candidates by prime counts
-    and returns top, the last candidate it cannot reject; then each
-    candidate up to top is decided in floats between le_lo <= L <= le_hi
-    or else by enclosures.  Every candidate past top was rejected, so none
-    qualifies.  This holds only because top is the last candidate not
-    rejected, not merely one of them.
+    """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``):
+    ``_largest_open`` up to top, the last candidate ``_last_open`` cannot
+    reject.  None past top qualifies only because top is the last candidate
+    not rejected, not merely one of them.  J is an integer, so a working
+    precision above 256 bits would only slow the scan.
     """
-    # float bounds for L, padded outward
-    lo_t, hi_t = log_base(real.Context(ctx.bits)).endpoints()
-    le_lo = math.nextafter(float(lo_t), -math.inf)
-    le_hi = math.nextafter(float(hi_t), math.inf)
-
-    def qualifies(theta: float, j: int, n: int) -> bool:
-        band = (n + _LOG_ULPS) * 2.0**-52 * (theta + j)
-        if theta - band > j * le_hi:
-            return False
-        if theta + band < j * le_lo:
-            return True
-        def attempt(c):  # exact re-check: theta(j-1) < j L
-            exact = c.num(0)
-            for primes in prime_segments(j - 1):
-                for p in primes:
-                    exact += c.log(c.num(p))
-            return exact < j * log_base(c)
-        return _escalate(ctx, attempt)
-
-    top = _last_open(le_hi, x0)
-    theta, n, largest = 0.0, 0, 0  # theta: the float sum of log p over the n primes so far
-    for segment in prime_segments(top - 1):
-        for p in segment:
-            if qualifies(theta, p, n):
-                largest = p
-            theta += math.log(p)
-            n += 1
-    return top if qualifies(theta, top, n) else largest
+    ctx = ctx.replace(bits=min(ctx.bits, 256))
+    top = _last_open(_fixed(log_base(real.Context(ctx.bits)))[1], x0)
+    return _escalate(ctx, lambda ivc: _largest_open(ivc, log_base(ivc), top))
 
 
-def _last_open(le_hi: float, x0: int) -> int:
+def _fixed(x) -> tuple[int, int]:
+    """The enclosure ``x`` as integers scaled by 2^_FIX, rounded outward."""
+    lo, hi = x.endpoints()
+    return (lo.numerator << _FIX) // lo.denominator, -((-hi.numerator << _FIX) // hi.denominator)
+
+
+def _log_floor(q: int) -> int:
+    """An integer at most log(q) 2^_FIX, for an int q >= 1.
+
+    q = 2^k (1 + x) with 0 <= x < 1, and log(1 + x) = 2 atanh(z) for
+    z = x / (2 + x) <= 1/3 is at least 2z + 2z^3/3, short of it by
+    2 sum_(n>=2) z^(2n+1) / (2n+1) <= (2/5) z^5 (9/8) < 2^-9.08.  The floors
+    and the lower end of log 2 (``real``) cost under 2^8 units more.
+    """
+    k = q.bit_length() - 1
+    s = q - (1 << k)
+    z = (s << _FIX) // ((2 << k) + s)
+    return k * real._constant("ln2", _FIX) + 2 * z + (2 * z**3 >> 2 * _FIX) // 3
+
+
+def _largest_open(ivc, L, top: int) -> int | None:
+    """The largest candidate j <= top, a prime or top, with theta(j-1) < j L
+    for the enclosure ``L``; None when an enclosure leaves one undecided.
+
+    theta is enclosed at the ends of blocks of ``_BLOCK`` primes, and of
+    top alone, each end the one before plus the log of the block's exact
+    product.  In a block ps[0] < ... < ps[n-1] from start to end, each log
+    lies in [a, b], a = ``_log_floor(ps[0])`` and b = ``_log_floor(ps[n-1])
+    + _LOG_GAP``, so theta(ps[i] - 1) lies in [start + i a, start + i b] and
+    in [end - (n-i) b, end - (n-i) a].  From the last candidate down, these
+    fixed-point tests qualify j = ps[i] when j L exceeds both upper ends and
+    reject it when j L is at most a lower end (at most start: also every
+    candidate below it).  One they leave open splits the block: start plus
+    the log of the product below j encloses theta(j - 1), which decides j
+    and ends the block below it.  Only the blocks from the last one whose
+    last candidate qualifies are searched, from the top.
+    """
+    l_lo, l_hi = _fixed(L)
+
+    def within(ps, start, end):  # as _largest_open, over the block ps; 0 for none
+        (s_lo, s_hi), (e_lo, e_hi), n = _fixed(start), _fixed(end), len(ps)
+        a, b = _log_floor(ps[0]), _log_floor(ps[-1]) + _LOG_GAP
+        for i in range(n - 1, -1, -1):
+            j = ps[i]
+            if j * l_hi <= s_lo:
+                return 0
+            if j * l_lo > min(s_hi + i * b, e_hi - (n - i) * a):
+                return j
+            if j * l_hi > max(s_lo + i * a, e_lo - (n - i) * b):
+                break
+        else:
+            return 0
+        mid = start + ivc.log(ivc.num(math.prod(ps[:i])))  # theta(j - 1)
+        holds = mid < j * L
+        if holds is not False:
+            return holds and j
+        return within(ps[:i], start, mid) if i else 0
+
+    theta, blocks = ivc.num(0), []
+    for segment in itertools.chain(prime_segments(top - 1), [(top,)]):
+        for i in range(0, len(segment), _BLOCK):
+            ps = segment[i:i + _BLOCK]
+            end = theta + ivc.log(ivc.num(math.prod(ps)))
+            if (ps[-1] * L > end) is True:
+                blocks.clear()
+            blocks.append((ps, theta, end))
+            theta = end
+    for block in reversed(blocks):
+        found = within(*block)
+        if found != 0:
+            return found
+    return 0
+
+
+def _last_open(step: int, x0: int) -> int:
     """The last candidate j <= x0, a prime or x0, that a count of primes
-    cannot reject, given le_hi >= L.
+    cannot reject, given step >= L 2^_FIX.
 
     Over the sieve windows of the odd numbers below x0, theta_lo stays at
-    most theta(a-1), a the first odd number of the current run [a, b].  Each
-    candidate j in the run has theta(j-1) >= theta_lo and j <= b, so
-    theta_lo > b le_hi, rounded up, rejects the whole run.  Past the run,
-    its c primes add at least c times the log of the first of them
-    (``_plus_logs_down``).  The prime 2, left out of theta_lo, is a
-    candidate that is never rejected.
+    most theta(a-1) 2^_FIX, a the first odd number of the current run
+    [a, b].  Each candidate j in the run has theta(j-1) >= theta_lo and
+    j <= b, so theta_lo > b step rejects the whole run.  Past the run, its
+    c primes add c ``_log_floor`` of the first of them.  The prime 2, left
+    out of theta_lo, is a candidate that is never rejected.
     """
-    theta_lo, last = 0.0, 2
+    theta_lo, last = 0, 2
     for lo, window in _odd_windows(x0 - 1):
         i = 0
         while i < len(window):
             # odd numbers that take up half the margin at the run's start in
-            # j le_hi, so that theta_lo still rejects the run; at least the floor
-            k = max(_RUN_FLOOR, int((theta_lo - (lo + 2 * i) * le_hi) / (4 * le_hi)))
+            # j step, so that theta_lo still rejects the run; at least the floor
+            k = max(_RUN_FLOOR, (theta_lo - (lo + 2 * i) * step) // (4 * step))
             end = min(i + k, len(window))
-            b = lo + 2 * (end - 1)
-            if not theta_lo > math.nextafter(b * le_hi, math.inf):
+            if theta_lo <= (lo + 2 * (end - 1)) * step:
                 top = window.rfind(1, i, end)
                 if top >= 0:
                     last = lo + 2 * top
             first = window.find(1, i, end)
             if first >= 0:
-                c = window.count(1, first, end)
-                theta_lo = _plus_logs_down(theta_lo, c, math.log(lo + 2 * first))
+                theta_lo += window.count(1, first, end) * _log_floor(lo + 2 * first)
             i = end
-    return last if theta_lo > math.nextafter(x0 * le_hi, math.inf) else x0
-
-
-def _plus_logs_down(theta: float, c: int, log_p: float) -> float:
-    """A float at most theta + c log p, where log_p = math.log(p).
-
-    math.log errs by at most ``_LOG_ULPS`` ulps, and ulp(x) <= 2^-52 |x|,
-    so log p >= log_p / (1 + _LOG_ULPS 2^-52) > log_p (1 - _LOG_ULPS 2^-52).
-    Each float product and sum rounds to nearest, so the next float down is
-    at most the exact value.
-    """
-    low = math.nextafter(log_p * (1 - _LOG_ULPS * 2.0**-52), -math.inf)
-    return math.nextafter(theta + math.nextafter(c * low, -math.inf), -math.inf)
+    return last if theta_lo > x0 * step else x0
 
 
 def _check_epsilon_domain(ctx: PrecisionCtx, epsilon: Fraction) -> None:
@@ -866,7 +881,10 @@ class _HeightEngine:
         (``_cell_floats``), so outside the band its sign is the verdict;
         inside it, ``_cell_low`` encloses low at the working precision.
         """
-        guess = self._cell_estimate(la, lb)
+        return self._cell_verdict(la, lb, self._cell_estimate(la, lb))
+
+    def _cell_verdict(self, la: Fraction, lb: Fraction, guess: float | None) -> bool:
+        """``cell_false`` on [la, lb], given guess = ``_cell_estimate(la, lb)``."""
         if guess is not None and abs(guess) > _CELL_BAND:
             return guess > 0
         return (self._cell_low(la, lb) > 0) is True
@@ -1000,6 +1018,11 @@ _CELL_START, _CELL_FLOOR = 8, -12
 # ``_HeightEngine._cell_estimate`` decides a cell by its sign outside this
 # band: 2^4.6 times the bound its rounding errors keep within.
 _CELL_BAND = 2.0**-36
+# CPython's math.log, math.exp and math.log1p are the C library's, which no
+# standard bounds.  ``_HeightEngine._cell_floats`` assumes that each errs by
+# at most this many units in the last place (glibc and musl stay within
+# one, and tests check the running ones).
+_LOG_ULPS = 1 << 10
 
 
 def _false_prefix(engine: _HeightEngine) -> int:
@@ -1017,9 +1040,9 @@ def _false_prefix(engine: _HeightEngine) -> int:
     one twice its width.  The width halves while the float value of the
     cell's bound (``_HeightEngine._cell_estimate``) lies below
     -``_CELL_BAND``, where ``cell_false`` would fail, and then
-    ``cell_false`` runs once.  A failure halves the width below the one
-    tried.  The prefix ends at a failure at the floor width, or once F
-    reaches 2^h_cap_log2.
+    ``cell_false`` decides the cell from that last value.  A failure halves
+    the width below the one tried.  The prefix ends at a failure at the
+    floor width, or once F reaches 2^h_cap_log2.
     """
     cap = 1 << engine.ctx.h_cap_log2
     la, false_to = Fraction(0), 1
@@ -1031,7 +1054,7 @@ def _false_prefix(engine: _HeightEngine) -> int:
             width -= 1
             lb = la + Fraction(2) ** width
             guess = engine._cell_estimate(la, lb)
-        if engine.cell_false(la, lb):
+        if engine._cell_verdict(la, lb, guess):
             la, false_to = lb, engine.floor_exp(lb)
             width += 1
         elif width > _CELL_FLOOR:

@@ -141,22 +141,22 @@ def test_scan_takes_x0_as_its_last_candidate():
         assert bounds._scan_to(CTX, log_base, x0) == brute_force_J(eps, x0), x0
 
 
-# log(e - eps) sits 100 u theta(p-1) / p off theta(p-1) / p, on the far side
-# from the skew of a math.log that errs by 600 ulps (u = 2^-53), inside the
-# band's _LOG_ULPS.  Without that term in the band, the 347 case lets p
-# qualify and the 313 case loses p.
+# log(e - eps) sits 2^-300 theta(p-1) / p off theta(p-1) / p, below it for
+# 347 (so p fails) and above it for 313 (so p qualifies).  No 256-bit
+# enclosure separates the two sides, so the scan escalates to 512 bits.
 @pytest.mark.parametrize("p, x0, skew, J", [(347, 547, 1, 229), (313, 317, -1, 313)])
-def test_j_band_covers_a_math_log_off_by_600_ulps(p, x0, skew, J, monkeypatch):
-    with mpmath.workdps(60):
+def test_j_escalates_a_candidate_2_300_off_its_threshold(p, x0, skew, J, monkeypatch):
+    with mpmath.workdps(130):
         theta = mpmath.fsum(mpmath.log(q) for q in primes_up_to(p - 1).primes)
-        ell = theta * (1 - skew * 100 * mpmath.mpf(2) ** -53) / p
-        eps = Fraction(mpmath.nstr(mpmath.e - mpmath.exp(ell), 50))
-    skewed = lambda x: math.log(x) * (1 - skew * 600 * 2.0**-53)
-    monkeypatch.setattr(
-        bounds, "math", types.SimpleNamespace(log=skewed, nextafter=math.nextafter, inf=math.inf)
-    )
+        ell = theta * (1 - skew * mpmath.mpf(2) ** -300) / p
+        eps = Fraction(mpmath.nstr(mpmath.e - mpmath.exp(ell), 120))
+    precisions = []
+    largest_open = bounds._largest_open
+    monkeypatch.setattr(bounds, "_largest_open",
+                        lambda ivc, L, top: precisions.append(ivc.prec) or largest_open(ivc, L, top))
     log_base = lambda ivc: bounds._log_e_minus(ivc, eps)
-    assert bounds._scan_to(CTX, log_base, x0) == brute_force_J(eps, x0) == J
+    assert bounds._scan_to(CTX, log_base, x0) == J
+    assert precisions == [256, 512]
 
 
 def test_j_monotone_in_epsilon():
@@ -213,24 +213,18 @@ def test_tail_bound_holds_at_every_gap_end(bound, lo, hi):
         assert theta * (1 - 1e-9) > q * (1 - float(bound.a) / math.log(q) ** bound.k), q
 
 
-def test_math_log_meets_the_band_assumption():
-    # The float band assumes math.log(p) errs by at most _LOG_ULPS ulps.
-    primes = [p for seg in prime_segments(20_000) for p in seg]
-    primes += [p for seg in prime_segments(4 * 10**6) for p in seg[-200:]]
-    with mpmath.workprec(120):
-        worst = max(abs(mpmath.mpf(math.log(p)) - mpmath.log(p)) / math.ulp(math.log(p))
-                    for p in primes)
-    assert worst <= _LOG_ULPS
-
-
 class RecordingMath(types.SimpleNamespace):
-    """The math module, recording the arguments of exp and log1p."""
+    """The math module, recording the arguments of log, exp and log1p."""
 
     def __init__(self):
-        super().__init__(args={"exp": [], "log1p": []})
+        super().__init__(args={"log": [], "exp": [], "log1p": []})
 
     def __getattr__(self, name):
         return getattr(math, name)
+
+    def log(self, x):
+        self.args["log"].append(x)
+        return math.log(x)
 
     def exp(self, x):
         self.args["exp"].append(x)
@@ -241,16 +235,39 @@ class RecordingMath(types.SimpleNamespace):
         return math.log1p(x)
 
 
-def test_math_exp_and_log1p_meet_the_band_assumption(monkeypatch):
+@functools.lru_cache(maxsize=None)
+def golden_prefix_math_args():
+    """The arguments of math.log, exp and log1p over the golden prefixes."""
+    recorder = RecordingMath()
+    bounds.math = recorder
+    try:
+        for text in GOLDEN_DELTAS:
+            bounds._false_prefix(_HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX))
+    finally:
+        bounds.math = math
+    return recorder.args
+
+
+def test_math_log_meets_the_band_assumption():
+    # The cell tier's band assumes math.log errs by at most _LOG_ULPS ulps:
+    # checked on every argument the golden prefixes pass (the J scan calls
+    # no math.log), and on a grid over the range those span.
+    args = list(golden_prefix_math_args()["log"])
+    assert len(args) > 2000
+    lo, hi = min(args), max(args)
+    args += [lo * (hi / lo) ** (k / 4000) for k in range(4001)]
+    with mpmath.workprec(120):
+        worst = max(abs(mpmath.mpf(math.log(x)) - mpmath.log(x)) / math.ulp(math.log(x))
+                    for x in args)
+    assert worst <= _LOG_ULPS
+
+
+def test_math_exp_and_log1p_meet_the_band_assumption():
     # The cell tier's band assumes math.exp and math.log1p err by at most
     # _LOG_ULPS ulps: checked on every argument the golden prefixes pass,
     # and on grids over the range those span.
-    recorder = RecordingMath()
-    monkeypatch.setattr(bounds, "math", recorder)
-    for text in GOLDEN_DELTAS:
-        bounds._false_prefix(_HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX))
-    monkeypatch.undo()
-    exp_args, log1p_args = recorder.args["exp"], recorder.args["log1p"]
+    recorded = golden_prefix_math_args()
+    exp_args, log1p_args = list(recorded["exp"]), list(recorded["log1p"])
     assert len(exp_args) > 2000 and len(log1p_args) > 500
     lo, hi = min(exp_args), max(exp_args)
     exp_args += [lo + (hi - lo) * k / 4000 for k in range(4001)]
@@ -310,19 +327,26 @@ def test_j_equals_reference_scan_on_a_grid(reference_J):
         assert scan.J == reference_J(eps), eps
 
 
-def test_j_enclosure_route_agrees_with_the_float_band(monkeypatch):
-    # A band that covers everything sends every candidate to the enclosures.
-    eps = Fraction(3, 10)
-    want = scan_J(eps, CTX)
-    monkeypatch.setattr(bounds, "_LOG_ULPS", 2**52)
-    assert scan_J(eps, CTX) == want and want.x0 == 563
-
-
 def j_scan_inputs():
     """(name, epsilon): the golden epsilons, e^3/5 (x0 = 144798) and the k/20 grid."""
     named = [(text, choose_parameters(1, Delta.parse(text), CTX).epsilon)
              for text in GOLDEN_DELTAS + ["e^3/5"]]
     return named + [(str(eps), eps) for eps in (Fraction(k, 20) for k in range(2, 34))]
+
+
+def test_j_exact_splits_agree_with_the_fixed_point_tests(monkeypatch):
+    # Log bounds 0 and 2^200 reduce the fixed-point tests to the block ends,
+    # so each candidate those leave open is decided by the log of the exact
+    # product below it.
+    ivc = real.Context(CTX.bits)
+    for name, eps in j_scan_inputs():
+        scan = scan_J(eps, CTX)
+        L = bounds._log_e_minus(ivc, eps)
+        top = bounds._last_open(bounds._fixed(L)[1], scan.x0)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_log_floor", lambda q: 0)
+            m.setattr(bounds, "_LOG_GAP", 1 << 200)
+            assert bounds._largest_open(ivc, L, top) == scan.J, name
 
 
 def test_j_count_pass_agrees_with_the_full_scan(monkeypatch):
@@ -347,36 +371,50 @@ def test_j_count_pass_agrees_with_runs_of_one_or_two(monkeypatch, floor):
 
 
 def test_count_pass_adds_logs_rounded_down():
-    # Whatever math.log returns within _LOG_ULPS ulps, the sum stays below
-    # the exact one: checked in rationals on random floats, half of the logs
-    # just above a power of two, where the padding leaves the least room.
+    # The count pass adds _log_floor(q) per prime: at most log(q) 2^64 and
+    # less than _LOG_GAP below it.  Checked at 120 bits on small q, around
+    # powers of two (x near 1 in q = 2^k (1 + x) is where the series falls
+    # furthest short), at x = 1/2 and on random q up to 2^63.
     rng = random.Random(26)
-    for _ in range(5000):
-        if rng.random() < 0.5:
-            log_p = rng.uniform(0.5, 16)
-        else:
-            log_p = 2.0 ** rng.randrange(-1, 5) * (1 + rng.random() * 2**-12)
-        c = rng.choice([rng.randrange(1, 8), rng.randrange(1, 1 << 17)])
-        theta = rng.choice([rng.uniform(0, 100), rng.uniform(0, 4e6)])
-        low = Fraction(log_p) / (1 + _LOG_ULPS * Fraction(2) ** -52)  # least log p
-        got = bounds._plus_logs_down(theta, c, log_p)
-        assert Fraction(got) <= Fraction(theta) + c * low, (theta, c, log_p)
+    qs = list(range(1, 600))
+    for k in range(1, 64):
+        qs += [(1 << k) - 1, 1 << k, (1 << k) + 1, (3 << k) - 1, 3 << k]
+    qs += [rng.randrange(1, 2 ** rng.randrange(2, 64)) for _ in range(3000)]
+    with mpmath.workprec(120):
+        for q in qs:
+            gap = mpmath.log(q) * 2**bounds._FIX - bounds._log_floor(q)
+            assert 0 <= gap < bounds._LOG_GAP, q
 
 
 def test_j_scan_for_three_halves_logs_few_primes(monkeypatch):
-    # The count pass rejects the candidates of 3/2 past about 15k by runs,
-    # one math.log each; a scan that logs every prime up to x0 makes 256k calls.
+    # The count pass rejects the candidates of 3/2 past about 15k by runs;
+    # below that, 256 primes share one enclosure log, and the fixed-point
+    # tests leave few candidates to a log of their own.  One log per prime
+    # up to x0 would be 256k.
     calls = 0
+    log = real.Context.log
 
-    def counted(x):
+    def counted(ivc, x):
         nonlocal calls
         calls += 1
-        return math.log(x)
+        return log(ivc, x)
 
-    monkeypatch.setattr(bounds, "math", types.SimpleNamespace(**{**vars(math), "log": counted}))
-    scan = scan_J(choose_parameters(1, Fraction(3, 2), CTX).epsilon, CTX)
+    eps = choose_parameters(1, Fraction(3, 2), CTX).epsilon
+    monkeypatch.setattr(real.Context, "log", counted)
+    scan = scan_J(eps, CTX)
     assert (scan.J, scan.x0, scan.tail) == (3527, 3_594_641, DUSART)
-    assert calls < 20_000, calls
+    assert calls <= 20, calls
+
+
+def test_j_scan_calls_no_math_log(monkeypatch):
+    # J is proved from enclosures alone: no math.log and no float decides it.
+    def refused(x):
+        raise AssertionError("math.log called")
+
+    monkeypatch.setattr(bounds, "math", types.SimpleNamespace(**{**vars(math), "log": refused}))
+    for text, J, x0 in (("3/2", 3527, 3_594_641), ("e^1/2", 1427, 20395), ("11/10", 17, 563)):
+        scan = scan_J(choose_parameters(1, Delta.parse(text), CTX).epsilon, CTX)
+        assert (scan.J, scan.x0) == (J, x0), text
 
 
 # --- parameter selection ----------------------------------------------------
@@ -703,18 +741,18 @@ class RecordedSearch:
 
     def __init__(self, delta, ctx=CTX):
         self.engine = _HeightEngine(choose_parameters(1, delta, ctx), ctx)
-        self.predicate, cell_false = self.engine.predicate, self.engine.cell_false
+        self.predicate, verdict = self.engine.predicate, self.engine._cell_verdict
         self.evaluated, self.checked, self.cells = [], [], []
         self.engine.predicate = lambda h: self.evaluated.append(h) or self.predicate(h)
 
-        def record_cell(la, lb):
-            false = cell_false(la, lb)
+        def record_cell(la, lb, guess):
+            false = verdict(la, lb, guess)
             self.checked.append((la, lb, false))
             if false:
                 self.cells.append((la, lb))
             return false
 
-        self.engine.cell_false = record_cell
+        self.engine._cell_verdict = record_cell
         self.verdicts = RecordingVerdicts(self.engine)
 
     @property
@@ -856,6 +894,9 @@ class FakeEngine:
 
     def _cell_estimate(self, la, lb):
         return 1.0 if self.cell_false(la, lb) else -1.0
+
+    def _cell_verdict(self, la, lb, guess):
+        return self.cell_false(la, lb)
 
     def cell_false(self, la, lb):
         # Widened by one height on each side, so float rounding stays safe.
@@ -1146,6 +1187,19 @@ def test_first_cells_of_the_prefix_are_proved(delta, rho):
     for k in range(13):
         width = Fraction(1, 2**k)
         assert engine.cell_false(Fraction(0), width) is True, k
+
+
+def test_prefix_evaluates_each_cells_float_bound_once():
+    # The halving loop hands its last float value to the cell decision:
+    # e^2/7's 24 cell checks take 67 float evaluations, none repeated, where
+    # a second evaluation inside each check made 91.
+    engine = _HeightEngine(choose_parameters(1, Delta.exp(Fraction(2, 7)), CTX), CTX)
+    floats, verdict, evaluated, checked = engine._cell_floats, engine._cell_verdict, [], []
+    engine._cell_floats = lambda la, lb: evaluated.append((la, lb)) or floats(la, lb)
+    engine._cell_verdict = lambda la, lb, guess: checked.append(la) or verdict(la, lb, guess)
+    bounds._false_prefix(engine)
+    assert (len(evaluated), len(checked)) == (67, 24)
+    assert len(set(evaluated)) == len(evaluated)
 
 
 def test_height_search_on_e_two_sevenths_evaluates_few_heights():

@@ -181,3 +181,16 @@ def test_repr_writes_ints_past_the_digit_limit():
     assert repr(ppp.IntSequence((big,))) == f"IntSequence(terms=({digits},), offset=0)"
     assert repr(ppp.PolyRecurrence(((1, -big), (big + 1,)))) == \
         f"PolyRecurrence(polys=((1, -{digits}), ({digits[:-1]}1,)))"
+
+
+def test_repr_writes_fractions_past_the_digit_limit():
+    # repr(Fraction) converts by str, which raises past the 4300-digit limit;
+    # the 16384-bit Parameters of 11/10 hold such Fractions
+    big = Fraction(10**5000 + 1, 3)
+    digits = "1" + "0" * 4999 + "1"
+    assert repr(b.Enclosure(big, big)) == \
+        f"Enclosure(lo=Fraction({digits}, 3), hi=Fraction({digits}, 3))"
+    assert repr(b.Enclosure(Fraction(-1, 3), Fraction(2))) == \
+        "Enclosure(lo=Fraction(-1, 3), hi=Fraction(2, 1))"
+    params = b.choose_parameters(1, b.Delta.parse("11/10"), b.PrecisionCtx(16384))
+    assert repr(params).startswith("Parameters(c=Fraction(1, 1), delta=Delta(kind='rational', ")
