@@ -41,16 +41,22 @@ class CapExceeded(ArithmeticError):
 # Interval plumbing
 
 
+# The precision every proof starts at, and the default working precision.
+_PROOF_BITS = 256
+
+
 def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
-    """Run ``fn`` on interval contexts of increasing precision until it
-    returns a value, not None.
+    """Run ``fn`` on interval contexts of doubling precision, from
+    min(ctx.bits, _PROOF_BITS) up to ``ctx.max_bits``, until it returns a
+    value, not None.
 
     ``ppp.real``'s comparisons already have that form: ``x < y`` is True
     when it holds for every pair of enclosed points, False when it fails for
     every pair, and None otherwise.  A division by an enclosure of 0 is
-    undecided too: more precision may separate the divisor from 0.
+    undecided too: more precision may separate the divisor from 0.  Every
+    caller returns an exact bool or int, so the start changes only the cost.
     """
-    bits = ctx.bits
+    bits = min(ctx.bits, _PROOF_BITS)
     while True:
         try:
             value = fn(real.Context(bits))
@@ -218,11 +224,13 @@ class Delta(Record):
 class PrecisionCtx(Record):
     """Working precision and the search/scan limits.
 
-    ``bits`` is the starting precision; undecidable comparisons retry with
-    doubled precision up to ``max_bits`` before PrecisionExhausted.
+    ``bits`` is the precision of the printed values: rho, epsilon and the
+    enclosures.  Proofs start at min(bits, _PROOF_BITS) and retry with
+    doubled precision up to ``max_bits`` before PrecisionExhausted
+    (``_escalate``).
     """
 
-    bits: int = 256
+    bits: int = _PROOF_BITS
     max_bits: int = 1 << 15
     j_cap: int = 4 * 10**6
     h_cap_log2: int = 16384
@@ -396,11 +404,9 @@ def _scan_to(ctx: PrecisionCtx, log_base: Callable, x0: int) -> int:
     """The largest candidate j <= x0 with theta(j-1) < j L (see ``scan_J``):
     ``_largest_open`` up to top, the last candidate ``_last_open`` cannot
     reject.  None past top qualifies only because top is the last candidate
-    not rejected, not merely one of them.  J is an integer, so a working
-    precision above 256 bits would only slow the scan.
+    not rejected, not merely one of them.
     """
-    ctx = ctx.replace(bits=min(ctx.bits, 256))
-    top = _last_open(_fixed(log_base(real.Context(ctx.bits)))[1], x0)
+    top = _escalate(ctx, lambda ivc: _last_open(_fixed(log_base(ivc))[1], x0))
     return _escalate(ctx, lambda ivc: _largest_open(ivc, log_base(ivc), top))
 
 
@@ -605,11 +611,9 @@ def choose_parameters(c, delta, ctx: PrecisionCtx | None = None) -> Parameters:
         raise PrecisionExhausted("no admissible rho found after 64 bumps")
 
     # epsilon: halve from (e - delta)/2 until the strict inequality verifies
-    def eps_start(ivc) -> Fraction | None:
-        eps, _ = ((ivc.e - delta.iv(ivc)) / 2).endpoints()
-        return eps if eps > 0 else None
-
-    epsilon = _escalate(ctx, eps_start)
+    epsilon, _ = ((ivc.e - delta.iv(ivc)) / 2).endpoints()
+    if epsilon <= 0:
+        raise PrecisionExhausted(f"e - delta not separated from 0 at {ctx.bits} bits")
     for _ in range(200):
         if _rho1_holds(delta, d, rho, epsilon, ctx):
             break
@@ -881,10 +885,7 @@ class _HeightEngine:
         (``_cell_floats``), so outside the band its sign is the verdict;
         inside it, ``_cell_low`` encloses low at the working precision.
         """
-        return self._cell_verdict(la, lb, self._cell_estimate(la, lb))
-
-    def _cell_verdict(self, la: Fraction, lb: Fraction, guess: float | None) -> bool:
-        """``cell_false`` on [la, lb], given guess = ``_cell_estimate(la, lb)``."""
+        guess = self._cell_estimate(la, lb)
         if guess is not None and abs(guess) > _CELL_BAND:
             return guess > 0
         return (self._cell_low(la, lb) > 0) is True
@@ -1037,24 +1038,16 @@ def _false_prefix(engine: _HeightEngine) -> int:
     which a mean-value form, centred in that set near the strip
     r = rho log h + 1/2, keeps the majorant's log above r d log h.  The
     first cell tries the width 2^_CELL_START, and each cell after a proved
-    one twice its width.  The width halves while the float value of the
-    cell's bound (``_HeightEngine._cell_estimate``) lies below
-    -``_CELL_BAND``, where ``cell_false`` would fail, and then
-    ``cell_false`` decides the cell from that last value.  A failure halves
-    the width below the one tried.  The prefix ends at a failure at the
-    floor width, or once F reaches 2^h_cap_log2.
+    one twice its width.  A failure halves the width below the one tried.
+    The prefix ends at a failure at the floor width, or once F reaches
+    2^h_cap_log2.
     """
     cap = 1 << engine.ctx.h_cap_log2
     la, false_to = Fraction(0), 1
     width = _CELL_START  # log2 of the next cell's width in log h
     while false_to < cap:
         lb = la + Fraction(2) ** width
-        guess = engine._cell_estimate(la, lb)
-        while guess is not None and guess < -_CELL_BAND and width > _CELL_FLOOR:
-            width -= 1
-            lb = la + Fraction(2) ** width
-            guess = engine._cell_estimate(la, lb)
-        if engine._cell_verdict(la, lb, guess):
+        if engine.cell_false(la, lb):
             la, false_to = lb, engine.floor_exp(lb)
             width += 1
         elif width > _CELL_FLOOR:

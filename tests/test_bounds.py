@@ -159,6 +159,24 @@ def test_j_escalates_a_candidate_2_300_off_its_threshold(p, x0, skew, J, monkeyp
     assert precisions == [256, 512]
 
 
+def test_j_scan_proves_at_256_bits_at_any_working_precision(monkeypatch):
+    # J and x0 are exact, so at 32768 bits the scan, the tail point
+    # included, takes every log at 256 bits, and finds what it finds there.
+    eps = choose_parameters(1, Delta.exp(Fraction(1, 2)), CTX).epsilon
+    precisions, log = [], real.Context.log
+    monkeypatch.setattr(real.Context, "log", lambda self, x: precisions.append(self.prec) or log(self, x))
+    assert scan_J(eps, PrecisionCtx(32768)) == scan_J(eps, CTX)
+    assert precisions and max(precisions) == 256
+
+
+def test_j_scan_clears_the_blocks_past_a_qualifying_block_end():
+    # e^9/10's margin stays small up to about 1.16M: block ends that
+    # qualify drop every block below them from the search (blocks.clear()
+    # in _largest_open), the only pinned input that reaches it.
+    scan = scan_J(choose_parameters(1, Delta.parse("e^9/10"), CTX).epsilon, CTX)
+    assert (scan.J, scan.x0, scan.tail) == (1092019, 3594641, DUSART)
+
+
 def test_j_monotone_in_epsilon():
     js = [compute_J(Fraction(num, 10), capped(50_000)) for num in (2, 4, 8, 15)]
     assert js == sorted(js, reverse=True)
@@ -469,6 +487,17 @@ def test_parameters_strict_margin_via_oracle():
             assert (1 + rho * ell) ** 2 / lam < p.d * rho
 
 
+def test_parameters_follow_the_working_precision():
+    # rho and epsilon are printed exactly, so they are read off enclosures
+    # at the working precision, not at the precision their checks start at:
+    # at 1000 bits they are 998-bit and 1002-bit dyadics.  The pin is of
+    # their values from a 1000-bit start.
+    p = choose_parameters(1, Delta.exp(Fraction(2, 7)), PrecisionCtx(1000))
+    assert (p.rho.denominator.bit_length(), p.epsilon.denominator.bit_length()) == (998, 1002)
+    digest = hashlib.sha256(f"{p.epsilon} {p.rho}".encode()).hexdigest()
+    assert digest == "da6e3b639f0758526b95badc54d95df2461900a089b0609d669902d5df7a91b2"
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         choose_parameters(0, Fraction(11, 10), CTX)
@@ -741,18 +770,18 @@ class RecordedSearch:
 
     def __init__(self, delta, ctx=CTX):
         self.engine = _HeightEngine(choose_parameters(1, delta, ctx), ctx)
-        self.predicate, verdict = self.engine.predicate, self.engine._cell_verdict
+        self.predicate, cell_false = self.engine.predicate, self.engine.cell_false
         self.evaluated, self.checked, self.cells = [], [], []
         self.engine.predicate = lambda h: self.evaluated.append(h) or self.predicate(h)
 
-        def record_cell(la, lb, guess):
-            false = verdict(la, lb, guess)
+        def record_cell(la, lb):
+            false = cell_false(la, lb)
             self.checked.append((la, lb, false))
             if false:
                 self.cells.append((la, lb))
             return false
 
-        self.engine._cell_verdict = record_cell
+        self.engine.cell_false = record_cell
         self.verdicts = RecordingVerdicts(self.engine)
 
     @property
@@ -891,12 +920,6 @@ class FakeEngine:
     def falls(self, r, h):
         assert r == self.r_of(h)
         return h >= self.falls_from[r]
-
-    def _cell_estimate(self, la, lb):
-        return 1.0 if self.cell_false(la, lb) else -1.0
-
-    def _cell_verdict(self, la, lb, guess):
-        return self.cell_false(la, lb)
 
     def cell_false(self, la, lb):
         # Widened by one height on each side, so float rounding stays safe.
@@ -1190,16 +1213,33 @@ def test_first_cells_of_the_prefix_are_proved(delta, rho):
 
 
 def test_prefix_evaluates_each_cells_float_bound_once():
-    # The halving loop hands its last float value to the cell decision:
-    # e^2/7's 24 cell checks take 67 float evaluations, none repeated, where
-    # a second evaluation inside each check made 91.
+    # Each cell_false call evaluates its cell's float bound once, and the
+    # prefix asks no cell twice: e^2/7's 67 calls take 67 float evaluations,
+    # none repeated.
     engine = _HeightEngine(choose_parameters(1, Delta.exp(Fraction(2, 7)), CTX), CTX)
-    floats, verdict, evaluated, checked = engine._cell_floats, engine._cell_verdict, [], []
+    floats, cell_false, evaluated, checked = engine._cell_floats, engine.cell_false, [], []
     engine._cell_floats = lambda la, lb: evaluated.append((la, lb)) or floats(la, lb)
-    engine._cell_verdict = lambda la, lb, guess: checked.append(la) or verdict(la, lb, guess)
+    engine.cell_false = lambda la, lb: checked.append(la) or cell_false(la, lb)
     bounds._false_prefix(engine)
-    assert (len(evaluated), len(checked)) == (67, 24)
+    assert (len(evaluated), len(checked)) == (67, 67)
     assert len(set(evaluated)) == len(evaluated)
+
+
+def test_raised_cap_three_halves_prefix_ends_in_the_enclosure_tier():
+    # The one pinned input whose prefix reaches _cell_low: 3/2 at the raised
+    # height cap ends at a cell whose float value, about -3.5e-12, lies in
+    # the band.  The 256-bit enclosure leaves it unproved, so the prefix
+    # stops there.
+    ctx = PrecisionCtx(h_cap_log2=60000, max_bits=2**18)
+    engine = _HeightEngine(choose_parameters(1, Fraction(3, 2), ctx), ctx)
+    cell_false, cell_low, checked, lows = engine.cell_false, engine._cell_low, [], []
+    engine.cell_false = lambda la, lb: checked.append((la, lb)) or cell_false(la, lb)
+    engine._cell_low = lambda la, lb: lows.append((la, lb)) or cell_low(la, lb)
+    bounds._false_prefix(engine)
+    cell = (Fraction(82479917, 2048), Fraction(164959835, 4096))
+    assert checked[-1] == cell and lows == [cell]
+    assert abs(engine._cell_estimate(*cell)) <= bounds._CELL_BAND
+    assert cell_false(*cell) is False
 
 
 def test_height_search_on_e_two_sevenths_evaluates_few_heights():
@@ -1208,7 +1248,7 @@ def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     assert h.bit_length() == 3845
     assert len(search.evaluated) <= 8  # of the 3847 heights the search asks
     assert len(search.used) == 3847
-    assert search.cell_checks <= 25  # failed checks included
+    assert (search.cell_checks, len(search.cells)) == (67, 23)  # failed checks included
 
 
 @pytest.mark.parametrize("text, sha, counts", [
@@ -1309,9 +1349,8 @@ def test_a_lying_estimate_changes_no_height(delta, lie, monkeypatch):
     # estimate picks no width, so one that accepts every cell, rejects every
     # cell or answers at random (and with no estimate too) changes nothing.
     # The search still proves the default run's cells and finds its H: its
-    # cell checks are the default run's, with a failed check in place of each
-    # cell the float tier halved past.  The prefix ends only where cell_false
-    # fails at the floor width.
+    # cell checks are the default run's, with at most failed checks between
+    # them.  The prefix ends only where cell_false fails at the floor width.
     expected = compute_H(1, delta, ctx=CTX)
     default = RecordedSearch(delta)
     assert default.run() == expected
