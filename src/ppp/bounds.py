@@ -54,7 +54,7 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
     when it holds for every pair of enclosed points, False when it fails for
     every pair, and None otherwise.  A division by an enclosure of 0 is
     undecided too: more precision may separate the divisor from 0.  Every
-    caller returns an exact bool or int, so the start changes only the cost.
+    proof returns an exact bool or int, so the start changes only the cost.
     """
     bits = min(ctx.bits, _PROOF_BITS)
     while True:
@@ -225,9 +225,9 @@ class PrecisionCtx(Record):
     """Working precision and the search/scan limits.
 
     ``bits`` is the precision of the printed values: rho, epsilon and the
-    enclosures.  Proofs start at min(bits, _PROOF_BITS) and retry with
-    doubled precision up to ``max_bits`` before PrecisionExhausted
-    (``_escalate``).
+    enclosures.  Every decision of the J scan and the height search is a
+    proof, which starts at min(bits, _PROOF_BITS) and retries with doubled
+    precision up to ``max_bits`` before PrecisionExhausted (``_escalate``).
     """
 
     bits: int = _PROOF_BITS
@@ -243,8 +243,9 @@ class PrecisionCtx(Record):
         if self.max_bits < self.bits:
             raise ValueError(f"working precision {self.bits} bits exceeds the "
                              f"precision ceiling max_bits = {self.max_bits}")
-        if self.h_cap_log2 < 1:
-            raise ValueError("h_cap_log2 must be at least 1")
+        for name in ("j_cap", "h_cap_log2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 def _check_delta_domain(delta: Delta, ctx: PrecisionCtx) -> None:
@@ -688,7 +689,7 @@ class _Majorant:
 
     def log_phi(self, logx, logy=None):
         """log_phi at u = log x; ``logy`` replaces u + D log j0 in the last
-        term (see ``lowest_log_phi``)."""
+        term (see ``_height_lower_bound``)."""
         ivc = self.ivc
         if logy is None:
             logy = logx + self.d_log_j0
@@ -703,15 +704,6 @@ class _Majorant:
             + self.F * (self.log2 + self.d_log_j0)
             + logy**2 / self.lam
         )
-
-    def lowest_log_phi(self, u1):
-        """A lower bound of log_phi(u) over every u >= u1.
-
-        (J+F) log(1 + e^u) rises with u, the terms free of u stay, and
-        (u + D log j0)^2 >= max(0, u1 + D log j0)^2: the square falls while
-        u + D log j0 < 0.
-        """
-        return self.log_phi(u1, _iv_max0(self.ivc, u1 + self.d_log_j0))
 
     def slope(self, logx):
         """d log_phi / d log x = (J+F) / (1 + e^-u) + 2 (u + D log j0) / lam, u = log x."""
@@ -774,7 +766,7 @@ class _HeightEngine:
         self.J = self.j_scan.J
         self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
-        self.pack = pk = self._pack(real.Context(ctx.bits))  # at the working precision
+        self.pack = pk = _escalate(ctx, self._pack)  # its first attempt: the proof precision
         # the constants of ``_cell_floats`` as the floats nearest the midpoints
         # of their enclosures, K = log_k + F (log 2 + d log j0) folded into
         # one; None unless each enclosure is at most 2^-60 wide relative
@@ -811,7 +803,7 @@ class _HeightEngine:
     def r_of(self, h: int) -> int:
         """r(h) = floor(rho*log(h)) + 1.
 
-        The working-precision enclosure of rho*log(h) brackets the floor; each
+        The proof-precision enclosure of rho*log(h) brackets the floor; each
         integer k it leaves open is settled exactly by h >= T_k.
         """
         pk = self.pack
@@ -830,7 +822,7 @@ class _HeightEngine:
         return pk.log_phi(self._log_x(pk, ivc.num(r), logh))
 
     def falls(self, r: int, h: int) -> bool:
-        """True when f_r'(log h) <= 0 provably at ctx.bits, for r = r(h).
+        """True when the proof precision shows f_r'(log h) <= 0, r = r(h).
 
         f_r(L) = r d L - log_phi(u) with du/dL = 1, so f_r' = -Phi_L
         (``partials``).
@@ -883,7 +875,7 @@ class _HeightEngine:
         Two tiers decide low > 0.  Its float value over a magnitude
         (``_cell_estimate``) errs by less than a sixteenth of ``_CELL_BAND``
         (``_cell_floats``), so outside the band its sign is the verdict;
-        inside it, ``_cell_low`` encloses low at the working precision.
+        inside it, ``_cell_low`` encloses low at the proof precision.
         """
         guess = self._cell_estimate(la, lb)
         if guess is not None and abs(guess) > _CELL_BAND:
@@ -891,7 +883,8 @@ class _HeightEngine:
         return (self._cell_low(la, lb) > 0) is True
 
     def _cell_low(self, la: Fraction, lb: Fraction):
-        """An enclosure of ``cell_false``'s bound low on [la, lb]."""
+        """An enclosure of ``cell_false``'s bound low on [la, lb], at the
+        proof precision."""
         p, pk = self.params, self.pack
         ivc, d = pk.ivc, p.d
         m = (la + lb) / 2
@@ -999,7 +992,8 @@ class _HeightEngine:
             return None
 
     def floor_exp(self, L: Fraction) -> int:
-        """An integer h with h <= exp(L): the floor of exp(L)'s lower end."""
+        """An integer h with h <= exp(L): the floor of the lower end of exp(L)
+        at the proof precision."""
         ivc = self.pack.ivc
         return ivc.exp(ivc.num(L)).floors()[0]
 
@@ -1149,16 +1143,18 @@ def compute_H(c, delta, params: Parameters | None = None,
 
 def _height_lower_bound(engine: _HeightEngine) -> Enclosure:
     """exp((sqrt(d^2 + 4 d rho log A) - d) / (2 d rho)), below every height
-    where the predicate holds.
+    where the predicate holds, enclosed at the working precision.
 
-    u = log x rises with h from u(1) = log(2cd) (r(1) = 1), so log LHS(h)
-    >= log A := ``lowest_log_phi(log(2cd))`` for every h >= 1.  A true h has
-    log A <= r d L <= (rho L + 1) d L with L = log h, so L is at least the
-    positive root of d rho L^2 + d L - log A.
+    u = log x rises with h from u1 = log(2cd) (r(1) = 1).  Over u >= u1,
+    (J+F) log(1 + e^u) rises, the terms free of u stay, and (u + d log j0)^2
+    >= max(0, u1 + d log j0)^2, as the square falls while u + d log j0 < 0.
+    So log LHS(h) >= log A, log_phi(u1) with that square, for every h >= 1.
+    A true h has log A <= r d L <= (rho L + 1) d L with L = log h, so L is
+    at least the positive root of d rho L^2 + d L - log A.
     """
-    pk = engine.pack
-    ivc, rho, d = pk.ivc, pk.rho, engine.params.d
-    la = _iv_nonneg(ivc, pk.lowest_log_phi(pk.log_2cd))
+    pk = engine._pack(real.Context(engine.ctx.bits))
+    ivc, rho, d, u1 = pk.ivc, pk.rho, engine.params.d, pk.log_2cd
+    la = _iv_nonneg(ivc, pk.log_phi(u1, _iv_max0(ivc, u1 + pk.d_log_j0)))
     val = ivc.exp((ivc.sqrt(d * d + 4 * d * rho * la) - d) / (2 * d * rho))
     return Enclosure.from_iv(val)
 
@@ -1195,8 +1191,9 @@ def _height_upper_diagnostic(engine: _HeightEngine, gamma) -> tuple[Enclosure, E
     gamma log(Y-1)^2 < alpha log(Y-1) + beta, i.e. log(Y-1) is below the
     largest root of gamma X^2 - alpha X - beta.  Conservative directions:
     upper alpha and beta, lower gamma (the enclosure ``gamma`` passed in).
+    Enclosed at the working precision.
     """
-    pk = engine.pack
+    pk = engine._pack(real.Context(engine.ctx.bits))
     ivc, rho, lam, J, F = pk.ivc, pk.rho, pk.lam, pk.J, pk.F
     if (gamma > 0) is not True:
         return None  # strict margin not visible at this precision
@@ -1314,7 +1311,7 @@ def bounds_report(c, delta, ctx: PrecisionCtx | None = None) -> EffectiveBounds:
 
     order_bound = _decide_floor(ctx, lambda ivc: ivc.log(ivc.num(h)) / delta.iv_ell(ivc))
 
-    gamma = _gamma(engine.pack.ivc, delta, params.d, params.rho, params.epsilon)
+    gamma = _gamma(real.Context(ctx.bits), delta, params.d, params.rho, params.epsilon)
     diag = _height_upper_diagnostic(engine, gamma)
     if diag is not None:
         d_alpha, d_beta, d_upper = diag

@@ -169,6 +169,19 @@ def test_j_scan_proves_at_256_bits_at_any_working_precision(monkeypatch):
     assert precisions and max(precisions) == 256
 
 
+@pytest.mark.parametrize("delta", [Delta.exp(Fraction(1, 2)), Delta.exp(Fraction(2, 7))])
+def test_height_search_takes_its_logs_at_the_proof_precision(delta, monkeypatch):
+    # Every verdict of the search is exact, so at 4096 bits its pack, r_of,
+    # falls, the cells and floor_exp all take their logs at 256 bits.  Only
+    # the exp of a threshold may escalate past it.
+    ctx = PrecisionCtx(4096)
+    params = choose_parameters(1, delta, ctx)
+    precisions, log = [], real.Context.log
+    monkeypatch.setattr(real.Context, "log", lambda self, x: precisions.append(self.prec) or log(self, x))
+    _search_height(_Verdicts(_HeightEngine(params, ctx)))
+    assert precisions and max(precisions) == 256
+
+
 def test_j_scan_clears_the_blocks_past_a_qualifying_block_end():
     # e^9/10's margin stays small up to about 1.16M: block ends that
     # qualify drop every block below them from the search (blocks.clear()
@@ -750,6 +763,15 @@ def test_height_cap_below_one_rejected():
     assert PrecisionCtx(h_cap_log2=1).h_cap_log2 == 1
 
 
+def test_j_cap_below_one_rejected():
+    # A J limit below 1 is a bad argument, not a resource limit: scan_J
+    # would report it as CapExceeded, "beyond the J limit -5".
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="j_cap must be at least 1"):
+            PrecisionCtx(j_cap=cap)
+    assert PrecisionCtx(j_cap=1).j_cap == 1
+
+
 class RecordingVerdicts(_Verdicts):
     """``_Verdicts`` that records every ``(h, verdict)`` it answers."""
 
@@ -1014,11 +1036,12 @@ def test_majorant_encloses_log_j_factorial():
 def test_falls_stays_false_where_the_slope_is_undecided():
     # At 64 bits the sign of f_r' stays open on a band of heights around the
     # top of f_r.  The first height where falls turns True lies past that
-    # band, so a 1024-bit evaluation proves the fall there too.
+    # band, so a 256-bit evaluation, the proof precision, proves the fall
+    # there too.
     params = choose_parameters(1, Fraction(11, 10), CTX)
     low = _HeightEngine(params, PrecisionCtx(bits=64))
-    high = _HeightEngine(params, PrecisionCtx(bits=1024))
-    r = _HeightEngine(params, CTX).r_of(247688789395926825625299)  # r(H)
+    high = _HeightEngine(params, CTX)
+    r = high.r_of(247688789395926825625299)  # r(H)
     lo, hi = 1, 2
     while not low.falls(r, hi):
         lo, hi = hi, hi * hi
@@ -1317,15 +1340,15 @@ def test_cell_band_covers_the_derived_float_error():
     # _cell_floats derives |low_float - low| <= (5M + 7) u mu, so low / mu,
     # rounded, lies within (5M + 8) u (1 + 2^-14) of the exact low over the
     # same mu, where _CELL_BAND keeps 2^4 of headroom.  Checked against low
-    # at 1024 bits, the lower end of _cell_low's enclosure there, on random
-    # cells of every golden delta.
+    # at 1024 bits, the lower end of _cell_low's enclosure over a 1024-bit
+    # pack, on random cells of every golden delta.
     bound = (5 * _LOG_ULPS + 8) * 2.0**-53 * (1 + 2.0**-14)
     assert bounds._CELL_BAND >= 16 * bound
-    fine_ctx = PrecisionCtx(bits=1024)
     rng, worst = random.Random(34), 0
     for text in GOLDEN_DELTAS:
         params = choose_parameters(1, Delta.parse(text), CTX)
-        engine, fine = _HeightEngine(params, CTX), _HeightEngine(params, fine_ctx)
+        engine, fine = _HeightEngine(params, CTX), _HeightEngine(params, CTX)
+        fine.pack = fine._pack(real.Context(1024))
         end = boundary_of_estimate(engine)
         for k in range(24):
             if k % 2:
