@@ -45,10 +45,10 @@ class CapExceeded(ArithmeticError):
 _PROOF_BITS = 256
 
 
-def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
+def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object], start: int = 0):
     """Run ``fn`` on interval contexts of doubling precision, from
-    min(ctx.bits, _PROOF_BITS) up to ``ctx.max_bits``, until it returns a
-    value, not None.
+    ``start`` clamped to [min(ctx.bits, _PROOF_BITS), ctx.max_bits] up to
+    ``ctx.max_bits``, until it returns a value, not None.
 
     ``ppp.real``'s comparisons already have that form: ``x < y`` is True
     when it holds for every pair of enclosed points, False when it fails for
@@ -56,7 +56,7 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
     undecided too: more precision may separate the divisor from 0.  Every
     proof returns an exact bool or int, so the start changes only the cost.
     """
-    bits = min(ctx.bits, _PROOF_BITS)
+    bits = min(max(start, min(ctx.bits, _PROOF_BITS)), ctx.max_bits)
     while True:
         try:
             value = fn(real.Context(bits))
@@ -71,14 +71,16 @@ def _escalate(ctx: "PrecisionCtx", fn: Callable[[real.Context], object]):
         bits = min(2 * bits, ctx.max_bits)
 
 
-def _first_true(holds: Callable[[int], bool], start: int, cap: int) -> int | None:
+def _first_true(holds: Callable[[int], bool], start: int, cap: int,
+                settled: Callable[[int, int], int | None] | None = None) -> int | None:
     """Where ``holds`` turns true in [start, cap]: doubling from ``start``
     (the last step clipped to ``cap``), then bisection; None when it fails
     at ``cap``.
 
     Bisection keeps ``holds`` false at lo and true at hi, so the answer is
     the least such n only when ``holds`` is monotone; otherwise all it
-    certifies is a false n-1 (or n = start).
+    certifies is a false n-1 (or n = start).  ``settled(lo, hi)`` may end
+    the bisection early with the n it would end at, known without ``holds``.
     """
     lo = hi = start
     while not holds(hi):
@@ -86,6 +88,8 @@ def _first_true(holds: Callable[[int], bool], start: int, cap: int) -> int | Non
             return None
         lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
+        if settled is not None and (n := settled(lo, hi)) is not None:
+            return n
         mid = (lo + hi) // 2
         if holds(mid):
             hi = mid
@@ -791,12 +795,15 @@ class _HeightEngine:
         """T_k = ceil(exp(k/rho)), the least integer h with r(h) > k.
 
         For k >= 1, exp(k/rho) is irrational (Lindemann), so an integer h
-        satisfies rho*log(h) > k exactly when h >= T_k.
+        satisfies rho*log(h) > k exactly when h >= T_k.  The proof starts 64
+        bits above T_k's bit length k/(rho log 2) + 1, read in floats: a
+        wrong estimate costs only more attempts.
         """
         t = self._thresholds.get(k)
         if t is None:
             q = Fraction(k) / self.params.rho
-            t = _escalate(self.ctx, lambda ivc: _ceil(ivc.exp(ivc.num(q))))
+            start = int(float(q) / math.log(2)) + 65
+            t = _escalate(self.ctx, lambda ivc: _ceil(ivc.exp(ivc.num(q))), start)
             self._thresholds[k] = t
         return t
 
@@ -1062,7 +1069,8 @@ class _Verdicts:
     * Query order.  The doubling rises until its first true height;
       bisection moves lo up on a false answer and hi down on a true one.  So
       every later question lies above each height found false and below
-      each height found true.
+      each height found true.  Once the two facts below meet inside the
+      bracket, they answer every later question (``settled``).
     * Runs of one r.  For fixed r, f_r(L) = r d L - log_phi(u) with
       u = log(2cd) + log r + L + (r-1) ell is concave in L = log h, because
       log(1 + e^u) and (u + d log j0)^2 are convex.  So on [T_{r-1}, T_r - 1]
@@ -1109,18 +1117,25 @@ class _Verdicts:
             self.past_to = engine.threshold(r) - 1
         return holds
 
+    def settled(self, lo: int, hi: int) -> int | None:
+        """``true_from`` when lo <= past_to and past_to + 1 = true_from <= hi:
+        the facts then answer every question in (lo, hi), false up to
+        past_to and true from true_from, so bisection ends at true_from."""
+        met = lo <= self.past_to and self.past_to + 1 == self.true_from <= hi
+        return self.true_from if met else None
+
 
 def _search_height(verdicts: _Verdicts) -> int:
     """The height found by ``_first_true`` on [2^k, 2^h_cap_log2]: doubling
-    over powers of two, then bisecting.  2^k is the last power of two the
-    false prefix covers, at least 2 (h = 1 fails) and at most the cap, so
-    doubling from 2 would find every power below it false and reach the
-    same pair.  The search ends with the predicate false at h-1: the only
-    minimality it certifies.
+    over powers of two, then bisecting until the facts meet.  2^k is the
+    last power of two the false prefix covers, at least 2 (h = 1 fails) and
+    at most the cap, so doubling from 2 would find every power below it
+    false and reach the same pair.  The search ends with the predicate false
+    at h-1: the only minimality it certifies.
     """
     cap = verdicts.engine.ctx.h_cap_log2
     start = 1 << min(max(1, verdicts.false_to.bit_length() - 1), cap)
-    h = _first_true(verdicts, start, 1 << cap)
+    h = _first_true(verdicts, start, 1 << cap, verdicts.settled)
     if h is None:
         raise SearchExceeded(
             f"no power of two h = 2^k with k <= {cap} satisfies "

@@ -839,7 +839,7 @@ def test_search_evaluates_each_height_once(delta):
     search = RecordedSearch(delta)
     h = search.run()
     assert len(search.evaluated) == len(set(search.evaluated))
-    assert (h - 1, False) in search.used
+    assert h - 1 <= search.verdicts.past_to  # h - 1 fails by a proved fact
     assert not search.predicate(h - 1) and search.predicate(h)
 
 
@@ -847,9 +847,12 @@ def test_search_evaluates_each_height_once(delta):
 def test_every_verdict_the_search_used_is_exact(delta):
     search = RecordedSearch(delta)
     search.run()
-    assert len(search.used) > 50
+    verdicts = search.verdicts
+    assert {verdict for _, verdict in search.used} == {False, True}
     for h, verdict in search.used:
         assert search.predicate(h) is verdict, h
+    # the two facts the search ended on, at their ends
+    assert not search.predicate(verdicts.past_to) and search.predicate(verdicts.true_from)
 
 
 @pytest.mark.parametrize("delta", [Fraction(11, 10), Fraction(13, 10)])
@@ -1269,9 +1272,23 @@ def test_height_search_on_e_two_sevenths_evaluates_few_heights():
     search = RecordedSearch(Delta.exp(Fraction(2, 7)))
     h = search.run()
     assert h.bit_length() == 3845
-    assert len(search.evaluated) <= 8  # of the 3847 heights the search asks
-    assert len(search.used) == 3847
+    assert len(search.evaluated) <= 8  # of the 4 heights the search asks
+    assert len(search.used) == 4
+    # the bisection ends once the facts meet in its bracket: a plain one
+    # would ask 3843 more questions, each answered by them
+    assert search.verdicts.past_to + 1 == h == search.verdicts.true_from
     assert (search.cell_checks, len(search.cells)) == (67, 23)  # failed checks included
+
+
+@pytest.mark.parametrize("k", [6443, 6444, 6445])
+def test_threshold_starts_at_the_precision_its_size_needs(k, monkeypatch):
+    # e^2/7's three thresholds near H, of 3845 bits: one exp each, at no
+    # fewer bits than T_k has, instead of doubling up from 256 bits.
+    engine = _HeightEngine(choose_parameters(1, Delta.exp(Fraction(2, 7)), CTX), CTX)
+    precisions, exp = [], real.Context.exp
+    monkeypatch.setattr(real.Context, "exp", lambda self, x: precisions.append(self.prec) or exp(self, x))
+    t = engine.threshold(k)
+    assert len(precisions) == 1 and precisions[0] >= t.bit_length()
 
 
 @pytest.mark.parametrize("text, sha, counts", [
