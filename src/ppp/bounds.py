@@ -771,14 +771,11 @@ class _HeightEngine:
         self._packs: dict[int, _Majorant] = {}  # precision -> pack
         self._thresholds: dict[int, int] = {}  # k -> T_k = ceil(exp(k/rho))
         self.pack = pk = _escalate(ctx, self._pack)  # its first attempt: the proof precision
-        # the constants of ``_cell_floats`` as the floats nearest the midpoints
-        # of their enclosures, K = log_k + F (log 2 + d log j0) folded into
-        # one; None unless each enclosure is at most 2^-60 wide relative
-        ends = [x.endpoints() for x in (pk.log_k + params.floor_j0 * (pk.log2 + pk.d_log_j0),
-                                        pk.lam, pk.ell, pk.d_log_j0, pk.log_2cd)]
-        self._floats = None
-        if all(hi - lo <= abs(lo + hi) * Fraction(1, 2**61) for lo, hi in ends):
-            self._floats = (*(float((lo + hi) / 2) for lo, hi in ends), float(params.rho))
+        # the constants of ``_cell_floats``, K = log_k + F (log 2 + d log j0)
+        # folded into one
+        K = pk.log_k + params.floor_j0 * (pk.log2 + pk.d_log_j0)
+        self._floats = (*(float(x.mid()) for x in (K, pk.lam, pk.ell, pk.d_log_j0, pk.log_2cd)),
+                        float(params.rho))
 
     def _pack(self, ivc) -> _Majorant:
         """The majorant of Phi(d, x) in the context ``ivc``, plus log(2cd) and rho."""
@@ -879,14 +876,14 @@ class _HeightEngine:
         against r d L at the upper-right) pays the whole rise of r d L,
         about 2 d rho L per unit of L, across the cell.
 
-        Two tiers decide low > 0.  Its float value over a magnitude
-        (``_cell_estimate``) errs by less than a sixteenth of ``_CELL_BAND``
-        (``_cell_floats``), so outside the band its sign is the verdict;
-        inside it, ``_cell_low`` encloses low at the proof precision.
+        Every True is proved: ``_cell_low`` encloses low at the proof
+        precision.  A False needs no proof, as it only narrows the prefix's
+        next cell: where low's float value over its scale (``_cell_estimate``)
+        lies below -``_CELL_BAND``, the cell fails with no enclosure.
         """
         guess = self._cell_estimate(la, lb)
-        if guess is not None and abs(guess) > _CELL_BAND:
-            return guess > 0
+        if guess is not None and guess < -_CELL_BAND:
+            return False
         return (self._cell_low(la, lb) > 0) is True
 
     def _cell_low(self, la: Fraction, lb: Fraction):
@@ -906,64 +903,18 @@ class _HeightEngine:
         return psi_c - abs(psi_L) * ivc.num((lb - la) / 2) - abs(phi_r) * ivc.num(t_c)
 
     def _cell_estimate(self, la: Fraction, lb: Fraction) -> float | None:
-        """low / mu from ``_cell_floats``: within 2^-40.6 of the exact low
-        over the same mu; None where ``_cell_floats`` is."""
+        """low / scale from ``_cell_floats``; None where ``_cell_floats`` is."""
         parts = self._cell_floats(la, lb)
         return None if parts is None else parts[0] / parts[1]
 
     def _cell_floats(self, la: Fraction, lb: Fraction) -> tuple[float, float] | None:
-        """``cell_false``'s bound low on [la, lb] in floats, and a magnitude
-        mu with |low_float - low| <= (5M + 7) u mu; None when a float
-        operation fails, the constants are too coarse (``_floats``) or
-        A_hi > 2^20.
-
-        It retraces ``_cell_low`` with the same centre and corners and the
-        partials as (lo, hi) pairs, so in exact arithmetic it is low: the
-        slope rises with u, and a product's range lies at its corners.
-
-        Error bound (Higham, Accuracy and Stability of Numerical Algorithms,
-        §2.2 and, for the sums, §4.2).  Let u = 2^-53, M = ``_LOG_ULPS`` and
-        <k> a relative error of at most k u.  Each + - * / and float() is
-        correctly rounded, <1>; math.log, exp and log1p are <2M> (the
-        assumption stated at ``_LOG_ULPS``, with ulp(y) <= 2u|y|; an exp that
-        underflows errs by under 2^-1060, far below u K, as K > 4 zeta(2) /
-        lam > 6); the constants (``_floats``) are <2>, rounded from
-        enclosures at most 2^-60 wide relative; d and jf = J + F are exact.
-        The bounds below are first order: A_hi <= 2^20 keeps every
-        perturbation under 2^-20, so the rest is under 2^-14 of them.
-
-        * a, b <1>, m <2>, and hw = (lb - la)/2 <1>, rounded from the exact
-          difference since b - a would cancel.  t_c errs by 3u, so <6>;
-          r_c <8>, r_lo <3>, r_hi <4>, w_lo = 1/r_hi + ell and
-          w_hi = 1/r_lo + ell <6>.
-        * u_x = c2 + log r_x + L_x + (r_x - 1) ell, c2 = log(2cd), at x = c,
-          lo, hi: log r_x errs by 9u + 2M u log r_x, r_x - 1 by 9u r_x, and
-          three sums round.  With A_x = 1 + |c2| + g + log r_x + L_x + r_x ell,
-          g = d log j0, u_x errs by (2M + 15) u A_x and y_x = u_x + g by
-          (2M + 18) u A_x; |y_x| < A_x and A_lo, A_c <= A_hi.
-        * T0 = log_phi(u_c) = K + jf sp(u_c) + y_c^2 / lam, sp(u) =
-          log(1 + e^u), is a sum of terms >= 0.  sp is 1-Lipschitz, its
-          evaluation max(u, 0) + log1p(exp(-|u|)) errs by (5M + 1) u sp
-          (e^-|u| <= 1.45 log1p(e^-|u|)), and |y^2 - y_c^2| <= 2 A_c |dy|.
-          So T0 errs by (2M + 18) u G + (5M + 4) u T0, G = (jf + 2 A_c / lam) A_c.
-        * T1 = d r_c m <12>.
-        * The corner slopes s_x = jf / (1 + e^-u_x) + 2 y_x / lam: the
-          logistic's derivative is at most E = min(1, e^-u_lo) at both, so
-          each errs by (2M + 18) u D, D = jf (E A_hi + 1) + 4 A_hi / lam >= |s_x|.
-        * Phi_r's ends P_lo = min s_i w_j - d lb and P_hi = max s_i w_j - d la
-          err by (2M + 26) u Q, Q = D w_hi + d lb >= |P_x|, and
-          T3 = max |P_x| t_c by (2M + 33) u t_c Q.
-        * psi_L's ends s_lo - d r_hi + rho P_lo and s_hi - d r_lo + rho P_hi
-          cancel, as Phi_L = slope - d r does: each errs by (2M + 30) u Psi,
-          Psi = D + d r_hi + rho Q, and T2 = |psi_L| hw by (2M + 32) u hw Psi.
-        * low = T0 - T1 - T2 - T3 rounds thrice, by 3u (T0 + T1 + T2 + T3).
-
-        With mu = T0 + T1 + G + hw Psi + t_c Q >= T0 + T1 + T2 + T3, that is
-        (5M + 7) u mu for M >= 10, and mu is <2^-36>.  So low / mu, rounded,
-        lies within (5M + 8) u (1 + 2^-14) < 2^-40.6 of the exact low / mu.
+        """``cell_false``'s bound low on [la, lb] in floats, and its scale
+        T0 + T1, the two sides at the centre; None when a float operation
+        fails.  A heuristic that proves nothing: it retraces ``_cell_low``
+        with the same centre and corners and the partials as (lo, hi)
+        pairs, so in exact arithmetic it is low, since the slope rises with u
+        and a product's range lies at its corners.
         """
-        if self._floats is None:
-            return None
         K, lam, ell, g, c2, rho = self._floats
         d, jf = self.params.d, self.J + self.params.floor_j0
         try:
@@ -971,30 +922,22 @@ class _HeightEngine:
             m = (a + b) / 2
             t_c = max(0.5, 1 - rho * m)
             r_c, r_lo, r_hi = rho * m + t_c, max(1.0, rho * a), rho * b + 1
-            log_c, log_hi = math.log(r_c), math.log(r_hi)
-            A_c = 1 + abs(c2) + g + log_c + m + r_c * ell
-            A_hi = 1 + abs(c2) + g + log_hi + b + r_hi * ell
-            if A_hi > 2.0**20:
-                return None
-            u_c = c2 + log_c + m + (r_c - 1) * ell
+            u_c = c2 + math.log(r_c) + m + (r_c - 1) * ell
             u_lo = c2 + math.log(r_lo) + a + (r_lo - 1) * ell
-            u_hi = c2 + log_hi + b + (r_hi - 1) * ell
+            u_hi = c2 + math.log(r_hi) + b + (r_hi - 1) * ell
             y_c, y_lo, y_hi = u_c + g, u_lo + g, u_hi + g
             # log(1 + e^u) = max(u, 0) + log1p(e^-|u|)
             T0 = K + jf * (max(u_c, 0) + math.log1p(math.exp(-abs(u_c)))) + y_c * y_c / lam
-            e_lo, e_hi = math.exp(-u_lo), math.exp(-u_hi)
             # the slope rises with u; Phi_L = slope - d r, Phi_r = slope (1/r + ell) - d L
-            s_lo, s_hi = jf / (1 + e_lo) + 2 * y_lo / lam, jf / (1 + e_hi) + 2 * y_hi / lam
+            s_lo = jf / (1 + math.exp(-u_lo)) + 2 * y_lo / lam
+            s_hi = jf / (1 + math.exp(-u_hi)) + 2 * y_hi / lam
             w_lo, w_hi = 1 / r_hi + ell, 1 / r_lo + ell
             corners = (s_lo * w_lo, s_lo * w_hi, s_hi * w_lo, s_hi * w_hi)
             phi_r_lo, phi_r_hi = min(corners) - d * b, max(corners) - d * a
             psi_L = max(abs(s_lo - d * r_hi + rho * phi_r_lo),
                         abs(s_hi - d * r_lo + rho * phi_r_hi))  # |psi_L|, psi_L = Phi_L + rho Phi_r
             T1, T3 = d * r_c * m, max(abs(phi_r_lo), abs(phi_r_hi)) * t_c
-            D = jf * (min(1.0, e_lo) * A_hi + 1) + 4 * A_hi / lam
-            Q = D * w_hi + d * b
-            mu = T0 + T1 + (jf + 2 * A_c / lam) * A_c + hw * (D + d * r_hi + rho * Q) + t_c * Q
-            return T0 - T1 - psi_L * hw - T3, mu
+            return T0 - T1 - psi_L * hw - T3, T0 + T1
         except (OverflowError, ValueError):
             return None
 
@@ -1014,17 +957,12 @@ class _HeightEngine:
 
 
 # The first and the smallest cell width the false prefix tries, as powers
-# of two in log h: 2^8, which the float tier narrows (to 2^6 on e^2/7, 2^-2
-# on e^1/40), and 2^-12.
+# of two in log h: 2^8, which failed cells narrow (to 2^6 on e^2/7, 2^-2 on
+# e^1/40), and 2^-12.
 _CELL_START, _CELL_FLOOR = 8, -12
-# ``_HeightEngine._cell_estimate`` decides a cell by its sign outside this
-# band: 2^4.6 times the bound its rounding errors keep within.
+# ``_HeightEngine.cell_false`` encloses every cell whose float estimate lies
+# above -_CELL_BAND, a margin for the values too near 0 to reject unproved.
 _CELL_BAND = 2.0**-36
-# CPython's math.log, math.exp and math.log1p are the C library's, which no
-# standard bounds.  ``_HeightEngine._cell_floats`` assumes that each errs by
-# at most this many units in the last place (glibc and musl stay within
-# one, and tests check the running ones).
-_LOG_ULPS = 1 << 10
 
 
 def _false_prefix(engine: _HeightEngine) -> int:

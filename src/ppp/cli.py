@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success / certified, 1 refuted, 2 usage or input error,
-3 internal error (a bug trap): the two primary certifiers disagree, a
-re-check of a bound that ``bounds`` claims fails, or the exact decimal
-arithmetic of ``apply`` or ``egf-invert`` would round, 4 undecided within
-resource limits: ``bounds`` hit its height cap, its precision ceiling or
-its J scan cap, and the message names the limit; or any subcommand ran out
-of memory.
+Exit codes: 0 success / certified, 1 refuted, 2 usage or input error, or a
+broken pipe on stdout (with nothing on stderr), 3 internal error (a bug
+trap): the two primary certifiers disagree, a re-check of a bound that
+``bounds`` claims fails, or the exact decimal arithmetic of ``apply`` or
+``egf-invert`` would round, 4 undecided within resource limits: ``bounds``
+hit its height cap, its precision ceiling or its J scan cap, and the
+message names the limit; or any subcommand ran out of memory.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
 import bisect
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import queue
 import random
+import sys
 import time
 import types
 from fractions import Fraction
@@ -19,7 +21,6 @@ from ppp.arith import is_prime, prime_segments, primes_up_to, primorial_table
 from ppp.bounds import (
     DUSART,
     ROSSER_SCHOENFELD,
-    _LOG_ULPS,
     _HeightEngine,
     _Verdicts,
     _decide_floor,
@@ -244,71 +245,30 @@ def test_tail_bound_holds_at_every_gap_end(bound, lo, hi):
         assert theta * (1 - 1e-9) > q * (1 - float(bound.a) / math.log(q) ** bound.k), q
 
 
-class RecordingMath(types.SimpleNamespace):
-    """The math module, recording the arguments of log, exp and log1p."""
+class CallerMath(types.SimpleNamespace):
+    """The math module, recording the function that calls log, exp or log1p."""
 
     def __init__(self):
-        super().__init__(args={"log": [], "exp": [], "log1p": []})
+        super().__init__(callers=set())
 
     def __getattr__(self, name):
-        return getattr(math, name)
-
-    def log(self, x):
-        self.args["log"].append(x)
-        return math.log(x)
-
-    def exp(self, x):
-        self.args["exp"].append(x)
-        return math.exp(x)
-
-    def log1p(self, x):
-        self.args["log1p"].append(x)
-        return math.log1p(x)
+        f = getattr(math, name)
+        if name not in ("log", "exp", "log1p"):
+            return f
+        self.callers.add(sys._getframe(1).f_code.co_name)
+        return f
 
 
-@functools.lru_cache(maxsize=None)
-def golden_prefix_math_args():
-    """The arguments of math.log, exp and log1p over the golden prefixes."""
-    recorder = RecordingMath()
-    bounds.math = recorder
-    try:
-        for text in GOLDEN_DELTAS:
-            bounds._false_prefix(_HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX))
-    finally:
-        bounds.math = math
-    return recorder.args
-
-
-def test_math_log_meets_the_band_assumption():
-    # The cell tier's band assumes math.log errs by at most _LOG_ULPS ulps:
-    # checked on every argument the golden prefixes pass (the J scan calls
-    # no math.log), and on a grid over the range those span.
-    args = list(golden_prefix_math_args()["log"])
-    assert len(args) > 2000
-    lo, hi = min(args), max(args)
-    args += [lo * (hi / lo) ** (k / 4000) for k in range(4001)]
-    with mpmath.workprec(120):
-        worst = max(abs(mpmath.mpf(math.log(x)) - mpmath.log(x)) / math.ulp(math.log(x))
-                    for x in args)
-    assert worst <= _LOG_ULPS
-
-
-def test_math_exp_and_log1p_meet_the_band_assumption():
-    # The cell tier's band assumes math.exp and math.log1p err by at most
-    # _LOG_ULPS ulps: checked on every argument the golden prefixes pass,
-    # and on grids over the range those span.
-    recorded = golden_prefix_math_args()
-    exp_args, log1p_args = list(recorded["exp"]), list(recorded["log1p"])
-    assert len(exp_args) > 2000 and len(log1p_args) > 500
-    lo, hi = min(exp_args), max(exp_args)
-    exp_args += [lo + (hi - lo) * k / 4000 for k in range(4001)]
-    tiny = min(x for x in log1p_args if x > 0)
-    log1p_args += [tiny * (max(log1p_args) / tiny) ** (k / 4000) for k in range(4001)]
-    with mpmath.workprec(120):
-        for f, exact, args in ((math.exp, mpmath.exp, exp_args),
-                               (math.log1p, mpmath.log1p, log1p_args)):
-            worst = max(abs(mpmath.mpf(f(x)) - exact(x)) / math.ulp(f(x)) for x in args)
-            assert worst <= _LOG_ULPS, f
+def test_libm_only_chooses_work(monkeypatch):
+    # math.log, exp and log1p set the float estimate that picks cell widths
+    # and the start precision of each threshold, and nothing else: over
+    # every golden report, no other function of ppp.bounds calls them.
+    recorder = CallerMath()
+    monkeypatch.setattr(bounds, "math", recorder)
+    for text in GOLDEN_DELTAS:
+        with contextlib.suppress(SearchExceeded):  # 3/2
+            bounds_report(1, Delta.parse(text), CTX)
+    assert recorder.callers == {"_cell_floats", "threshold"}
 
 
 REFERENCE_CAP = 10**6  # not a prime: the last gap ends at the cap
@@ -1241,29 +1201,56 @@ def test_first_cells_of_the_prefix_are_proved(delta, rho):
 def test_prefix_evaluates_each_cells_float_bound_once():
     # Each cell_false call evaluates its cell's float bound once, and the
     # prefix asks no cell twice: e^2/7's 67 calls take 67 float evaluations,
-    # none repeated.
+    # none repeated, and its 23 proved cells the only 23 enclosures.
     engine = _HeightEngine(choose_parameters(1, Delta.exp(Fraction(2, 7)), CTX), CTX)
-    floats, cell_false, evaluated, checked = engine._cell_floats, engine.cell_false, [], []
+    floats, cell_false, cell_low = engine._cell_floats, engine.cell_false, engine._cell_low
+    evaluated, checked, lows = [], [], []
     engine._cell_floats = lambda la, lb: evaluated.append((la, lb)) or floats(la, lb)
     engine.cell_false = lambda la, lb: checked.append(la) or cell_false(la, lb)
+    engine._cell_low = lambda la, lb: lows.append((la, lb)) or cell_low(la, lb)
     bounds._false_prefix(engine)
-    assert (len(evaluated), len(checked)) == (67, 67)
+    assert (len(evaluated), len(checked), len(lows)) == (67, 67, 23)
     assert len(set(evaluated)) == len(evaluated)
 
 
-def test_raised_cap_three_halves_prefix_ends_in_the_enclosure_tier():
-    # The one pinned input whose prefix reaches _cell_low: 3/2 at the raised
-    # height cap ends at a cell whose float value, about -3.5e-12, lies in
-    # the band.  The 256-bit enclosure leaves it unproved, so the prefix
-    # stops there.
-    ctx = PrecisionCtx(h_cap_log2=60000, max_bits=2**18)
-    engine = _HeightEngine(choose_parameters(1, Fraction(3, 2), ctx), ctx)
-    cell_false, cell_low, checked, lows = engine.cell_false, engine._cell_low, [], []
-    engine.cell_false = lambda la, lb: checked.append((la, lb)) or cell_false(la, lb)
+def recorded_prefix(engine):
+    """Run the false prefix of ``engine``; return its proved cells and the
+    cells ``_cell_low`` enclosed, in order."""
+    cell_false, cell_low, proved, lows = engine.cell_false, engine._cell_low, [], []
+
+    def check(la, lb):
+        false = cell_false(la, lb)
+        if false:
+            proved.append((la, lb))
+        return false
+
+    engine.cell_false = check
     engine._cell_low = lambda la, lb: lows.append((la, lb)) or cell_low(la, lb)
     bounds._false_prefix(engine)
+    return proved, lows
+
+
+@pytest.mark.parametrize("text", GOLDEN_DELTAS)
+def test_every_proved_cell_is_enclosed(text):
+    # Every True from cell_false comes from _cell_low, and on each golden
+    # delta the float value rejects every cell that fails, so the
+    # enclosures are exactly the proved cells, one each.
+    engine = _HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX)
+    proved, lows = recorded_prefix(engine)
+    assert proved and lows == proved
+
+
+def test_raised_cap_three_halves_prefix_ends_in_the_enclosure_tier():
+    # The one pinned input that encloses a cell it does not prove: 3/2 at
+    # the raised height cap ends at a cell whose float value, about -7e-12
+    # of its scale, lies in the band.  The 256-bit enclosure leaves it
+    # unproved, so the prefix stops there, after its 37 proved cells.
+    ctx = PrecisionCtx(h_cap_log2=60000, max_bits=2**18)
+    engine = _HeightEngine(choose_parameters(1, Fraction(3, 2), ctx), ctx)
+    cell_false = engine.cell_false
+    proved, lows = recorded_prefix(engine)
     cell = (Fraction(82479917, 2048), Fraction(164959835, 4096))
-    assert checked[-1] == cell and lows == [cell]
+    assert len(proved) == 37 and lows == proved + [cell]
     assert abs(engine._cell_estimate(*cell)) <= bounds._CELL_BAND
     assert cell_false(*cell) is False
 
@@ -1331,9 +1318,10 @@ def boundary_of_estimate(engine):
 
 @pytest.mark.parametrize("text", GOLDEN_DELTAS)
 def test_cell_estimate_has_the_sign_of_cell_false(text):
-    # Outside the band, the float value has the sign of the bound that the
-    # enclosure tier encloses: on cells of every width the prefix tries, from
-    # log h = 1/16 to far past the prefix and around its end.
+    # Outside the band, the float value has the sign of the bound that
+    # _cell_low encloses, so it picks the widths the enclosures would: on
+    # cells of every width the prefix tries, from log h = 1/16 to far past
+    # the prefix and around its end.
     engine = _HeightEngine(choose_parameters(1, Delta.parse(text), CTX), CTX)
     rng = random.Random(29)
     end = boundary_of_estimate(engine)
@@ -1353,32 +1341,22 @@ def test_cell_estimate_has_the_sign_of_cell_false(text):
     assert signs == {False, True}
 
 
-def test_cell_band_covers_the_derived_float_error():
-    # _cell_floats derives |low_float - low| <= (5M + 7) u mu, so low / mu,
-    # rounded, lies within (5M + 8) u (1 + 2^-14) of the exact low over the
-    # same mu, where _CELL_BAND keeps 2^4 of headroom.  Checked against low
-    # at 1024 bits, the lower end of _cell_low's enclosure over a 1024-bit
-    # pack, on random cells of every golden delta.
-    bound = (5 * _LOG_ULPS + 8) * 2.0**-53 * (1 + 2.0**-14)
-    assert bounds._CELL_BAND >= 16 * bound
-    rng, worst = random.Random(34), 0
-    for text in GOLDEN_DELTAS:
-        params = choose_parameters(1, Delta.parse(text), CTX)
-        engine, fine = _HeightEngine(params, CTX), _HeightEngine(params, CTX)
-        fine.pack = fine._pack(real.Context(1024))
-        end = boundary_of_estimate(engine)
-        for k in range(24):
-            if k % 2:
-                la = Fraction(round(2 ** rng.uniform(-4, 16) * 4096), 4096)
-            else:
-                la = max(0, end - Fraction(round(2 ** rng.uniform(4, 20)), 2**16))
-            lb = la + Fraction(2) ** rng.randint(bounds._CELL_FLOOR, 8)
-            low, mu = engine._cell_floats(la, lb)
-            exact, _ = fine._cell_low(la, lb).endpoints()
-            error = abs(Fraction(low / mu) - exact / Fraction(mu))
-            assert error <= bound, (text, la, lb, float(error))
-            worst = max(worst, error / Fraction(bound))
-    assert worst > 0  # about 3e-4 with a C library that rounds within an ulp
+@pytest.mark.parametrize("patched, claim", [
+    ("_cell_floats", lambda self, la, lb: (1.0, 1.0)),
+    ("_cell_estimate", lambda self, la, lb: 1.0),
+], ids=["floats", "estimate"])
+def test_a_positive_estimate_proves_no_cell(patched, claim, monkeypatch):
+    # A float value that claims a large positive bound on every cell, with
+    # the band as it is, proves none: the floor-width cell where e^2/7's
+    # prefix ends stays unproved, and the prefix ends at the same height.
+    delta = Delta.exp(Fraction(2, 7))
+    default = RecordedSearch(delta)
+    la, lb, false = default.checked[-1]
+    assert false is False and lb - la == Fraction(2) ** bounds._CELL_FLOOR
+    monkeypatch.setattr(_HeightEngine, patched, claim)
+    engine = _HeightEngine(choose_parameters(1, delta, CTX), CTX)
+    assert engine.cell_false(la, lb) is False
+    assert bounds._false_prefix(engine) == default.verdicts.false_to
 
 
 @pytest.mark.parametrize("lie", ["accept", "reject", "random"])

@@ -57,6 +57,18 @@ def test_sieve_bad_flags():
     assert run(["sieve", "--n", "3"]).returncode == 2
 
 
+def test_a_closed_stdout_exits_2_silently():
+    # As in `ppp sieve --kind primorial --n 3000 | head -c 10`: the reader
+    # leaves after 10 bytes of about 1.9 MB, so a later write meets a broken
+    # pipe, which exits 2 with nothing on stderr.
+    args = ["sieve", "--kind", "primorial", "--n", "3000"]
+    with subprocess.Popen(CMD + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"1\n1\n2\n6\n6\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=300), err) == (2, b"")
+
+
 def test_sieve_negative_size():
     for kind in ("primorial", "lcm"):
         r = run(["sieve", "--kind", kind, "--n", "-3"])
@@ -850,10 +862,16 @@ def test_deterministic_outputs():
 # Only ``ppp bounds`` loads real arithmetic (ppp.bounds and ppp.real), and
 # nothing loads mpmath, or dataclasses and inspect (ppp's records are
 # ``_record.Record``s).  Each check runs in a fresh interpreter, since this
-# one has imported ppp.bounds already.
+# one has imported ppp.bounds already.  It starts with -S and the checkout's
+# src as its only path, so no site hook (a sitecustomize or a .pth file)
+# loads a module before the script does.
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
 
 def fresh(script, *args):
-    r = subprocess.run([sys.executable, "-c", script, *args],
+    r = subprocess.run([sys.executable, "-S", "-c", script, *args],
+                       env={**os.environ, "PYTHONPATH": SRC},
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     return r.stdout
